@@ -6,6 +6,17 @@ projections between alphabets read maximal letter blocks: q_left reads
 blocks 1 0^{k-1} from the left and kills words with a leading 0, q_right
 reads blocks 0^{k-1} 1 and kills words with a trailing 0, and q_sharp turns
 the leading block of a q_right-readable word into a T-exponent.
+
+Primitivity for the coproduct dual to the interleaving product is decided
+per weight component by triangular reduction.  In characteristic 0 the
+primitive elements are exactly the Lie polynomials (Friedrichs), and the
+standard bracketing P_w of a Lyndon word w expands to w plus lexicographically
+larger words of the same length (Reutenauer, Free Lie Algebras, ch. 5).  So
+subtracting coeff * P_w for the smallest word w left in the support empties
+a component exactly when it is Lie, and stops at a non-Lyndon smallest word
+otherwise.  The cost follows the number of Lyndon words, not the number of
+interleavings; the pairing scan over all (u, v) runs only to list the
+defects of a component that fails.
 """
 
 from __future__ import annotations
@@ -236,20 +247,28 @@ def group_star(phi: XSeries) -> YSeries:
     return y_concat_product(_gamma_correction(phi), base)
 
 
-def shuffle_primitivity_defect(
-    a: XSeries, k: int
-) -> list[tuple[XWord, XWord, Fraction]]:
-    """All nonempty pairs (u, v), |u| <= |v|, |u|+|v| = k, with <a | u sh v> != 0.
+def _is_lie_component(comp: dict[XWord, Fraction]) -> bool:
+    """True when a homogeneous component of weight >= 1 is a Lie polynomial,
+    by triangular reduction against the Lyndon bracketings."""
+    from .lyndon import _expand  # lyndon imports this module
 
-    An empty list at every weight means the series is primitive for the
-    coproduct dual to the interleaving product.
-    """
-    if k > a.weight_bound:
-        raise ValueError(f"weight {k} exceeds bound {a.weight_bound}")
-    comp = {w: c for w, c in a.terms.items() if len(w) == k}
+    rest = dict(comp)
+    while rest:
+        w = min(rest)
+        if any(w >= w[i:] for i in range(1, len(w))):
+            return False  # the smallest word of a Lie element is Lyndon
+        c = rest[w]
+        for u, cu in _expand(w).terms.items():
+            acc = rest.get(u, 0) - c * cu
+            if acc:
+                rest[u] = acc
+            else:
+                rest.pop(u, None)
+    return True
+
+
+def _pairing_scan(comp: dict[XWord, Fraction], k: int) -> list:
     out = []
-    if not comp:
-        return out
     for lu in range(1, k // 2 + 1):
         for u in all_xwords(lu):
             for v in all_xwords(k - lu):
@@ -259,6 +278,27 @@ def shuffle_primitivity_defect(
                 if val:
                     out.append((u, v, val))
     return out
+
+
+def _weight_component(a: XSeries, k: int) -> dict[XWord, Fraction]:
+    if k > a.weight_bound:
+        raise ValueError(f"weight {k} exceeds bound {a.weight_bound}")
+    return {w: c for w, c in a.terms.items() if len(w) == k}
+
+
+def shuffle_primitivity_defect(
+    a: XSeries, k: int
+) -> list[tuple[XWord, XWord, Fraction]]:
+    """All nonempty pairs (u, v), |u| <= |v|, |u|+|v| = k, with <a | u sh v> != 0.
+
+    An empty list at every weight means the series is primitive for the
+    coproduct dual to the interleaving product.  A component that passes the
+    Lie test returns [] without enumerating any pair.
+    """
+    comp = _weight_component(a, k)
+    if k < 2 or _is_lie_component(comp):
+        return []
+    return _pairing_scan(comp, k)
 
 
 def harmonic_primitivity_defect(
@@ -286,12 +326,13 @@ def harmonic_primitivity_defect(
 
 
 def is_primitive(a: XSeries, up_to: int | None = None) -> bool:
-    """True when every weight component up to the bound has empty shuffle defect."""
+    """True when the constant term is 0 and every weight component from 2 up to
+    the bound is a Lie polynomial, so has empty shuffle defect."""
     top = a.weight_bound if up_to is None else min(up_to, a.weight_bound)
     if a.coeff("") != 0:
         return False
     for k in range(2, top + 1):
-        if shuffle_primitivity_defect(a, k):
+        if not _is_lie_component(_weight_component(a, k)):
             return False
     return True
 

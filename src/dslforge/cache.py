@@ -8,8 +8,10 @@ rule) invalidates old entries.  The directory defaults to
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import tempfile
 from pathlib import Path
 
 from .spaces import (
@@ -36,6 +38,8 @@ def _entry_path(space: SpaceId, k: int) -> Path:
 
 
 def load_basis(space: SpaceId, k: int) -> SubspaceBasis | None:
+    """The cached basis, or None (a miss) when the entry is absent, of another
+    schema, unreadable, or structurally inconsistent with its key."""
     path = _entry_path(space, k)
     if not path.is_file():
         return None
@@ -44,18 +48,32 @@ def load_basis(space: SpaceId, k: int) -> SubspaceBasis | None:
             data = json.load(fh)
         if data.get("schema") != SCHEMA_VERSION:
             return None
-        return SubspaceBasis.from_json_dict(data)
-    except (ValueError, KeyError):
+        basis = SubspaceBasis.from_json_dict(data)
+        if data.get("dimension") != basis.dimension:
+            return None
+    except (ValueError, KeyError, TypeError, AttributeError):
         return None
+    if basis.space != space or basis.weight != k:
+        return None
+    if any(len(w) != k for v in basis.vectors for w in v.terms):
+        return None
+    return basis
 
 
 def store_basis(basis: SubspaceBasis) -> Path:
+    """Write the entry through a private temporary file in the cache directory
+    and rename it into place, so concurrent writers never share a file."""
     path = _entry_path(basis.space, basis.weight)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(basis.to_json_dict(), fh)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(basis.to_json_dict(), fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
     return path
 
 

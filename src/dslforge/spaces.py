@@ -365,6 +365,31 @@ class MembershipReport:
 _MAX_VIOLATIONS = 10
 
 
+def _sharp_harmonic_defects(image: dict, k: int):
+    """Yield, in scan order, each nonzero <q_right(s) | y_l (u * v)> at
+    weight k, given the terms of q_right(s)."""
+    for m in range(2, k):
+        for wu in range(1, m // 2 + 1):
+            for u in all_ywords(wu):
+                for v in all_ywords(m - wu):
+                    if wu == m - wu and v < u:
+                        continue
+                    expansion = harmonic_words(u, v)
+                    for l in range(1, k - m + 1):
+                        val = 0
+                        for w, mult in expansion.items():
+                            c = image.get((l,) + w)
+                            if c is not None:
+                                val += mult * c
+                        if val:
+                            yield {
+                                "t_exp": l - 1,
+                                "u": list(u),
+                                "v": list(v),
+                                "value": str(val),
+                            }
+
+
 def membership_check(space: SpaceId, s: XSeries) -> MembershipReport:
     """Check every defining condition of the space on each weight component."""
     violations: list = []
@@ -411,30 +436,9 @@ def membership_check(space: SpaceId, s: XSeries) -> MembershipReport:
         for k in weights:
             if len(violations) >= _MAX_VIOLATIONS:
                 break
-            for m in range(2, k):
-                for wu in range(1, m // 2 + 1):
-                    for u in all_ywords(wu):
-                        for v in all_ywords(m - wu):
-                            if wu == m - wu and v < u:
-                                continue
-                            expansion = harmonic_words(u, v)
-                            for l in range(1, k - m + 1):
-                                val = 0
-                                for w, mult in expansion.items():
-                                    c = image.get((l,) + w)
-                                    if c is not None:
-                                        val += mult * c
-                                if val:
-                                    record(
-                                        k,
-                                        "sharp-harmonic",
-                                        {
-                                            "t_exp": l - 1,
-                                            "u": list(u),
-                                            "v": list(v),
-                                            "value": str(val),
-                                        },
-                                    )
+            for detail in _sharp_harmonic_defects(image, k):
+                if record(k, "sharp-harmonic", detail):
+                    break
 
     if "sharp-depth-one" in tags:
         for k in weights:

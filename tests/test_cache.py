@@ -1,0 +1,78 @@
+"""Cache entries that disagree with their key are misses; writes are private."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from dslforge import cache
+from dslforge.cache import get_basis, load_basis, store_basis
+from dslforge.cli import main
+from dslforge.spaces import ADDMR, DMR
+
+
+@pytest.fixture()
+def private_cache(tmp_path, monkeypatch):
+    path = tmp_path / "cache"
+    monkeypatch.setenv("DSLFORGE_CACHE_DIR", str(path))
+    return path
+
+
+def _dims_row(capsys) -> list[int]:
+    row = capsys.readouterr().out.strip().splitlines()[-1]
+    return [int(x) for x in row.split("|")[1].split()]
+
+
+def test_emptied_entry_is_recomputed(private_cache, capsys) -> None:
+    assert main(["dims", "--space", "addmr", "--kmax", "6"]) == 0
+    assert _dims_row(capsys)[-1] == 3
+    entry = private_cache / "addmr-6-s1p1.json"
+    data = json.loads(entry.read_text())
+    data["vectors"] = []
+    entry.write_text(json.dumps(data))
+    assert main(["dims", "--space", "addmr", "--kmax", "6"]) == 0
+    assert _dims_row(capsys)[-1] == 3
+    assert len(json.loads(entry.read_text())["vectors"]) == 3
+
+
+def _tamper(space, k, edit) -> None:
+    entry = cache._entry_path(space, k)
+    data = json.loads(entry.read_text())
+    edit(data)
+    entry.write_text(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.update(dimension=d["dimension"] + 1),
+        lambda d: d.update(space="dmr"),
+        lambda d: d.update(weight=d["weight"] - 1),
+        lambda d: d["vectors"][0]["terms"][0].update(word="0"),
+        lambda d: d.update(vectors="oops"),
+    ],
+    ids=["dimension", "space", "weight", "term-length", "vectors-type"],
+)
+def test_inconsistent_entry_is_a_miss(private_cache, edit) -> None:
+    basis = get_basis(ADDMR, 5)
+    assert load_basis(ADDMR, 5) == basis
+    _tamper(ADDMR, 5, edit)
+    assert load_basis(ADDMR, 5) is None
+    assert get_basis(ADDMR, 5) == basis
+    assert load_basis(ADDMR, 5) == basis
+
+
+def test_store_leaves_no_temporary_files(private_cache, monkeypatch) -> None:
+    basis = get_basis(DMR, 5, use_cache=False)
+    path = store_basis(basis)
+    assert sorted(p.name for p in private_cache.iterdir()) == [path.name]
+
+    def broken_dump(obj, fh):
+        fh.write("{")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cache.json, "dump", broken_dump)
+    with pytest.raises(OSError):
+        store_basis(get_basis(DMR, 7, use_cache=False))
+    assert sorted(p.name for p in private_cache.iterdir()) == [path.name]

@@ -216,3 +216,29 @@ def test_basis_json_round_trip() -> None:
     assert back.space == basis.space
     assert back.weight == basis.weight
     assert back.vectors == basis.vectors
+
+
+def test_sharp_harmonic_scan_stops_at_the_cap(monkeypatch) -> None:
+    import random
+
+    from dslforge import spaces
+    from dslforge.algebra import q_right
+    from dslforge.lyndon import lyndon_primitive_basis
+
+    rng = random.Random(11)
+    s = XSeries((), 8)
+    for e in lyndon_primitive_basis(8):
+        s = s + e.expansion.scale(rng.choice((-2, -1, 1, 2)))
+    calls = []
+    real = spaces.harmonic_words
+    monkeypatch.setattr(
+        spaces, "harmonic_words", lambda u, v: calls.append(1) or real(u, v)
+    )
+    full = list(spaces._sharp_harmonic_defects(q_right(s).terms, 8))
+    full_calls = len(calls)
+    assert len(full) > 10
+    calls.clear()
+    rep = membership_check(ADDMR, s)
+    assert [v["detail"] for v in rep.violations] == full[:10]
+    assert {v["condition"] for v in rep.violations} == {"sharp-harmonic"}
+    assert len(calls) < full_calls
