@@ -22,6 +22,7 @@ defects of a component that fails.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 from .errors import NotGrouplikeUnit
 from .series import TYSeries, XSeries, YSeries
@@ -267,8 +268,8 @@ def _is_lie_component(comp: dict[XWord, Fraction]) -> bool:
     return True
 
 
-def _pairing_scan(comp: dict[XWord, Fraction], k: int) -> list:
-    out = []
+def _pairing_scan(comp: dict[XWord, Fraction], k: int):
+    """Yield, in scan order, each nonempty pair (u, v) with <comp | u sh v> != 0."""
     for lu in range(1, k // 2 + 1):
         for u in all_xwords(lu):
             for v in all_xwords(k - lu):
@@ -276,8 +277,7 @@ def _pairing_scan(comp: dict[XWord, Fraction], k: int) -> list:
                     continue
                 val = shuffle_pairing(comp, u, v)
                 if val:
-                    out.append((u, v, val))
-    return out
+                    yield u, v, val
 
 
 def _weight_component(a: XSeries, k: int) -> dict[XWord, Fraction]:
@@ -287,18 +287,20 @@ def _weight_component(a: XSeries, k: int) -> dict[XWord, Fraction]:
 
 
 def shuffle_primitivity_defect(
-    a: XSeries, k: int
+    a: XSeries, k: int, limit: int | None = None
 ) -> list[tuple[XWord, XWord, Fraction]]:
-    """All nonempty pairs (u, v), |u| <= |v|, |u|+|v| = k, with <a | u sh v> != 0.
+    """All nonempty pairs (u, v), |u| <= |v|, |u|+|v| = k, with <a | u sh v> != 0,
+    or only the first `limit` of them in scan order.
 
     An empty list at every weight means the series is primitive for the
     coproduct dual to the interleaving product.  A component that passes the
-    Lie test returns [] without enumerating any pair.
+    Lie test returns [] without enumerating any pair, and the scan stops once
+    it has found `limit` pairs.
     """
     comp = _weight_component(a, k)
     if k < 2 or _is_lie_component(comp):
         return []
-    return _pairing_scan(comp, k)
+    return list(islice(_pairing_scan(comp, k), limit))
 
 
 def harmonic_primitivity_defect(

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success/pass, 1 semantic failure (failed membership or check),
-2 usage, parse, or input errors.
+2 usage, parse, or input errors, including a violated precondition of a
+library call.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import sys
 
 from . import cache as cache_mod
 from .cache import get_basis
+from .errors import DslforgeError
 from .lie import bracket1, fad_decompose
 from .series import XSeries, load_series
 from .spaces import SpaceId, dimension_table, membership_check
@@ -224,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (DslforgeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -1,18 +1,19 @@
-"""Exact rational nullspace and solve routines.
+"""Exact integer nullspace and rational solve routines.
 
-The kernel path is exact end to end: a vectorized elimination modulo a fixed
-prime preselects an independent row subset (independence mod p implies exact
-independence), fraction-free integer elimination with magnitude pivoting runs
-on that small subset, and every resulting kernel vector is then verified
-against all original rows with exact arithmetic.  If verification fails the
-prime was unlucky and the next one in a fixed list is used, so the output is
-deterministic for a fixed input.
+The kernel path works in integers end to end: rows arrive as integer (or
+rational) vectors and are scaled to primitive integer form, a vectorized
+elimination modulo a fixed prime preselects an independent row subset
+(independence mod p implies exact independence), fraction-free integer
+elimination with magnitude pivoting runs on that small subset, and every
+resulting kernel vector is then verified against all original rows with exact
+integer arithmetic.  If verification fails the prime was unlucky and the next
+one in a fixed list is used, so the output is deterministic for a fixed input.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -26,30 +27,29 @@ def _primes_below(limit: int, count: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-# Primes just under 2**25: row reductions then fit int64 matrix products
-# (ncols * p**2 < 2**63) for up to 8192 columns.
+# Primes just under 2**25.  The mod-p selection cleans a row with one int64
+# product that sums up to rank terms below p**2, so it is exact while
+# rank * (p - 1)**2 < 2**63: ranks up to 8192 for these primes.
 _PRIMES = _primes_below(2**25, 6)
 
 
-def _row_to_int(row) -> list[int]:
-    """Scale a rational row to a primitive integer vector (gcd 1, first
-    nonzero entry positive)."""
-    den = 1
-    for c in row:
-        if isinstance(c, Fraction):
-            den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) if isinstance(c, Fraction) else int(c) * den for c in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+def _primitive(ints: list[int]) -> list[int]:
+    """Divide by the gcd and make the first nonzero entry positive."""
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-u for u in ints]
-            break
+    if next((v for v in ints if v), 0) < 0:
+        ints = [-v for v in ints]
     return ints
+
+
+def _row_to_int(row) -> list[int]:
+    """Scale an integer or rational row to a primitive integer vector (gcd 1,
+    first nonzero entry positive)."""
+    if not all(type(c) is int for c in row):
+        den = lcm(*(c.denominator for c in row))
+        row = [c.numerator * (den // c.denominator) for c in row]
+    return _primitive(row)
 
 
 def _dedupe(rows: list[list[int]]) -> list[list[int]]:
@@ -68,7 +68,9 @@ def _independent_rows_mod_p(rows: list[list[int]], ncols: int, p: int) -> list[i
     """Indices of a maximal independent subset modulo p, scanning in order.
 
     Pivot rows are maintained in reduced form so each incoming row is cleaned
-    with one matrix product.
+    with one matrix product.  That product sums one term below p**2 per pivot,
+    so a pivot that would take rank * (p - 1)**2 to 2**63 raises
+    ArithmeticError instead of letting int64 wrap.
     """
     pivots = np.zeros((0, ncols), dtype=np.int64)
     pivot_cols: list[int] = []
@@ -83,6 +85,12 @@ def _independent_rows_mod_p(rows: list[list[int]], ncols: int, p: int) -> list[i
         if nz.size == 0:
             continue
         col = int(nz[0])
+        rank = len(pivot_cols) + 1
+        if rank * (p - 1) ** 2 >= 2**63:
+            raise ArithmeticError(
+                f"mod-{p} row selection would overflow int64 at rank {rank}: "
+                "rank * (p - 1)**2 must stay below 2**63"
+            )
         v = (v * pow(int(v[col]), p - 2, p)) % p
         if pivot_cols:
             above = pivots[:, col].copy()
@@ -139,23 +147,24 @@ def _echelon_int(matrix: list[list[int]]) -> tuple[list[list[int]], list[int]]:
 
 def _kernel_from_echelon(
     rows: list[list[int]], pivot_cols: list[int], ncols: int
-) -> list[list[Fraction]]:
+) -> list[list[int]]:
     """Kernel basis from an echelon form: one vector per free column, with the
     free coordinate set to 1, then scaled to a primitive integer vector.
 
-    Back-substitution keeps integer numerators with one running denominator
-    per vector to avoid rational arithmetic in the inner loop.
+    Back-substitution keeps the vector as integers up to one common nonzero
+    factor, rescaling them when a pivot does not divide its entry, to avoid
+    rational arithmetic in the inner loop.
     """
-    free_cols = [c for c in range(ncols) if c not in set(pivot_cols)]
+    pivot_set = set(pivot_cols)
+    free_cols = [c for c in range(ncols) if c not in pivot_set]
     supports = [
         [(c, v) for c, v in enumerate(row) if v and c > pc]
         for row, pc in zip(rows, pivot_cols)
     ]
     basis = []
     for fc in free_cols:
-        num = [0] * ncols  # vec = num / den
+        num = [0] * ncols  # the vector times a common nonzero integer
         num[fc] = 1
-        den = 1
         for i in range(len(pivot_cols) - 1, -1, -1):
             pc = pivot_cols[i]
             s = 0
@@ -165,45 +174,28 @@ def _kernel_from_echelon(
             if s == 0:
                 continue
             piv = rows[i][pc]
-            # vec[pc] = -s / (den * piv): rescale onto a common denominator
+            # entry pc is -s / piv: rescale the whole vector by piv / gcd(s, piv)
             g = gcd(s, piv)
             s_red, piv_red = s // g, piv // g
             if piv_red == 1 or piv_red == -1:
                 num[pc] = -s_red * piv_red
             else:
                 num = [x * piv_red for x in num]
-                den *= piv_red
                 num[pc] = -s_red
-        ints = num
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        for v in ints:
-            if v:
-                if v < 0:
-                    ints = [-u for u in ints]
-                break
-        basis.append([Fraction(v) for v in ints])
+        basis.append(_primitive(num))
     return basis
 
 
-def kernel_basis(rows: list[list], ncols: int) -> list[list[Fraction]]:
-    """Exact rational kernel basis of the linear system rows * x = 0.
+def kernel_basis(rows: list[list], ncols: int) -> list[list[int]]:
+    """Exact kernel basis of the linear system rows * x = 0.
 
-    Accepts rows of Fractions or ints; returns primitive integer vectors as
-    Fractions, one per free column of the reduced system, in a deterministic
-    order.
+    Accepts rows of ints or Fractions; returns primitive integer vectors as
+    lists of int (gcd 1, first nonzero entry positive), one per free column
+    of the reduced system, in a deterministic order.
     """
     int_rows = _dedupe([_row_to_int(r) for r in rows])
     if not int_rows:
-        ident = []
-        for i in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[i] = Fraction(1)
-            ident.append(v)
-        return ident
+        return [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     for p in _PRIMES:
         selected = _independent_rows_mod_p(int_rows, ncols, p)
         subset = [int_rows[i] for i in selected]
@@ -217,13 +209,13 @@ def kernel_basis(rows: list[list], ncols: int) -> list[list[Fraction]]:
     raise ArithmeticError("kernel verification failed for all fallback primes")
 
 
-def _verify_kernel(rows: list[list[int]], basis: list[list[Fraction]]) -> bool:
+def _verify_kernel(rows: list[list[int]], basis: list[list[int]]) -> bool:
+    """True when every basis vector annihilates every row, exactly."""
     if not basis:
         return True
-    vecs = [[int(c) for c in vec] for vec in basis]  # integral by construction
     for row in rows:
         support = [(i, r) for i, r in enumerate(row) if r]
-        for vec in vecs:
+        for vec in basis:
             total = 0
             for i, r in support:
                 v = vec[i]

@@ -40,6 +40,63 @@ def _coeff(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def _json_coeff(value) -> Fraction:
+    """An exact coefficient read from JSON: an integer or a "p"/"p/q" string.
+    Floats are rejected, not converted to their binary value."""
+    if type(value) is int:
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in coefficient {value!r}") from None
+    raise ValueError(f"coefficient must be an integer or a string, got {value!r}")
+
+
+def _json_terms(data: dict, alphabet: str, key) -> tuple[list, int]:
+    """The (key, coeff) pairs and the weight bound of a series JSON object,
+    checked for format, alphabet, well-formed terms and exact coefficients;
+    key(term) reads and checks the word of one term."""
+    if data.get("format") != JSON_FORMAT:
+        raise ValueError(f"unknown series format: {data.get('format')!r}")
+    if data.get("alphabet") != alphabet:
+        raise ValueError(f"expected alphabet {alphabet!r}, got {data.get('alphabet')!r}")
+    bound = data.get("weight_bound")
+    if type(bound) is not int or bound < 0:
+        raise ValueError(f"weight_bound must be a nonnegative integer, got {bound!r}")
+    terms = data.get("terms")
+    if not isinstance(terms, list):
+        raise ValueError("series JSON needs a list of terms")
+    out = []
+    for t in terms:
+        try:
+            out.append((key(t), _json_coeff(t["coeff"])))
+        except (KeyError, TypeError):
+            raise ValueError(f"malformed term: {t!r}") from None
+    return out, bound
+
+
+def _json_xword(t: dict) -> XWord:
+    w = t["word"]
+    if not is_xword(w):
+        raise ValueError(f"not an X-word: {w!r}")
+    return w
+
+
+def _json_yword(t: dict) -> YWord:
+    w = t["yword"]
+    if not (isinstance(w, list) and all(type(k) is int and k >= 1 for k in w)):
+        raise ValueError(f"yword must be a list of positive integers, got {w!r}")
+    return tuple(w)
+
+
+def _json_tword(t: dict) -> TWord:
+    e = t["t"]
+    if type(e) is not int or e < 0:
+        raise ValueError(f"t must be a nonnegative integer, got {e!r}")
+    return e, _json_yword(t)
+
+
 def coeff_str(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
@@ -214,14 +271,7 @@ class XSeries(_SeriesOps):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "XSeries":
-        if data.get("format") != JSON_FORMAT:
-            raise ValueError(f"unknown series format: {data.get('format')!r}")
-        if data.get("alphabet") != "x01":
-            raise ValueError(f"expected alphabet 'x01', got {data.get('alphabet')!r}")
-        return cls(
-            [(t["word"], Fraction(t["coeff"])) for t in data["terms"]],
-            int(data["weight_bound"]),
-        )
+        return cls(*_json_terms(data, "x01", _json_xword))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -295,14 +345,7 @@ class YSeries(_SeriesOps):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "YSeries":
-        if data.get("format") != JSON_FORMAT:
-            raise ValueError(f"unknown series format: {data.get('format')!r}")
-        if data.get("alphabet") != "y":
-            raise ValueError(f"expected alphabet 'y', got {data.get('alphabet')!r}")
-        return cls(
-            [(tuple(t["yword"]), Fraction(t["coeff"])) for t in data["terms"]],
-            int(data["weight_bound"]),
-        )
+        return cls(*_json_terms(data, "y", _json_yword))
 
 
 def _tweight(key: TWord) -> int:
@@ -378,14 +421,7 @@ class TYSeries(_SeriesOps):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TYSeries":
-        if data.get("format") != JSON_FORMAT:
-            raise ValueError(f"unknown series format: {data.get('format')!r}")
-        if data.get("alphabet") != "ty":
-            raise ValueError(f"expected alphabet 'ty', got {data.get('alphabet')!r}")
-        return cls(
-            [((int(t["t"]), tuple(t["yword"])), Fraction(t["coeff"])) for t in data["terms"]],
-            int(data["weight_bound"]),
-        )
+        return cls(*_json_terms(data, "ty", _json_tword))
 
 
 @dataclass(frozen=True)
@@ -446,6 +482,8 @@ def load_series(path) -> XSeries | YSeries | TYSeries:
     """Load a series of any of the three alphabets from a JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: a series file holds one JSON object")
     alphabet = data.get("alphabet")
     if alphabet == "x01":
         return XSeries.from_json_dict(data)

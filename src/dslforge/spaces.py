@@ -4,14 +4,14 @@ Stage 1 picks the coordinates: spaces that include primitivity are
 parametrized by the Lyndon-bracketing basis of the primitive subspace (186
 coordinates at weight 11 instead of 2048 raw word coordinates); the strong
 parity space alone is compiled over raw word coordinates.  Stage 2 emits one
-row per residual linear condition.  Kernels are computed exactly and
-re-expanded into series through the chosen coordinates.
+integer row per residual linear condition, a positive multiple of the
+condition's rational row.  Kernels are computed exactly as integer vectors
+and re-expanded into series through the chosen coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (
     harmonic_primitivity_defect,
@@ -154,14 +154,33 @@ def _identity_rows(ncols: int) -> list:
     return rows
 
 
-def _star_harmonic_rows(columns: list[XSeries], k: int) -> list:
-    """One row per nonempty Y-word pair (u, v), wt u <= wt v, total weight k:
-    the functional psi -> <star_word(psi) | u * v>."""
-    stars = [star_word(c).terms for c in columns]
+def _as_int(c, word) -> int:
+    """An integral coefficient as int.  Every column image on the dims path is
+    integral, so a fractional one is an error, never rounded."""
+    if c.denominator != 1:
+        raise ArithmeticError(f"non-integral coefficient {c} on {word!r} in a row image")
+    return c.numerator
+
+
+def _int_terms(terms: dict, scale: int = 1) -> dict:
+    """The terms times scale as {word: int}."""
+    return {w: _as_int(c * scale, w) for w, c in terms.items()}
+
+
+def _word_index(images: list[dict]) -> dict:
+    """word -> [(column, coeff)] over the integer column images."""
     index: dict = {}
-    for j, terms in enumerate(stars):
+    for j, terms in enumerate(images):
         for w, c in terms.items():
             index.setdefault(w, []).append((j, c))
+    return index
+
+
+def _star_harmonic_rows(columns: list[XSeries], k: int) -> list:
+    """One row per nonempty Y-word pair (u, v), wt u <= wt v, total weight k:
+    the functional psi -> <k * star_word(psi) | u * v>.  The factor k clears
+    the 1/k of the depth-one tail term, the only non-integral one."""
+    index = _word_index([_int_terms(star_word(c).terms, k) for c in columns])
     rows = []
     n = len(columns)
     for wu in range(1, k // 2 + 1):
@@ -169,7 +188,7 @@ def _star_harmonic_rows(columns: list[XSeries], k: int) -> list:
             for v in all_ywords(k - wu):
                 if wu == k - wu and v < u:
                     continue
-                row = [Fraction(0)] * n
+                row = [0] * n
                 for w, mult in harmonic_words(u, v).items():
                     for j, c in index.get(w, ()):
                         row[j] += mult * c
@@ -180,11 +199,7 @@ def _star_harmonic_rows(columns: list[XSeries], k: int) -> list:
 def _sharp_harmonic_rows(columns: list[XSeries], k: int) -> list:
     """One row per l >= 1 and nonempty pair (u, v) with l + wt u + wt v = k:
     the functional psi -> <q_right(psi) | y_l (u * v)>."""
-    images = [q_right(c).terms for c in columns]
-    index: dict = {}
-    for j, terms in enumerate(images):
-        for w, c in terms.items():
-            index.setdefault(w, []).append((j, c))
+    index = _word_index([_int_terms(q_right(c).terms) for c in columns])
     rows = []
     n = len(columns)
     for m in range(2, k):
@@ -212,17 +227,20 @@ def _sharp_depth_one_rows(columns: list[XSeries], k: int) -> list:
     if k < 2:
         return []
     w = "1" + "0" * (k - 2) + "1"
-    return [[c.coeff(w) for c in columns]]
+    return [[_as_int(c.coeff(w), w) for c in columns]]
 
 
 def _corner00_rows(columns: list[XSeries], k: int) -> list:
     """One row per word x0*w*x0 appearing in some column."""
-    support = set()
-    for c in columns:
-        for w in c.terms:
-            if len(w) >= 2 and w[0] == "0" and w[-1] == "0":
-                support.add(w)
-    return [[c.coeff(w) for c in columns] for w in sorted(support)]
+    index = _word_index([_int_terms(c.terms) for c in columns])
+    n = len(columns)
+    rows = []
+    for w in sorted(w for w in index if len(w) >= 2 and w[0] == "0" and w[-1] == "0"):
+        row = [0] * n
+        for j, c in index[w]:
+            row[j] = c
+        rows.append(row)
+    return rows
 
 
 def _parity_rows(columns: list[XSeries], k: int, all_words: bool) -> list:
@@ -230,23 +248,21 @@ def _parity_rows(columns: list[XSeries], k: int, all_words: bool) -> list:
     <.|x1 w x1> + <.|x1 w x0> + <.|x0 w x1>."""
     if k < 2:
         return []
+    index = _word_index([_int_terms(c.terms) for c in columns])
     if all_words:
         middles = list(all_xwords(k - 2))
     else:
-        support = set()
-        for c in columns:
-            for w in c.terms:
-                if len(w) >= 2 and (w[0], w[-1]) != ("0", "0"):
-                    support.add(w[1:-1])
-        middles = sorted(support)
+        middles = sorted(
+            {w[1:-1] for w in index if len(w) >= 2 and (w[0], w[-1]) != ("0", "0")}
+        )
+    n = len(columns)
     rows = []
     for w in middles:
-        rows.append(
-            [
-                c.coeff("1" + w + "1") + c.coeff("1" + w + "0") + c.coeff("0" + w + "1")
-                for c in columns
-            ]
-        )
+        row = [0] * n
+        for corner in ("1" + w + "1", "1" + w + "0", "0" + w + "1"):
+            for j, c in index.get(corner, ()):
+                row[j] += c
+        rows.append(row)
     return rows
 
 
@@ -321,21 +337,21 @@ def compile_primitivity_raw(k: int) -> ConstraintMatrix:
 
 
 def rational_kernel(matrix: ConstraintMatrix) -> SubspaceBasis:
-    """Exact nullspace of the compiled system, re-expanded into series."""
+    """Exact nullspace of the compiled system, re-expanded into series in
+    integer arithmetic; each column is converted to integers on first use."""
     ncols = len(matrix.column_labels)
+    columns: dict = {}
     vectors = []
     for coords in kernel_basis(matrix.rows, ncols):
         terms: dict = {}
-        for c, col in zip(coords, matrix.column_series):
-            if c == 0:
+        for j, c in enumerate(coords):
+            if not c:
                 continue
-            for w, cw in col.terms.items():
-                acc = terms.get(w)
-                acc = c * cw if acc is None else acc + c * cw
-                if acc == 0:
-                    terms.pop(w, None)
-                else:
-                    terms[w] = acc
+            col = columns.get(j)
+            if col is None:
+                col = columns[j] = _int_terms(matrix.column_series[j].terms)
+            for w, cw in col.items():
+                terms[w] = terms.get(w, 0) + c * cw
         vectors.append(XSeries(terms, matrix.weight))
     return SubspaceBasis(space=matrix.space, weight=matrix.weight, vectors=vectors)
 
@@ -414,7 +430,8 @@ def membership_check(space: SpaceId, s: XSeries) -> MembershipReport:
         for k in weights:
             if len(violations) >= _MAX_VIOLATIONS:
                 break
-            for u, v, val in shuffle_primitivity_defect(s, k):
+            room = _MAX_VIOLATIONS - len(violations)
+            for u, v, val in shuffle_primitivity_defect(s, k, limit=room):
                 if record(k, "primitive", {"u": u, "v": v, "value": str(val)}):
                     break
 

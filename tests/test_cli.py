@@ -72,6 +72,8 @@ def test_member_parse_error(cli_cache, capsys, tmp_path) -> None:
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["member", "--space", "f2", "--in", str(path)]) == 2
+    path.write_text("[1, 2]")
+    assert main(["member", "--space", "f2", "--in", str(path)]) == 2
 
 
 def test_bracket_command(cli_cache, capsys, tmp_path) -> None:
@@ -131,3 +133,31 @@ def test_cache_commands(cli_cache, capsys) -> None:
     assert "removed" in capsys.readouterr().out
     assert main(["cache"]) == 0
     assert "cache" in capsys.readouterr().out
+
+
+def test_library_error_exits_2_without_traceback(cli_cache, capsys, tmp_path) -> None:
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    a.write_text(XSeries([("1", 1), ("01", 1)], 3).to_json())  # x1 term: not in tm1
+    b.write_text(XSeries.word("11", 1, 3).to_json())
+    assert main(["bracket", "--in", str(a), str(b)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["terms"][0].update(coeff=0.1),
+        lambda d: d["terms"][0].pop("coeff"),
+        lambda d: d.update(weight_bound=-1),
+    ],
+    ids=["float-coeff", "missing-coeff", "negative-bound"],
+)
+def test_member_rejects_bad_series_json(cli_cache, capsys, tmp_path, edit) -> None:
+    data = XSeries([("101", 2), ("110", -1), ("011", -1)], 3).to_json_dict()
+    edit(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["member", "--space", "dmr", "--in", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,0 +1,144 @@
+"""The dims path emits integer rows and reproduces the canonical bases.
+
+Each kernel vector sets one free coordinate to 1 and the others to 0 and is
+then scaled to a primitive integer vector, so any correct elimination over
+the same rows gives the same basis files byte for byte.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from fractions import Fraction
+
+import pytest
+
+from dslforge.algebra import star_word
+from dslforge.lyndon import lyndon_primitive_basis
+from dslforge.series import XSeries
+from dslforge.spaces import (
+    SpaceId,
+    _star_harmonic_rows,
+    compile_constraints,
+    rational_kernel,
+)
+from dslforge.words import all_xwords, all_ywords, harmonic_words
+
+# sha256 of json.dumps(basis.to_json_dict(), sort_keys=True) for k = 1..8
+_PINNED = {
+    "dmr": [
+        "f5e697802f7faad26bb357f95fe0d4475fda626ef839599fdf2e69c221d9c47e",
+        "6418e5390530c4ae3bc1cbafce7bb8072e25716c37b8fc60e2ce3b8625b84a77",
+        "efae17713e49366a3cf13c546be25acc784c139759226e2c6d0522bce8fb9445",
+        "06229cb07ad825efc343a405d668ae87028150465f18809fd4bf745e293abe22",
+        "864d2b829c62404f870e54c9e178334f115a5cf0eede772afa24633c6a748381",
+        "4ade5a425728b2622174b30038e0ae4c4665e5705d6c2b09d17897ef2cbdef03",
+        "e7739445d28ebff10b6baeb57cbc6eefbda57064b119ba7de0ea2f0dc81523d7",
+        "fdf687a3b17620dce3c4948dfc7427a2d0533388a0544e41619760fa810db74a",
+    ],
+    "addmr": [
+        "3d27a49652c50b63e9200c2417bead70ffc2f3dd0e3356fcf814fc6b72b8566d",
+        "7a55c5b3aeb509ca7b014cfd438526cca43ade38aab1ce0d84a3e082015e8872",
+        "32a5647d3ee46802b2ee205c7c3a5c3edd4cacf2458542491196c97c7a029326",
+        "1d67cf158bc73112a53b806249ea212914881603fd76c84d68c6d7531083cd85",
+        "6abd5ce41675c6973519d051b968634bf3abd84f791b5f325a1de52d44f416ab",
+        "1c26fbe3456e9374205a53daca68933acbcb83a7a184e0e223e78430f2361b2a",
+        "964e275306737b413d85c7d33d32ed09e317b032dd94a822af3b972572786968",
+        "c925c9f78e2d92f3568bc4163d3d5e69dea852cca197dc9852ab2e54725c08e5",
+    ],
+    "addmr-fad": [
+        "dc2032283a58972abd44f3e7353277ea053cf3fd8735508f1ff788dab92e31c7",
+        "ac41ecd3451312b751c845d83965071feb1200bbfe11b0341dda95e45f35b8ae",
+        "3f2f24089c272ec7dc057173fc804d5ad0d66df47bdc7c37cc18dbf8e2346a36",
+        "2c2dc05e58c61405cda6996e0193a934518d119f05f87faa46bdb8516b9a1e1d",
+        "9ee0ebb4510bb816cf87aa0bb77aa3557d36a9fb13b6775ff6cea436fb7c43cb",
+        "fe0d15f26f1b21bd6faa1131c422898759d4083e4f4445f11ad577bd68f516e3",
+        "4b9f671b93734f452af54d6dfdd88bea720f491d7a8f37f2b8598b1c61deb636",
+        "2644757dfcd318f035c95cb8f0c7e8f7dc3d402a831de674969f9a42ee663c29",
+    ],
+    "addmr-fad-parity": [
+        "291851d5d170da663dba55813cd0c51b65aa3c4fd6ea98309a455ca4cb0a50e1",
+        "7b21645b682249ac93601a5f4fa69bf598ba24911d5de6c09a5c3721cdc7fbd0",
+        "80d079bdbd8f4e2e1c626c9f20439d2426c20af7e182d3d223cf861317d0cb9b",
+        "cde19386451b1333a7802b7e872ddf2b19192f3b77a25ae2b82f74cb76c91aee",
+        "f3488d5e5c9110b4f1de72368cbae20b4725ee575610e4f27f1bd1410e68fb8a",
+        "3e8133819e767b63549f2d168e77cb31297091ff11b1a3bf98175d3db56272cb",
+        "69f6dda1df0e9d970f11ba72f1f1e4e1ef36d73bedebd3d48fa33047382a2015",
+        "40d50a33aaf4c3dc3ed1c8c1bf31d1f374b94807a7f363fc649457f1bd343fec",
+    ],
+    "fad": [
+        "d3f9f8effc3ea6359077313a27efd69da4ddf172f993535fd2a1eaac65742de3",
+        "2e82d785d258f164b24d3d83f3819943e31f520d4fb2bb348862fa9b98d4c7bf",
+        "651d5a0f536677f1b8dc8af44650bb71ed3dc9eb56e396e1e33550e8c43678fb",
+        "a4403c066e394dc479bc94a2168c4b9ffe4844591a763f6b57b0f1a7a0f6272a",
+        "d0c66537ce46f25bbfb83d3804f24e164ac330895f8a51d06bde6b3e427078ad",
+        "446c20c9b97c7073305b84873d80954a5863d74875125d812e206d21709dd829",
+        "69994cc06692da4101297e73b36e4406321fa82f9625315c8a6edaa632d9860b",
+        "5b554ad6f061a3eaebccede994ec7260aed942f772883fd1eedcdee1c5c4b54f",
+    ],
+    "fad-parity": [
+        "0f4e514bf71c8e988428c94dea657df1a7063a39e32ef11f17d955fe3763dec7",
+        "a60d33836a82bbdf0b3378f8fbf683c6df909bf0db5eb74af5b46c8473a5cb54",
+        "105c081b928c97cf50d4a132a09ead35db9aeae442232e9adc81b120a7ff1d94",
+        "c6405c8c0d5fdf9cd9a79cf4dc43269a9f4ddf7b0b6bb326e214a43bd6cd2769",
+        "48a1af420eea0f521eded5a5f2c30433dd3ca3b013d29e9a4a56889ea2b5ecfd",
+        "5f1db5ec14f119806ed70712041ff5ab862b2d40bdc73b57e312599d4988feb1",
+        "63c87ef0e63fa966d188f974148d334d9087cd5b42fc14a0c8a60dbb69e3c35a",
+        "d065974efeb0db4ca9b271d1efb82c33b4a2b8c2bbf6367fc3183a713734c327",
+    ],
+    "vstrprty": [
+        "e4796142a52976d9ed529c3b1b8e75d6d7cecae4b3f73bc493f94ffa8bce89b8",
+        "58c6b0ae7556ddc4a93889133c4c430fa9bae96c7ba4bb4a71e54d357df6cc39",
+        "313102253d6926b922678322de040a81b83a5a7206f050ea8451f979581e7b40",
+        "54231bace74e6aa86311f1a45fcbe819dd157ba98e6fd0baa37e7d97292d4689",
+        "0f2ec5dc84c4852877a8a03d66d4e1f98a3a9f94b58fcd1c5bd7d445b532c6c5",
+        "4d20be144fb3b233af02f9577bdaaddcdbbd747e34de9ce7376d87b95abb59bc",
+        "e2adf70af0b82a012c638f33ca2c7a20555a9ce05275ba9cc976fc12bc08205c",
+        "2f481e95d45c9b1e7305cbbec3e311bfde2409aaceaa0a6342d54f63224b2cbe",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_bases_match_pinned_hashes(name) -> None:
+    space = SpaceId.parse(name)
+    got = []
+    for k in range(1, 9):
+        basis = rational_kernel(compile_constraints(space, k))
+        payload = json.dumps(basis.to_json_dict(), sort_keys=True).encode()
+        got.append(hashlib.sha256(payload).hexdigest())
+    assert got == _PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED) + ["f2geq4"])
+def test_compiled_rows_are_plain_ints(name) -> None:
+    space = SpaceId.parse(name)
+    for k in range(1, 8):
+        rows = compile_constraints(space, k).rows
+        assert all(type(c) is int for row in rows for c in row), (name, k)
+
+
+def _fraction_star_rows(columns: list[XSeries], k: int) -> list:
+    """The star-harmonic rows rebuilt from the rational star_word images."""
+    stars = [star_word(c).terms for c in columns]
+    rows = []
+    for wu in range(1, k // 2 + 1):
+        for u in all_ywords(wu):
+            for v in all_ywords(k - wu):
+                if wu == k - wu and v < u:
+                    continue
+                row = [Fraction(0)] * len(columns)
+                for w, mult in harmonic_words(u, v).items():
+                    for j, terms in enumerate(stars):
+                        row[j] += mult * terms.get(w, 0)
+                rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_star_harmonic_rows_are_k_times_the_rational_rows(k) -> None:
+    lyndon = [e.expansion for e in lyndon_primitive_basis(k)]
+    raw = [XSeries.word(w, 1, k) for w in sorted(all_xwords(k))]
+    for columns in (lyndon, raw):
+        oracle = _fraction_star_rows(columns, k)
+        assert _star_harmonic_rows(columns, k) == [[k * c for c in r] for r in oracle]

@@ -111,3 +111,24 @@ def test_solve_exact() -> None:
     # overdetermined consistent
     sol = solve_exact([[1, 0], [0, 1], [1, 1]], [2, 3, 5])
     assert sol == [Fraction(2), Fraction(3)]
+
+
+def test_kernel_vectors_are_plain_ints() -> None:
+    rows = [[Fraction(1, 2), Fraction(-1), 0], [0, 3, -6]]
+    for basis in (kernel_basis(rows, 3), kernel_basis([], 2)):
+        assert basis
+        assert all(type(c) is int for vec in basis for c in vec)
+    assert kernel_basis(rows, 3) == [[4, 2, 1]]
+
+
+def test_mod_p_selection_refuses_int64_overflow() -> None:
+    import pytest
+
+    from dslforge.linalg import _independent_rows_mod_p
+
+    # rank * (p - 1)**2 < 2**63 holds for two pivots and fails for the third
+    p = 2**31 - 1
+    rows = [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 1, 0], [0, 0, 1, 1]]
+    assert _independent_rows_mod_p(rows[:2], 4, p) == [0, 1]
+    with pytest.raises(ArithmeticError, match="int64"):
+        _independent_rows_mod_p(rows, 4, p)

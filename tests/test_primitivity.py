@@ -51,7 +51,7 @@ def _components(draw):
 @given(_components())
 def test_lie_test_agrees_with_pairing_scan(case) -> None:
     k, comp = case
-    scan = algebra._pairing_scan(comp, k)
+    scan = list(algebra._pairing_scan(comp, k))
     assert algebra._is_lie_component(comp) == (scan == [])
     s = XSeries(comp, k)
     assert shuffle_primitivity_defect(s, k) == scan
@@ -89,3 +89,21 @@ def test_weights_zero_and_one_unchanged() -> None:
     assert is_primitive(XSeries.word("1", 1, 1))
     assert not is_primitive(XSeries.unit(1))
     assert is_primitive(XSeries((), 0))
+
+
+def test_limited_defect_list_is_the_scan_prefix_and_stops_early(monkeypatch) -> None:
+    rng = random.Random(3)
+    words = list(all_xwords(8))
+    s = XSeries([(rng.choice(words), rng.randint(1, 3)) for _ in range(5)], 8)
+    calls = []
+    real = algebra.shuffle_pairing
+    monkeypatch.setattr(
+        algebra, "shuffle_pairing", lambda *a: calls.append(1) or real(*a)
+    )
+    full = shuffle_primitivity_defect(s, 8)
+    full_calls = len(calls)
+    assert len(full) > 10
+    for limit in (0, 1, 10):
+        calls.clear()
+        assert shuffle_primitivity_defect(s, 8, limit=limit) == full[:limit]
+        assert len(calls) < full_calls

@@ -121,3 +121,33 @@ def test_corner_reassembly_round_trip() -> None:
     dec = corner_decompose(s)
     assert isinstance(dec, CornerDecomposition)
     assert dec.reassemble() == s
+
+
+def _bad_json_cases():
+    x = XSeries([("011", Fraction(-3, 2))], 4).to_json_dict()
+    y = YSeries([((2, 1), 5)], 6).to_json_dict()
+    t = TYSeries([((2, (1,)), Fraction(1, 7))], 5).to_json_dict()
+    for cls, good, word_keys in ((XSeries, x, ("word",)), (YSeries, y, ("yword",)),
+                                  (TYSeries, t, ("t", "yword"))):
+        float_coeff = dict(good, terms=[dict(good["terms"][0], coeff=0.1)])
+        yield cls, float_coeff
+        for key in word_keys + ("coeff",):
+            term = dict(good["terms"][0])
+            del term[key]
+            yield cls, dict(good, terms=[term])
+        yield cls, dict(good, weight_bound=-1)
+
+
+@pytest.mark.parametrize("cls,data", list(_bad_json_cases()))
+def test_json_rejects_inexact_and_malformed(cls, data) -> None:
+    with pytest.raises(ValueError):
+        cls.from_json_dict(data)
+
+
+def test_json_accepts_integer_and_string_coefficients() -> None:
+    data = XSeries.word("01", 3, 2).to_json_dict()
+    data["terms"][0]["coeff"] = 3
+    assert XSeries.from_json_dict(data) == XSeries.word("01", 3, 2)
+    data["terms"][0]["coeff"] = "1/0"
+    with pytest.raises(ValueError):
+        XSeries.from_json_dict(data)
