@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
+from math import factorial
 
 from .errors import NotGrouplikeUnit
 from .series import TYSeries, XSeries, YSeries
@@ -224,15 +225,8 @@ def _gamma_correction(phi: XSeries) -> YSeries:
         power = y_concat_product(power, arg)
         if power.is_zero():
             break
-        result = result + power.scale(Fraction(1, _factorial(n)))
+        result = result + power.scale(Fraction(1, factorial(n)))
     return result
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def group_star(phi: XSeries) -> YSeries:
@@ -369,5 +363,5 @@ def concat_exp(s: XSeries) -> XSeries:
         power = concat_product(power, s)
         if power.is_zero():
             break
-        result = result + power.scale(Fraction(1, _factorial(n)))
+        result = result + power.scale(Fraction(1, factorial(n)))
     return result

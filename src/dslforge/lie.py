@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .algebra import (
     concat_exp,
@@ -306,10 +307,6 @@ def fad_decompose(phi: XSeries) -> FadDecomposition:
             for rest in compositions(total - first, parts_at_least):
                 yield (first,) + rest
 
-    factorial = [1]
-    for i in range(1, bound + 2):
-        factorial.append(factorial[-1] * i)
-
     for n in range(3, bound + 1):
         u_n = XSeries.zero(bound)
         if n >= 5:
@@ -317,7 +314,7 @@ def fad_decompose(phi: XSeries) -> FadDecomposition:
                 r = len(ms)
                 if r < 2:
                     continue
-                sign = Fraction((-1) ** r, factorial[r])
+                sign = Fraction((-1) ** r, factorial(r))
                 u_n = u_n + nested_ad(ms).scale(sign)
         target = diff.component(n).with_bound(bound) - u_n
         if target.is_zero():

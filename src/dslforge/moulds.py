@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 from .algebra import is_primitive
 from .errors import NonzeroLowWeight
 from .lie import derive_d
-from .series import XSeries, coeff_str, corner_decompose
+from .series import XSeries, _json_coeff, coeff_str, corner_decompose
 from .words import x_run_lengths, xdepth
 
 
@@ -188,10 +188,15 @@ class MultiPoly:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MultiPoly":
-        return cls(
-            int(data["vars"]),
-            [(tuple(t["exp"]), Fraction(t["coeff"])) for t in data["terms"]],
-        )
+        """Coefficients must be exact, an integer or a "p"/"p/q" string: a
+        float or a term without one raises ValueError."""
+        terms = []
+        for t in data["terms"]:
+            try:
+                terms.append((tuple(t["exp"]), _json_coeff(t["coeff"])))
+            except (KeyError, TypeError):
+                raise ValueError(f"malformed term: {t!r}") from None
+        return cls(int(data["vars"]), terms)
 
     def __repr__(self):
         if not self.terms:

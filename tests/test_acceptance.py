@@ -244,3 +244,42 @@ def test_criterion_8_oracle_cross_checks() -> None:
         assert good, k
     _record(8, "oracle cross-checks", ok,
             "raw vs bracketing coordinates k <= 7; Witt dimensions k <= 9")
+
+
+def _free_lie_odd_dims(kmax: int) -> list[int]:
+    """Graded dimensions, weights 1..kmax, of the free Lie algebra on one
+    generator in each odd weight >= 3 (sigma3, sigma5, ...), by the
+    generalized Witt formula: with g(t) = t^3 + t^5 + ... and
+    log 1/(1 - g) = sum L_m t^m, n * d_n = sum over e | n of mu(n/e) e L_e."""
+    from fractions import Fraction
+
+    def mobius(n: int) -> int:
+        out, q = 1, 2
+        while n > 1:
+            if n % q == 0:
+                n //= q
+                if n % q == 0:
+                    return 0
+                out = -out
+            q += 1
+        return out
+
+    g = [int(n >= 3 and n % 2 == 1) for n in range(kmax + 1)]
+    log = [Fraction(0)] * (kmax + 1)
+    power = [1] + [0] * kmax  # g**j, truncated at t**kmax
+    for j in range(1, kmax + 1):
+        power = [sum(power[i] * g[n - i] for i in range(n + 1)) for n in range(kmax + 1)]
+        log = [a + Fraction(b, j) for a, b in zip(log, power)]
+    dims = []
+    for n in range(1, kmax + 1):
+        d = sum(mobius(n // e) * e * log[e] for e in range(1, n + 1) if n % e == 0) / n
+        assert d.denominator == 1
+        dims.append(int(d))
+    return dims
+
+
+def test_dmr_matches_free_lie_oracle_to_weight_12() -> None:
+    oracle = _free_lie_odd_dims(12)
+    assert oracle == [0, 0, 1, 0, 1, 0, 1, 1, 1, 1, 2, 2]
+    assert dimension_table([DMR], 12)["dmr"] == oracle
+    assert get_basis(ADDMR, 12).dimension == 9

@@ -132,3 +132,117 @@ def test_mod_p_selection_refuses_int64_overflow() -> None:
     assert _independent_rows_mod_p(rows[:2], 4, p) == [0, 1]
     with pytest.raises(ArithmeticError, match="int64"):
         _independent_rows_mod_p(rows, 4, p)
+
+
+def _naive_solve(rows: list[list], rhs: list) -> list[Fraction] | None:
+    """Dense Fraction Gauss-Jordan solve, used as an independent oracle: None
+    when inconsistent, else the solution with free coordinates set to 0."""
+    ncols = len(rows[0]) if rows else 0
+    aug = []
+    for row, b in zip(rows, rhs):
+        aug.append([Fraction(c) for c in row] + [Fraction(b)])
+    pivot_cols: list[int] = []
+    top = 0
+    for col in range(ncols):
+        best = -1
+        best_val = Fraction(0)
+        for i in range(top, len(aug)):
+            v = abs(aug[i][col])
+            if v > best_val:
+                best, best_val = i, v
+        if best < 0:
+            continue
+        aug[top], aug[best] = aug[best], aug[top]
+        piv = aug[top][col]
+        for i in range(len(aug)):
+            if i == top:
+                continue
+            v = aug[i][col]
+            if v:
+                factor = v / piv
+                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[top])]
+        pivot_cols.append(col)
+        top += 1
+        if top == len(aug):
+            break
+    for i in range(top, len(aug)):
+        if aug[i][ncols] != 0:
+            return None
+    sol = [Fraction(0)] * ncols
+    for i, col in enumerate(pivot_cols):
+        sol[col] = aug[i][ncols] / aug[i][col]
+    return sol
+
+
+def test_kernel_recovers_from_an_unlucky_base_prime() -> None:
+    from dslforge.linalg import _PRIMES
+
+    p0 = _PRIMES[0]
+    # mod p0 the second row repeats the first, so the base prime sees rank 1
+    assert kernel_basis([[1, 1, 0], [1, 1 + p0, 0]], 3) == [[0, 0, 1]]
+    # mod p0 the first column vanishes, so the base prime pivots on column 1
+    assert kernel_basis([[p0, 1]], 2) == [[1, -p0]]
+    assert solve_exact([[1, 1], [1, 1 + p0]], [2, 2 + p0]) == [1, 1]
+
+
+def test_kernel_entries_wider_than_three_primes() -> None:
+    from math import gcd
+
+    rows = [[3**30, 5**25]]
+    got = kernel_basis(rows, 2)
+    assert got == [[5**25, -(3**30)]]
+    (oracle,) = _naive_kernel(rows, 2)
+    den = oracle[0].denominator * oracle[1].denominator
+    ints = [int(c * den) for c in oracle]
+    g = gcd(*ints) * (1 if ints[0] > 0 else -1)
+    assert [c // g for c in ints] == got[0]
+    assert solve_exact([[3**30, 5**25], [0, 1]], [1, 7**20]) == _naive_solve(
+        [[3**30, 5**25], [0, 1]], [1, 7**20]
+    )
+    # entries beyond int64, whose quotient needs more primes than the eight
+    # that are found in advance
+    assert kernel_basis([[3**80, 5**70]], 2) == [[5**70, -(3**80)]]
+    assert solve_exact([[3**80]], [5**70]) == [Fraction(5**70, 3**80)]
+
+
+def _random_system(rng: random.Random, kind: str):
+    nrows = rng.randint(1, 7)
+    ncols = rng.randint(1, 6)
+    rows = [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(nrows)]
+    if kind == "full":
+        ncols = min(ncols, nrows)
+        rows = [r[:ncols] for r in rows]
+        x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(ncols)]
+        rhs = [sum(c * v for c, v in zip(r, x)) for r in rows]
+    elif kind == "deficient":
+        # a repeated combination of two columns keeps the kernel nontrivial
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows = [r + [a * r[0] + b * r[-1]] for r in rows]
+        x = [rng.randint(-4, 4) for _ in range(ncols + 1)]
+        rhs = [sum(c * v for c, v in zip(r, x)) for r in rows]
+    elif kind == "inconsistent":
+        rows = rows + [[2 * c for c in rows[0]]]
+        rhs = [rng.randint(-5, 5) for _ in rows[:-1]]
+        rhs.append(2 * rhs[0] + rng.choice([-1, 1]))
+    else:
+        rows = [[Fraction(c, rng.randint(1, 3)) for c in r] for r in rows]
+        rhs = [Fraction(rng.randint(-7, 7), rng.randint(1, 5)) for _ in rows]
+    return rows, rhs
+
+
+def test_solve_exact_against_naive_solve() -> None:
+    rng = random.Random(73)
+    outcomes = {"none": 0, "solved": 0}
+    for trial in range(240):
+        kind = ("full", "deficient", "inconsistent", "fractions")[trial % 4]
+        rows, rhs = _random_system(rng, kind)
+        got = solve_exact(rows, rhs)
+        expected = _naive_solve(rows, rhs)
+        assert got == expected, (kind, rows, rhs)
+        if got is None:
+            assert kind != "full" and kind != "deficient"
+            outcomes["none"] += 1
+        else:
+            assert all(type(c) is Fraction for c in got)
+            outcomes["solved"] += 1
+    assert outcomes["none"] >= 60 and outcomes["solved"] >= 120

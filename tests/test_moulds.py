@@ -58,6 +58,17 @@ def test_multipoly_json_round_trip() -> None:
     assert MultiPoly.from_json_dict(data) == p
 
 
+def test_multipoly_json_rejects_inexact_or_missing_coefficients() -> None:
+    exact = {"vars": 1, "terms": [{"exp": [1], "coeff": "1/10"}, {"exp": [2], "coeff": 3}]}
+    assert MultiPoly.from_json_dict(exact) == MultiPoly(
+        1, [((1,), Fraction(1, 10)), ((2,), 3)]
+    )
+    for term in ({"exp": [1], "coeff": 0.1}, {"exp": [1], "coeff": 2.0}, {"exp": [1]},
+                 {"exp": [1], "coeff": None}, {"exp": [1], "coeff": "1/0"}):
+        with pytest.raises(ValueError):
+            MultiPoly.from_json_dict({"vars": 1, "terms": [term]})
+
+
 def test_vimo_examples() -> None:
     assert vimo_extract(XSeries.word("01"), 1) == MultiPoly(2, [((0, 1), 1)])
     assert vimo_extract(XSeries.word("10"), 1) == MultiPoly(2, [((1, 0), 1)])
