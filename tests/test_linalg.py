@@ -210,6 +210,8 @@ def _random_system(rng: random.Random, kind: str):
     ncols = rng.randint(1, 6)
     rows = [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(nrows)]
     if kind == "full":
+        # square or tall and consistent; random entries give full column
+        # rank in most draws
         ncols = min(ncols, nrows)
         rows = [r[:ncols] for r in rows]
         x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(ncols)]
