@@ -21,11 +21,12 @@ defects of a component that fails.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import islice
 from math import factorial
 
-from .errors import NotGrouplikeUnit
+from .errors import NonUnitConstant
 from .series import TYSeries, XSeries, YSeries
 from .words import (
     XWord,
@@ -38,85 +39,62 @@ from .words import (
     shuffle_pairing,
     shuffle_words,
     trailing_blocks,
+    word_pairs,
 )
+
+
+def _term_pairs(a, b, weight):
+    """(u, v, <a|u> <b|v>) for the term pairs within the lower bound, in a's
+    order; b's terms are sorted by weight, so the pairs over the bound are
+    never visited."""
+    bound = min(a.weight_bound, b.weight_bound)
+    right = sorted(b.terms.items(), key=lambda t: weight(t[0]))
+    weights = [weight(v) for v, _ in right]
+    for u, cu in a.terms.items():
+        for v, cv in islice(right, bisect_right(weights, bound - weight(u))):
+            yield u, v, cu * cv
 
 
 def shuffle_product(a: XSeries, b: XSeries) -> XSeries:
     """Bilinear extension of word interleaving; truncates to the lower bound."""
-    bound = min(a.weight_bound, b.weight_bound)
-    out: dict[XWord, Fraction] = {}
-    for u, cu in a.terms.items():
-        for v, cv in b.terms.items():
-            if len(u) + len(v) > bound:
-                continue
-            c = cu * cv
-            for w, m in shuffle_words(u, v).items():
-                acc = out.get(w)
-                acc = c * m if acc is None else acc + c * m
-                if acc == 0:
-                    out.pop(w, None)
-                else:
-                    out[w] = acc
-    return XSeries(out, bound)
+    return XSeries(
+        ((w, c * m) for u, v, c in _term_pairs(a, b, len)
+         for w, m in shuffle_words(u, v).items()),
+        min(a.weight_bound, b.weight_bound),
+    )
 
 
 def harmonic_product(a: YSeries, b: YSeries) -> YSeries:
     """Bilinear extension of the overlapping shuffle; truncates to the lower bound."""
-    bound = min(a.weight_bound, b.weight_bound)
-    out: dict[YWord, Fraction] = {}
-    for u, cu in a.terms.items():
-        for v, cv in b.terms.items():
-            if sum(u) + sum(v) > bound:
-                continue
-            c = cu * cv
-            for w, m in harmonic_words(u, v).items():
-                acc = out.get(w)
-                acc = c * m if acc is None else acc + c * m
-                if acc == 0:
-                    out.pop(w, None)
-                else:
-                    out[w] = acc
-    return YSeries(out, bound)
+    return YSeries(
+        ((w, c * m) for u, v, c in _term_pairs(a, b, sum)
+         for w, m in harmonic_words(u, v).items()),
+        min(a.weight_bound, b.weight_bound),
+    )
 
 
 def concat_product(a: XSeries, b: XSeries) -> XSeries:
     """Distributive word concatenation, truncated to the lower bound."""
-    bound = min(a.weight_bound, b.weight_bound)
-    out: dict[XWord, Fraction] = {}
-    for u, cu in a.terms.items():
-        if len(u) > bound:
-            continue
-        for v, cv in b.terms.items():
-            if len(u) + len(v) > bound:
-                continue
-            w = u + v
-            c = cu * cv
-            acc = out.get(w)
-            acc = c if acc is None else acc + c
-            if acc == 0:
-                out.pop(w, None)
-            else:
-                out[w] = acc
-    return XSeries(out, bound)
+    return XSeries(
+        ((u + v, c) for u, v, c in _term_pairs(a, b, len)),
+        min(a.weight_bound, b.weight_bound),
+    )
 
 
 def y_concat_product(a: YSeries, b: YSeries) -> YSeries:
     """Distributive Y-word concatenation, truncated to the lower bound."""
-    bound = min(a.weight_bound, b.weight_bound)
-    out: dict[YWord, Fraction] = {}
-    for u, cu in a.terms.items():
-        for v, cv in b.terms.items():
-            if sum(u) + sum(v) > bound:
-                continue
-            w = u + v
-            c = cu * cv
-            acc = out.get(w)
-            acc = c if acc is None else acc + c
-            if acc == 0:
-                out.pop(w, None)
-            else:
-                out[w] = acc
-    return YSeries(out, bound)
+    return YSeries(
+        ((u + v, c) for u, v, c in _term_pairs(a, b, sum)),
+        min(a.weight_bound, b.weight_bound),
+    )
+
+
+def commutator(a: XSeries, b: XSeries) -> XSeries:
+    """ab - ba under concatenation, truncated to the lower bound."""
+    return XSeries(
+        (t for u, v, c in _term_pairs(a, b, len) for t in ((u + v, c), (v + u, -c))),
+        min(a.weight_bound, b.weight_bound),
+    )
 
 
 def antipode(a: XSeries) -> XSeries:
@@ -136,34 +114,27 @@ def p_embed(a: YSeries) -> XSeries:
 
 def q_left(a: XSeries) -> YSeries:
     """Left inverse of p_embed: read blocks 1 0^{k-1}; leading-0 words map to 0."""
-    items = []
-    for w, c in a.terms.items():
-        y = leading_blocks(w)
-        if y is not None:
-            items.append((y, c))
-    return YSeries(items, a.weight_bound)
+    return YSeries(
+        ((y, c) for w, c in a.terms.items() if (y := leading_blocks(w)) is not None),
+        a.weight_bound,
+    )
 
 
 def q_right(a: XSeries) -> YSeries:
     """Read blocks 0^{k-1} 1 left to right; words ending in 0 (and the empty
     word) map to 0."""
-    items = []
-    for w, c in a.terms.items():
-        y = trailing_blocks(w)
-        if y is not None:
-            items.append((y, c))
-    return YSeries(items, a.weight_bound)
+    return YSeries(
+        ((y, c) for w, c in a.terms.items() if (y := trailing_blocks(w)) is not None),
+        a.weight_bound,
+    )
 
 
 def q_sharp(a: XSeries) -> TYSeries:
     """Like q_right, but the leading block 0^{k-1} 1 becomes the T-exponent k-1
     and the remaining blocks become the Y-word."""
-    items = []
-    for w, c in a.terms.items():
-        y = trailing_blocks(w)
-        if y is not None:
-            items.append(((y[0] - 1, y[1:]), c))
-    return TYSeries(items, a.weight_bound)
+    return TYSeries(
+        (((y[0] - 1, y[1:]), c) for y, c in q_right(a).terms.items()), a.weight_bound
+    )
 
 
 def q_sharp_pairing_tables(s: XSeries) -> dict:
@@ -173,19 +144,18 @@ def q_sharp_pairing_tables(s: XSeries) -> dict:
     Y-word makes polynomial-in-T comparisons direct.
     """
     out: dict = {}
-    for w, c in s.terms.items():
-        y = trailing_blocks(w)
-        if y is None:
-            continue
-        t = y[0] - 1
-        tail = y[1:]
-        layer = out.setdefault(tail, {})
-        acc = layer.get(t, 0) + c
-        if acc:
-            layer[t] = acc
-        else:
-            layer.pop(t, None)
+    for (t, tail), c in q_sharp(s).terms.items():
+        out.setdefault(tail, {})[t] = c
     return out
+
+
+def _y1_tail(psi: XSeries) -> YSeries:
+    """The y1-power series sum over n >= 2 of (1/n) <psi | 0^{n-1} 1> y1^n."""
+    return YSeries(
+        (((1,) * n, Fraction(psi.coeff("0" * (n - 1) + "1"), n))
+         for n in range(2, psi.weight_bound + 1)),
+        psi.weight_bound,
+    )
 
 
 def star_word(psi: XSeries) -> YSeries:
@@ -196,26 +166,13 @@ def star_word(psi: XSeries) -> YSeries:
     makes the harmonic-primitivity condition match the graded dimension data;
     see the test suite for the weight-3 pin.
     """
-    out = q_left(psi)
-    items = []
-    for n in range(2, psi.weight_bound + 1):
-        c = psi.coeff("0" * (n - 1) + "1")
-        if c != 0:
-            items.append(((1,) * n, Fraction(1, n) * c))
-    if items:
-        out = out + YSeries(items, psi.weight_bound)
-    return out
+    return q_left(psi) + _y1_tail(psi)
 
 
 def _gamma_correction(phi: XSeries) -> YSeries:
-    """exp of the y1-power series with coefficients (1/n) <phi | 0^{n-1} 1>."""
+    """exp of the y1-power tail of phi."""
     bound = phi.weight_bound
-    items = []
-    for n in range(2, bound + 1):
-        c = phi.coeff("0" * (n - 1) + "1")
-        if c != 0:
-            items.append(((1,) * n, Fraction(1, n) * c))
-    arg = YSeries(items, bound)
+    arg = _y1_tail(phi)
     # exp under Y-concatenation; the argument has lowest weight >= 2.
     result = YSeries.unit(bound)
     power = YSeries.unit(bound)
@@ -237,7 +194,7 @@ def group_star(phi: XSeries) -> YSeries:
     term (q_right kills the empty word, so the unit is restored here).
     """
     if phi.coeff("") != 1:
-        raise NotGrouplikeUnit("group_star needs constant term 1")
+        raise NonUnitConstant("group_star needs constant term 1")
     base = q_right(phi) + YSeries.unit(phi.weight_bound)
     return y_concat_product(_gamma_correction(phi), base)
 
@@ -264,14 +221,10 @@ def _is_lie_component(comp: dict[XWord, Fraction]) -> bool:
 
 def _pairing_scan(comp: dict[XWord, Fraction], k: int):
     """Yield, in scan order, each nonempty pair (u, v) with <comp | u sh v> != 0."""
-    for lu in range(1, k // 2 + 1):
-        for u in all_xwords(lu):
-            for v in all_xwords(k - lu):
-                if lu == k - lu and v < u:
-                    continue
-                val = shuffle_pairing(comp, u, v)
-                if val:
-                    yield u, v, val
+    for u, v in word_pairs(k, all_xwords):
+        val = shuffle_pairing(comp, u, v)
+        if val:
+            yield u, v, val
 
 
 def _weight_component(a: XSeries, k: int) -> dict[XWord, Fraction]:
@@ -297,28 +250,27 @@ def shuffle_primitivity_defect(
     return list(islice(_pairing_scan(comp, k), limit))
 
 
+def _harmonic_scan(comp: dict[YWord, Fraction], k: int):
+    """Yield, in scan order, each nonempty pair (u, v) with <comp | u * v> != 0."""
+    for u, v in word_pairs(k, all_ywords):
+        val = Fraction(0)
+        for w, m in harmonic_words(u, v).items():
+            c = comp.get(w)
+            if c is not None:
+                val += m * c
+        if val:
+            yield u, v, val
+
+
 def harmonic_primitivity_defect(
-    a: YSeries, k: int
+    a: YSeries, k: int, limit: int | None = None
 ) -> list[tuple[YWord, YWord, Fraction]]:
     """All nonempty Y-word pairs (u, v), wt u <= wt v, total weight k, with
-    <a | u * v> != 0."""
+    <a | u * v> != 0, or only the first `limit` of them in scan order."""
     if k > a.weight_bound:
         raise ValueError(f"weight {k} exceeds bound {a.weight_bound}")
     comp = {w: c for w, c in a.terms.items() if sum(w) == k}
-    out = []
-    for wu in range(1, k // 2 + 1):
-        for u in all_ywords(wu):
-            for v in all_ywords(k - wu):
-                if wu == k - wu and v < u:
-                    continue
-                val = Fraction(0)
-                for w, m in harmonic_words(u, v).items():
-                    c = comp.get(w)
-                    if c is not None:
-                        val += m * c
-                if val:
-                    out.append((u, v, val))
-    return out
+    return list(islice(_harmonic_scan(comp, k), limit))
 
 
 def is_primitive(a: XSeries, up_to: int | None = None) -> bool:
@@ -337,7 +289,7 @@ def concat_inverse(a: XSeries) -> XSeries:
     """Concatenation inverse of a series with constant term 1, as the
     geometric series in (1 - a) truncated at the bound."""
     if a.coeff("") != 1:
-        raise NotGrouplikeUnit("concatenation inverse needs constant term 1")
+        raise NonUnitConstant("concatenation inverse needs constant term 1")
     bound = a.weight_bound
     x = XSeries.unit(bound) - a  # lowest weight >= 1
     result = XSeries.unit(bound)

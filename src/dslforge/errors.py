@@ -9,12 +9,11 @@ class NonzeroLowWeight(DslforgeError):
     """Input has nonzero coefficients at weight 0 or 1 where none are allowed."""
 
 
-class NotGrouplikeUnit(DslforgeError):
-    """Constant term is not 1."""
-
-
 class NonUnitConstant(DslforgeError):
     """Constant term is not 1."""
+
+
+NotGrouplikeUnit = NonUnitConstant
 
 
 class NonzeroConstant(DslforgeError):

@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import factorial
 
 from .algebra import (
+    commutator,
     concat_exp,
     concat_inverse,
     concat_product,
@@ -31,7 +32,7 @@ from .errors import (
 from .linalg import solve_exact
 from .lyndon import lyndon_primitive_basis
 from .series import XSeries, corner_decompose
-from .words import XWord, all_xwords
+from .words import all_xwords
 
 
 def derive_d(psi: XSeries, target: XSeries) -> XSeries:
@@ -41,38 +42,27 @@ def derive_d(psi: XSeries, target: XSeries) -> XSeries:
     replaced by psi; extended bilinearly and truncated to the lower bound.
     """
     bound = min(psi.weight_bound, target.weight_bound)
-    out: dict[XWord, Fraction] = {}
-    for w, cw in target.terms.items():
-        for i, ch in enumerate(w):
-            if ch != "1":
-                continue
+
+    def terms():
+        for w, cw in target.terms.items():
             room = bound - (len(w) - 1)
-            for p, cp in psi.terms.items():
-                if len(p) > room:
-                    continue
-                nw = w[:i] + p + w[i + 1 :]
-                c = cw * cp
-                acc = out.get(nw)
-                acc = c if acc is None else acc + c
-                if acc == 0:
-                    out.pop(nw, None)
-                else:
-                    out[nw] = acc
-    return XSeries(out, bound)
+            for i, ch in enumerate(w):
+                if ch == "1":
+                    for p, cp in psi.terms.items():
+                        if len(p) <= room:
+                            yield w[:i] + p + w[i + 1 :], cw * cp
+
+    return XSeries(terms(), bound)
 
 
-def _check_tm1(a: XSeries, where: str) -> None:
-    if a.coeff("1") != 0:
-        raise NotInTm1(f"{where}: coefficient of x1 must vanish")
+def _check_tm1(a: XSeries, where: str, x1: int = 0, error=NotInTm1) -> None:
+    """Raise error unless <a | x1> is x1 and every x0-power coefficient,
+    the empty word's included, vanishes."""
+    if a.coeff("1") != x1:
+        raise error(f"{where}: coefficient of x1 must {'be 1' if x1 else 'vanish'}")
     for n in range(0, a.weight_bound + 1):
         if a.coeff("0" * n) != 0:
-            raise NotInTm1(f"{where}: coefficient of x0^{n} must vanish")
-
-
-def is_tm1_shaped(a: XSeries) -> bool:
-    if a.coeff("1") != 0:
-        return False
-    return all(a.coeff("0" * n) == 0 for n in range(0, a.weight_bound + 1))
+            raise error(f"{where}: coefficient of x0^{n} must vanish")
 
 
 def bracket1(a: XSeries, b: XSeries, check: bool = True) -> XSeries:
@@ -93,18 +83,12 @@ def bracket_racinet(a: XSeries, b: XSeries, check: bool = True) -> XSeries:
                 raise NotPrimitive(f"bracket_racinet: {name} has weight < 2 terms")
             if not is_primitive(s):
                 raise NotPrimitive(f"bracket_racinet: {name} is not primitive")
-    return (
-        derive_d(ad_x1(a), b)
-        - derive_d(ad_x1(b), a)
-        + concat_product(a, b)
-        - concat_product(b, a)
-    )
+    return derive_d(ad_x1(a), b) - derive_d(ad_x1(b), a) + commutator(a, b)
 
 
 def ad_x1(a: XSeries) -> XSeries:
     """x1*a - a*x1, truncated at a's bound."""
-    x1 = XSeries.word("1", 1, a.weight_bound)
-    return concat_product(x1, a) - concat_product(a, x1)
+    return commutator(XSeries.word("1", 1, a.weight_bound), a)
 
 
 def ad_x1_inverse(v: XSeries, check: bool = True) -> XSeries:
@@ -137,11 +121,14 @@ def ad_x1_inverse(v: XSeries, check: bool = True) -> XSeries:
         sol = solve_exact(rows, rhs)
         if sol is None:
             raise NotInImage(f"ad_x1_inverse: no primitive preimage at weight {n}")
-        part = XSeries.zero(max(bound - 1, 0))
-        for c, e in zip(sol, basis):
-            if c != 0:
-                part = part + e.expansion.with_bound(max(bound - 1, 0)).scale(c)
-        result = result + part
+        result = result + XSeries(
+            (
+                (w, c * cw)
+                for c, e in zip(sol, basis) if c
+                for w, cw in e.expansion.terms.items()
+            ),
+            result.weight_bound,
+        )
     return result
 
 
@@ -190,11 +177,7 @@ def ihara_product(a: XSeries, b: XSeries) -> XSeries:
 
 
 def _check_TM1(a: XSeries, where: str) -> None:
-    if a.coeff("1") != 1:
-        raise NotInTM1(f"{where}: coefficient of x1 must be 1")
-    for n in range(0, a.weight_bound + 1):
-        if a.coeff("0" * n) != 0:
-            raise NotInTM1(f"{where}: coefficient of x0^{n} must vanish")
+    _check_tm1(a, where, 1, NotInTM1)
 
 
 def ihara1_product(a: XSeries, b: XSeries) -> XSeries:
@@ -260,10 +243,6 @@ class FadDecomposition:
         return total
 
 
-def _ad(a: XSeries, b: XSeries) -> XSeries:
-    return concat_product(a, b) - concat_product(b, a)
-
-
 def fad_decompose(phi: XSeries) -> FadDecomposition:
     """Decide whether phi is a conjugate x1 series, recovering the conjugator.
 
@@ -295,7 +274,7 @@ def fad_decompose(phi: XSeries) -> FadDecomposition:
         if not ms:
             out = XSeries.word("1", 1, bound)
         else:
-            out = _ad(psi_parts[ms[0]].with_bound(bound), nested_ad(ms[1:]))
+            out = commutator(psi_parts[ms[0]].with_bound(bound), nested_ad(ms[1:]))
         ad_cache[ms] = out
         return out
 
@@ -330,16 +309,14 @@ def fad_decompose(phi: XSeries) -> FadDecomposition:
         residuals[n] = XSeries.zero(bound)
         psi_parts[n - 1] = ad_x1_inverse(target.truncate(n), check=False).component(n - 1)
 
+    psi_parts = {m: p for m, p in psi_parts.items() if not p.is_zero()}
+    out = FadDecomposition(psi_parts=psi_parts, residuals=residuals, is_member=member)
     if member:
-        psi = XSeries.zero(bound)
-        for part in psi_parts.values():
-            psi = psi + part.with_bound(bound)
+        psi = out.psi(bound)
         x1 = XSeries.word("1", 1, bound)
         rebuilt = concat_product(
             concat_product(concat_exp(-psi), x1), concat_exp(psi)
         )
         if rebuilt != phi.truncate(bound):
             raise AssertionError("fad_decompose: reconstruction mismatch")
-
-    psi_parts = {m: p for m, p in psi_parts.items() if not p.is_zero()}
-    return FadDecomposition(psi_parts=psi_parts, residuals=residuals, is_member=member)
+    return out

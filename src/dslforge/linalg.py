@@ -126,11 +126,6 @@ def _rref_mod_p(rows: list[list[int]], ncols: int, p: int):
     return selected, sorted(pivot_cols), kernel
 
 
-def _independent_rows_mod_p(rows: list[list[int]], ncols: int, p: int) -> list[int]:
-    """Indices of a maximal independent subset modulo p, scanning in order."""
-    return _rref_mod_p(rows, ncols, p)[0]
-
-
 def _rational(a: int, m: int) -> tuple[int, int] | None:
     """The n/d with n = a*d mod m, |n| and 0 < d at most sqrt(m/2), if any."""
     bound = isqrt(m // 2)

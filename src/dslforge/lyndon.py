@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import concat_product
+from .algebra import commutator
 from .series import XSeries
 from .words import XWord
 
@@ -68,16 +68,12 @@ def standard_factorization(w: XWord) -> tuple[XWord, XWord]:
     return w[:best], w[best:]
 
 
-def _bracket(a: XSeries, b: XSeries) -> XSeries:
-    return concat_product(a, b) - concat_product(b, a)
-
-
 @lru_cache(maxsize=None)
 def _expand(w: XWord) -> XSeries:
     if len(w) == 1:
         return XSeries.word(w)
     u, v = standard_factorization(w)
-    return _bracket(_expand(u).with_bound(len(w)), _expand(v).with_bound(len(w)))
+    return commutator(_expand(u).with_bound(len(w)), _expand(v).with_bound(len(w)))
 
 
 @dataclass(frozen=True)

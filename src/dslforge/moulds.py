@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from time import perf_counter
 from typing import Mapping, Sequence
 
@@ -20,6 +21,7 @@ from .algebra import is_primitive
 from .errors import NonzeroLowWeight
 from .lie import derive_d
 from .series import XSeries, _json_coeff, coeff_str, corner_decompose
+from .verify import VerificationReport, _report
 from .words import x_run_lengths, xdepth
 
 
@@ -38,7 +40,8 @@ class MultiPoly:
             exp = tuple(exp)
             if len(exp) != nvars:
                 raise ValueError(f"exponent vector {exp} has wrong length")
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c == 0:
                 continue
             acc = terms.get(exp)
@@ -79,15 +82,7 @@ class MultiPoly:
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         if self.nvars != other.nvars:
             raise ValueError("variable counts differ")
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            acc = out.get(exp)
-            acc = c if acc is None else acc + c
-            if acc == 0:
-                out.pop(exp, None)
-            else:
-                out[exp] = acc
-        return MultiPoly(self.nvars, out)
+        return MultiPoly(self.nvars, chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
@@ -98,18 +93,14 @@ class MultiPoly:
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         if self.nvars != other.nvars:
             raise ValueError("variable counts differ")
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                acc = out.get(e)
-                acc = c if acc is None else acc + c
-                if acc == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = acc
-        return MultiPoly(self.nvars, out)
+        return MultiPoly(
+            self.nvars,
+            (
+                (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                for e1, c1 in self.terms.items()
+                for e2, c2 in other.terms.items()
+            ),
+        )
 
     def scale(self, c) -> "MultiPoly":
         c = Fraction(c)
@@ -123,27 +114,19 @@ class MultiPoly:
         """
         if len(args) != self.nvars:
             raise ValueError("wrong number of arguments")
-        out: dict = {}
-        for exp, c in self.terms.items():
-            new = [0] * nvars_out
-            dead = False
-            for e, target in zip(exp, args):
-                if not e:
+        killed = {i for i, target in enumerate(args) if target is None}
+
+        def terms():
+            for exp, c in self.terms.items():
+                if any(exp[i] for i in killed):
                     continue
-                if target is None:
-                    dead = True
-                    break
-                new[target] += e
-            if dead:
-                continue
-            key = tuple(new)
-            acc = out.get(key)
-            acc = c if acc is None else acc + c
-            if acc == 0:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        return MultiPoly(nvars_out, out)
+                new = [0] * nvars_out
+                for e, target in zip(exp, args):
+                    if e:
+                        new[target] += e
+                yield new, c
+
+        return MultiPoly(nvars_out, terms())
 
     def subst(self, assignments: Sequence["MultiPoly"], nvars_out: int) -> "MultiPoly":
         """General substitution: variable i is replaced by assignments[i]."""
@@ -212,19 +195,15 @@ def vimo_extract(s: XSeries, depth: int) -> MultiPoly:
     """The generating polynomial of the depth-r component of s in r+1 variables."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    out: dict = {}
-    for w, c in s.terms.items():
-        if xdepth(w) != depth:
-            continue
-        runs = x_run_lengths(w)  # left to right; rightmost run -> u_0
-        exp = tuple(reversed(runs))
-        acc = out.get(exp)
-        acc = c if acc is None else acc + c
-        if acc == 0:
-            out.pop(exp, None)
-        else:
-            out[exp] = acc
-    return MultiPoly(depth + 1, out)
+    return MultiPoly(
+        depth + 1,
+        # left to right runs; the rightmost run goes to u_0
+        (
+            (reversed(x_run_lengths(w)), c)
+            for w, c in s.terms.items()
+            if xdepth(w) == depth
+        ),
+    )
 
 
 def ma_mi_extract(s: XSeries, depth: int) -> tuple[MultiPoly, MultiPoly]:
@@ -248,35 +227,7 @@ def ma_mi_extract(s: XSeries, depth: int) -> tuple[MultiPoly, MultiPoly]:
     return ma, mi
 
 
-@dataclass(frozen=True)
-class MouldReport:
-    check_name: str
-    parameters: dict
-    passed: bool
-    witnesses: list
-    runtime_ms: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": self.check_name,
-            "params": self.parameters,
-            "pass": self.passed,
-            "witnesses": self.witnesses,
-            "runtime_ms": self.runtime_ms,
-        }
-
-
-def _report(name, params, witnesses, t0) -> MouldReport:
-    return MouldReport(
-        check_name=name,
-        parameters=params,
-        passed=not witnesses,
-        witnesses=witnesses,
-        runtime_ms=(perf_counter() - t0) * 1000.0,
-    )
-
-
-def check_deriv_explicit(a: XSeries, b: XSeries, depth: int) -> MouldReport:
+def check_deriv_explicit(a: XSeries, b: XSeries, depth: int) -> VerificationReport:
     """Check that the generating polynomial of d_a(b) at the given depth equals
     the double sum of spliced products of the generating polynomials of a and b.
 
@@ -310,7 +261,7 @@ def check_deriv_explicit(a: XSeries, b: XSeries, depth: int) -> MouldReport:
     return _report("deriv-explicit", {"depth": r}, witnesses, t0)
 
 
-def check_corner_identity(s: XSeries, depth: int) -> MouldReport:
+def check_corner_identity(s: XSeries, depth: int) -> VerificationReport:
     """Check both directions of: the 00-corner of the depth-r component
     vanishes exactly when v(x_0..x_r) = v(x_0..x_{r-1}, 0) + v(0, x_1..x_r)
     - v(0, x_1..x_{r-1}, 0)."""
@@ -347,7 +298,7 @@ def check_corner_identity(s: XSeries, depth: int) -> MouldReport:
 
 def check_parity_identity(
     s: XSeries, depth: int, primitive: bool | None = None
-) -> MouldReport:
+) -> VerificationReport:
     """Check the strong-parity generating identity in denominator-cleared form.
 
     Base form (any series, middle variables x_1..x_r):

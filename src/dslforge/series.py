@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping
 
 from .errors import NonzeroLowWeight
@@ -169,19 +170,10 @@ class _SeriesOps:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        bound = min(self.weight_bound, other.weight_bound)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = out.get(w)
-            if acc is None:
-                out[w] = c
-            else:
-                acc = acc + c
-                if acc == 0:
-                    del out[w]
-                else:
-                    out[w] = acc
-        return self._make(out.items(), bound)
+        return self._make(
+            chain(self.terms.items(), other.terms.items()),
+            min(self.weight_bound, other.weight_bound),
+        )
 
     def __sub__(self, other):
         return self + (-other)

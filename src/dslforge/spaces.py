@@ -17,13 +17,12 @@ from .algebra import (
     harmonic_primitivity_defect,
     q_right,
     shuffle_primitivity_defect,
-    shuffle_words,
     star_word,
 )
 from .linalg import kernel_basis
-from .lyndon import lyndon_primitive_basis, witt_number
+from .lyndon import lyndon_primitive_basis
 from .series import XSeries, corner_decompose
-from .words import all_xwords, all_ywords, harmonic_words
+from .words import all_xwords, all_ywords, harmonic_words, shuffle_words, word_pairs
 
 # Bumped when the emitted rows or the pivot rule change; part of cache keys.
 SCHEMA_VERSION = "s1p1"
@@ -183,17 +182,23 @@ def _star_harmonic_rows(columns: list[XSeries], k: int) -> list:
     index = _word_index([_int_terms(star_word(c).terms, k) for c in columns])
     rows = []
     n = len(columns)
-    for wu in range(1, k // 2 + 1):
-        for u in all_ywords(wu):
-            for v in all_ywords(k - wu):
-                if wu == k - wu and v < u:
-                    continue
-                row = [0] * n
-                for w, mult in harmonic_words(u, v).items():
-                    for j, c in index.get(w, ()):
-                        row[j] += mult * c
-                rows.append(row)
+    for u, v in word_pairs(k, all_ywords):
+        row = [0] * n
+        for w, mult in harmonic_words(u, v).items():
+            for j, c in index.get(w, ()):
+                row[j] += mult * c
+        rows.append(row)
     return rows
+
+
+def _sharp_scan(k: int):
+    """Each (l, u, v, u * v) with l >= 1 and (u, v) a nonempty pair of total
+    weight k - l, in scan order: the condition <q_right(.) | y_l (u * v)>."""
+    for m in range(2, k):
+        for u, v in word_pairs(m, all_ywords):
+            expansion = harmonic_words(u, v)
+            for l in range(1, k - m + 1):
+                yield l, u, v, expansion
 
 
 def _sharp_harmonic_rows(columns: list[XSeries], k: int) -> list:
@@ -202,23 +207,15 @@ def _sharp_harmonic_rows(columns: list[XSeries], k: int) -> list:
     index = _word_index([_int_terms(q_right(c).terms) for c in columns])
     rows = []
     n = len(columns)
-    for m in range(2, k):
-        layers = list(range(1, k - m + 1))
-        for wu in range(1, m // 2 + 1):
-            for u in all_ywords(wu):
-                for v in all_ywords(m - wu):
-                    if wu == m - wu and v < u:
-                        continue
-                    expansion = harmonic_words(u, v)
-                    for l in layers:
-                        row = [0] * n
-                        touched = False
-                        for w, mult in expansion.items():
-                            for j, c in index.get((l,) + w, ()):
-                                row[j] += mult * c
-                                touched = True
-                        if touched:
-                            rows.append(row)
+    for l, u, v, expansion in _sharp_scan(k):
+        row = [0] * n
+        touched = False
+        for w, mult in expansion.items():
+            for j, c in index.get((l,) + w, ()):
+                row[j] += mult * c
+                touched = True
+        if touched:
+            rows.append(row)
     return rows
 
 
@@ -317,15 +314,11 @@ def compile_primitivity_raw(k: int) -> ConstraintMatrix:
     labels = sorted(all_xwords(k))
     pos = {w: i for i, w in enumerate(labels)}
     rows = []
-    for lu in range(1, k // 2 + 1):
-        for u in all_xwords(lu):
-            for v in all_xwords(k - lu):
-                if lu == k - lu and v < u:
-                    continue
-                row = [0] * len(labels)
-                for w, m in shuffle_words(u, v).items():
-                    row[pos[w]] += m
-                rows.append(row)
+    for u, v in word_pairs(k, all_xwords):
+        row = [0] * len(labels)
+        for w, m in shuffle_words(u, v).items():
+            row[pos[w]] += m
+        rows.append(row)
     return ConstraintMatrix(
         rows=rows,
         column_kind="word",
@@ -384,26 +377,14 @@ _MAX_VIOLATIONS = 10
 def _sharp_harmonic_defects(image: dict, k: int):
     """Yield, in scan order, each nonzero <q_right(s) | y_l (u * v)> at
     weight k, given the terms of q_right(s)."""
-    for m in range(2, k):
-        for wu in range(1, m // 2 + 1):
-            for u in all_ywords(wu):
-                for v in all_ywords(m - wu):
-                    if wu == m - wu and v < u:
-                        continue
-                    expansion = harmonic_words(u, v)
-                    for l in range(1, k - m + 1):
-                        val = 0
-                        for w, mult in expansion.items():
-                            c = image.get((l,) + w)
-                            if c is not None:
-                                val += mult * c
-                        if val:
-                            yield {
-                                "t_exp": l - 1,
-                                "u": list(u),
-                                "v": list(v),
-                                "value": str(val),
-                            }
+    for l, u, v, expansion in _sharp_scan(k):
+        val = 0
+        for w, mult in expansion.items():
+            c = image.get((l,) + w)
+            if c is not None:
+                val += mult * c
+        if val:
+            yield {"t_exp": l - 1, "u": list(u), "v": list(v), "value": str(val)}
 
 
 def membership_check(space: SpaceId, s: XSeries) -> MembershipReport:
@@ -440,7 +421,8 @@ def membership_check(space: SpaceId, s: XSeries) -> MembershipReport:
         for k in weights:
             if len(violations) >= _MAX_VIOLATIONS:
                 break
-            for u, v, val in harmonic_primitivity_defect(star, k):
+            room = _MAX_VIOLATIONS - len(violations)
+            for u, v, val in harmonic_primitivity_defect(star, k, limit=room):
                 if record(
                     k,
                     "star-harmonic",
@@ -505,8 +487,3 @@ def dimension_table(
             for k in range(1, k_max + 1)
         ]
     return out
-
-
-def f2_dimension(k: int) -> int:
-    """Independent count oracle for the primitive space: the Witt number."""
-    return witt_number(k)

@@ -7,15 +7,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from time import perf_counter
 
-from .algebra import (
-    concat_inverse,
-    concat_product,
-    harmonic_words,
-    q_sharp_pairing_tables,
-)
+from .algebra import concat_inverse, concat_product, q_sharp_pairing_tables
 from .cache import get_basis
 from .lie import (
     ad_x1,
@@ -35,7 +29,7 @@ from .spaces import (
     SpaceId,
     membership_check,
 )
-from .words import all_xwords, all_ywords
+from .words import all_xwords, all_ywords, harmonic_words, word_pairs
 
 
 @dataclass(frozen=True)
@@ -111,6 +105,8 @@ def verify_lemma_essential(a: XSeries, b: XSeries) -> VerificationReport:
                               + <q_sharp(b)|u><q_sharp(a)|v>,
     with coefficients in Q[T] multiplied as polynomials (layers convolved).
     """
+    from .moulds import MultiPoly  # moulds imports this module
+
     t0 = perf_counter()
     d = derive_d(a, b)
     n = min(d.weight_bound, a.weight_bound + b.weight_bound - 1)
@@ -119,42 +115,28 @@ def verify_lemma_essential(a: XSeries, b: XSeries) -> VerificationReport:
     b_table = q_sharp_pairing_tables(b)
     witnesses = []
     for m in range(2, n):
-        for wu in range(1, m // 2 + 1):
-            for u in all_ywords(wu):
-                for v in all_ywords(m - wu):
-                    if wu == m - wu and v < u:
-                        continue
-                    expansion = harmonic_words(u, v)
-                    # left side: polynomial in T
-                    lhs: dict[int, Fraction] = {}
-                    for w, mult in expansion.items():
-                        for t, c in lhs_table.get(w, {}).items():
-                            acc = lhs.get(t, 0) + mult * c
-                            if acc:
-                                lhs[t] = acc
-                            else:
-                                lhs.pop(t, None)
-                    rhs: dict[int, Fraction] = {}
-                    for first, second in ((a_table, b_table), (b_table, a_table)):
-                        pu = first.get(u, {})
-                        pv = second.get(v, {})
-                        for t1, c1 in pu.items():
-                            for t2, c2 in pv.items():
-                                t = t1 + t2
-                                acc = rhs.get(t, 0) + c1 * c2
-                                if acc:
-                                    rhs[t] = acc
-                                else:
-                                    rhs.pop(t, None)
-                    if lhs != rhs:
-                        witnesses.append(
-                            {
-                                "u": list(u),
-                                "v": list(v),
-                                "lhs": {str(t): str(c) for t, c in sorted(lhs.items())},
-                                "rhs": {str(t): str(c) for t, c in sorted(rhs.items())},
-                            }
-                        )
+        for u, v in word_pairs(m, all_ywords):
+            # both sides as polynomials in T, one variable
+            lhs = MultiPoly(1, (
+                ((t,), mult * c)
+                for w, mult in harmonic_words(u, v).items()
+                for t, c in lhs_table.get(w, {}).items()
+            ))
+            rhs = MultiPoly(1, (
+                ((t1 + t2,), c1 * c2)
+                for first, second in ((a_table, b_table), (b_table, a_table))
+                for t1, c1 in first.get(u, {}).items()
+                for t2, c2 in second.get(v, {}).items()
+            ))
+            if lhs != rhs:
+                witnesses.append(
+                    {
+                        "u": list(u),
+                        "v": list(v),
+                        "lhs": {str(t): str(c) for (t,), c in sorted(lhs.terms.items())},
+                        "rhs": {str(t): str(c) for (t,), c in sorted(rhs.terms.items())},
+                    }
+                )
     return _report(
         "lemma-essential",
         {"weights": [a.min_weight(), b.min_weight()], "pair_weight_max": n - 1},

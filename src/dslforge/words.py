@@ -8,6 +8,7 @@ they serve directly as dictionary keys in sparse series.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from typing import Iterator
 
@@ -62,10 +63,21 @@ def all_ywords(k: int) -> Iterator[YWord]:
             yield (first,) + rest
 
 
-def shuffle_words(u: XWord, v: XWord) -> dict[XWord, int]:
-    """Expand the interleaving product of two X-words into a word -> multiplicity map."""
+def word_pairs(k: int, words) -> Iterator[tuple]:
+    """The nonempty pairs (u, v), wt u <= wt v, total weight k, in scan order;
+    at equal weight only v >= u.  words is all_xwords or all_ywords."""
+    for wu in range(1, k // 2 + 1):
+        vs = list(words(k - wu))
+        for u in words(wu):
+            for v in vs:
+                if wu == k - wu and v < u:
+                    continue
+                yield u, v
+
+
+def _interleavings(u: XWord, v: XWord) -> Iterator[XWord]:
+    """Each interleaving of u and v, once per choice of positions for u."""
     n = len(u) + len(v)
-    out: dict[XWord, int] = {}
     for positions in combinations(range(n), len(u)):
         chars = [""] * n
         for c, i in zip(u, positions):
@@ -74,25 +86,20 @@ def shuffle_words(u: XWord, v: XWord) -> dict[XWord, int]:
         for i in range(n):
             if not chars[i]:
                 chars[i] = next(it)
-        w = "".join(chars)
-        out[w] = out.get(w, 0) + 1
-    return out
+        yield "".join(chars)
+
+
+def shuffle_words(u: XWord, v: XWord) -> dict[XWord, int]:
+    """Expand the interleaving product of two X-words into a word -> multiplicity map."""
+    return dict(Counter(_interleavings(u, v)))
 
 
 def shuffle_pairing(terms: dict[XWord, object], u: XWord, v: XWord):
     """Pair a coefficient map against u interleaved with v, without expanding
     the product into a dictionary first (memory-friendly at high weight)."""
-    n = len(u) + len(v)
     total = 0
-    for positions in combinations(range(n), len(u)):
-        chars = [""] * n
-        for c, i in zip(u, positions):
-            chars[i] = c
-        it = iter(v)
-        for i in range(n):
-            if not chars[i]:
-                chars[i] = next(it)
-        c = terms.get("".join(chars))
+    for w in _interleavings(u, v):
+        c = terms.get(w)
         if c is not None:
             total = total + c
     return total

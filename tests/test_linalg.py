@@ -124,14 +124,14 @@ def test_kernel_vectors_are_plain_ints() -> None:
 def test_mod_p_selection_refuses_int64_overflow() -> None:
     import pytest
 
-    from dslforge.linalg import _independent_rows_mod_p
+    from dslforge.linalg import _rref_mod_p
 
     # rank * (p - 1)**2 < 2**63 holds for two pivots and fails for the third
     p = 2**31 - 1
     rows = [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 1, 0], [0, 0, 1, 1]]
-    assert _independent_rows_mod_p(rows[:2], 4, p) == [0, 1]
+    assert _rref_mod_p(rows[:2], 4, p)[0] == [0, 1]
     with pytest.raises(ArithmeticError, match="int64"):
-        _independent_rows_mod_p(rows, 4, p)
+        _rref_mod_p(rows, 4, p)
 
 
 def _naive_solve(rows: list[list], rhs: list) -> list[Fraction] | None:
