@@ -27,6 +27,7 @@ from itertools import islice
 from math import factorial
 
 from .errors import NonUnitConstant
+from .lyndon import bracketing
 from .series import TYSeries, XSeries, YSeries
 from .words import (
     XWord,
@@ -169,20 +170,14 @@ def star_word(psi: XSeries) -> YSeries:
     return q_left(psi) + _y1_tail(psi)
 
 
-def _gamma_correction(phi: XSeries) -> YSeries:
-    """exp of the y1-power tail of phi."""
-    bound = phi.weight_bound
-    arg = _y1_tail(phi)
-    # exp under Y-concatenation; the argument has lowest weight >= 2.
-    result = YSeries.unit(bound)
-    power = YSeries.unit(bound)
+def _power_series(x, product, exponential: bool):
+    """1 + sum over n >= 1 of x^n (divided by n! when exponential) under the
+    product; x has zero constant term, so its powers vanish past the bound."""
+    result = power = type(x).unit(x.weight_bound)
     n = 0
-    while True:
+    while not (power := product(power, x)).is_zero():
         n += 1
-        power = y_concat_product(power, arg)
-        if power.is_zero():
-            break
-        result = result + power.scale(Fraction(1, factorial(n)))
+        result = result + (power.scale(Fraction(1, factorial(n))) if exponential else power)
     return result
 
 
@@ -190,27 +185,27 @@ def group_star(phi: XSeries) -> YSeries:
     """Corrected harmonic image of a group-shaped series.
 
     Returns Gamma(phi) * q_right(phi) under Y-concatenation, where Gamma is
-    the exponential correction of _gamma_correction, plus the explicit unit
-    term (q_right kills the empty word, so the unit is restored here).
+    the Y-concatenation exponential of the y1-power tail of phi, plus the
+    explicit unit term (q_right kills the empty word, so the unit is restored
+    here).
     """
     if phi.coeff("") != 1:
         raise NonUnitConstant("group_star needs constant term 1")
+    gamma = _power_series(_y1_tail(phi), y_concat_product, exponential=True)
     base = q_right(phi) + YSeries.unit(phi.weight_bound)
-    return y_concat_product(_gamma_correction(phi), base)
+    return y_concat_product(gamma, base)
 
 
 def _is_lie_component(comp: dict[XWord, Fraction]) -> bool:
     """True when a homogeneous component of weight >= 1 is a Lie polynomial,
     by triangular reduction against the Lyndon bracketings."""
-    from .lyndon import _expand  # lyndon imports this module
-
     rest = dict(comp)
     while rest:
         w = min(rest)
         if any(w >= w[i:] for i in range(1, len(w))):
             return False  # the smallest word of a Lie element is Lyndon
         c = rest[w]
-        for u, cu in _expand(w).terms.items():
+        for u, cu in bracketing(w).items():
             acc = rest.get(u, 0) - c * cu
             if acc:
                 rest[u] = acc
@@ -290,30 +285,11 @@ def concat_inverse(a: XSeries) -> XSeries:
     geometric series in (1 - a) truncated at the bound."""
     if a.coeff("") != 1:
         raise NonUnitConstant("concatenation inverse needs constant term 1")
-    bound = a.weight_bound
-    x = XSeries.unit(bound) - a  # lowest weight >= 1
-    result = XSeries.unit(bound)
-    power = XSeries.unit(bound)
-    while True:
-        power = concat_product(power, x)
-        if power.is_zero():
-            break
-        result = result + power
-    return result
+    return _power_series(XSeries.unit(a.weight_bound) - a, concat_product, exponential=False)
 
 
 def concat_exp(s: XSeries) -> XSeries:
     """Concatenation exponential of a series with zero constant term."""
     if s.coeff("") != 0:
         raise ValueError("concat_exp needs zero constant term")
-    bound = s.weight_bound
-    result = XSeries.unit(bound)
-    power = XSeries.unit(bound)
-    n = 0
-    while True:
-        n += 1
-        power = concat_product(power, s)
-        if power.is_zero():
-            break
-        result = result + power.scale(Fraction(1, factorial(n)))
-    return result
+    return _power_series(s, concat_product, exponential=True)

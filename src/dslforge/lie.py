@@ -139,6 +139,7 @@ def kappa_substitute(f: XSeries, target: XSeries) -> XSeries:
     bound = min(f.weight_bound, target.weight_bound)
     fmin = f.min_weight()
     grow = (fmin or 1) - 1  # each substituted '1' adds at least this much weight
+    f = f.with_bound(bound)
     out = XSeries.zero(bound)
     for w, c in target.terms.items():
         if len(w) + w.count("1") * grow > bound:
@@ -153,7 +154,7 @@ def kappa_substitute(f: XSeries, target: XSeries) -> XSeries:
             if run:
                 piece = concat_product(piece, XSeries.word("0" * run, 1, bound))
                 run = 0
-            piece = concat_product(piece, f.with_bound(bound))
+            piece = concat_product(piece, f)
             if piece.is_zero():
                 ok = False
                 break

@@ -1,12 +1,15 @@
 """Lyndon words over '0' < '1', standard bracketings, and the graded basis
-of the primitive subspace they span."""
+of the primitive subspace they span.
+
+The bracketings have integer coefficients (Reutenauer, Free Lie Algebras,
+ch. 5), so they are expanded once into an integer table, {word: int}; the
+XSeries view is built from that table."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import commutator
 from .series import XSeries
 from .words import XWord
 
@@ -69,11 +72,26 @@ def standard_factorization(w: XWord) -> tuple[XWord, XWord]:
 
 
 @lru_cache(maxsize=None)
-def _expand(w: XWord) -> XSeries:
+def bracketing(w: XWord) -> dict[XWord, int]:
+    """The standard bracketing of a Lyndon word expanded into words, as
+    {word: int}: [P_u, P_v] = P_u P_v - P_v P_u over the standard
+    factorization w = uv.  Memoized and shared, so never mutate the result."""
     if len(w) == 1:
-        return XSeries.word(w)
+        return {w: 1}
     u, v = standard_factorization(w)
-    return commutator(_expand(u).with_bound(len(w)), _expand(v).with_bound(len(w)))
+    out: dict[XWord, int] = {}
+    for a, ca in bracketing(u).items():
+        for b, cb in bracketing(v).items():
+            c = ca * cb
+            out[a + b] = out.get(a + b, 0) + c
+            out[b + a] = out.get(b + a, 0) - c
+    return {x: c for x, c in out.items() if c}
+
+
+@lru_cache(maxsize=None)
+def _expand(w: XWord) -> XSeries:
+    """The bracketing of w as a series of weight bound len(w)."""
+    return XSeries(bracketing(w), len(w))
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,12 @@
 
 Stage 1 picks the coordinates: spaces that include primitivity are
 parametrized by the Lyndon-bracketing basis of the primitive subspace (186
-coordinates at weight 11 instead of 2048 raw word coordinates); the strong
-parity space alone is compiled over raw word coordinates.  Stage 2 emits one
-integer row per residual linear condition, a positive multiple of the
-condition's rational row.  Kernels are computed exactly as integer vectors
-and re-expanded into series through the chosen coordinates.
+coordinates at weight 11 instead of 2048 raw word coordinates), read from the
+integer bracketing table; the strong parity space alone is compiled over raw
+word coordinates.  Stage 2 emits one integer row per residual linear
+condition, a positive multiple of the condition's rational row.  Kernels are
+computed exactly as integer vectors and re-expanded into series through the
+chosen coordinates.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from .algebra import (
     star_word,
 )
 from .linalg import kernel_basis
-from .lyndon import lyndon_primitive_basis
+from .lyndon import bracketing, lyndon_words
 from .series import XSeries, corner_decompose
-from .words import all_xwords, all_ywords, harmonic_words, shuffle_words, word_pairs
+from .words import all_xwords, all_ywords, harmonic_words, leading_blocks
+from .words import shuffle_words, trailing_blocks, word_pairs
 
 # Bumped when the emitted rows or the pivot rule change; part of cache keys.
 SCHEMA_VERSION = "s1p1"
@@ -103,8 +105,8 @@ class ConstraintMatrix:
     """Exact system whose kernel is the weight-k piece of the space.
 
     column_kind is 'lyndon' (columns are Lyndon-bracketing coordinates of the
-    primitive subspace; column_series holds the expansions) or 'word' (raw
-    word coordinates).
+    primitive subspace) or 'word' (raw word coordinates); column_series holds
+    each column's expansion into words as {word: int}.
     """
 
     rows: list
@@ -144,51 +146,38 @@ class SubspaceBasis:
         )
 
 
-def _identity_rows(ncols: int) -> list:
-    rows = []
-    for i in range(ncols):
-        row = [0] * ncols
-        row[i] = 1
-        rows.append(row)
-    return rows
-
-
-def _as_int(c, word) -> int:
-    """An integral coefficient as int.  Every column image on the dims path is
-    integral, so a fractional one is an error, never rounded."""
-    if c.denominator != 1:
-        raise ArithmeticError(f"non-integral coefficient {c} on {word!r} in a row image")
-    return c.numerator
-
-
-def _int_terms(terms: dict, scale: int = 1) -> dict:
-    """The terms times scale as {word: int}."""
-    return {w: _as_int(c * scale, w) for w, c in terms.items()}
-
-
-def _word_index(images: list[dict]) -> dict:
-    """word -> [(column, coeff)] over the integer column images."""
+def _word_index(columns: list[dict]) -> dict:
+    """word -> [(column, coeff)] over the integer columns {word: int}."""
     index: dict = {}
-    for j, terms in enumerate(images):
+    for j, terms in enumerate(columns):
         for w, c in terms.items():
             index.setdefault(w, []).append((j, c))
     return index
 
 
-def _star_harmonic_rows(columns: list[XSeries], k: int) -> list:
+def _harmonic_row(table: dict, n: int, head: tuple, expansion: dict):
+    """The row psi -> sum of mult * <image of psi | head + w> over the
+    expansion, where table maps Y-words to [(column, coeff)] of the images,
+    and whether any column met it."""
+    row = [0] * n
+    touched = False
+    for w, mult in expansion.items():
+        for j, c in table.get(head + w, ()):
+            row[j] += mult * c
+            touched = True
+    return row, touched
+
+
+def _star_harmonic_rows(index: dict, n: int, k: int) -> list:
     """One row per nonempty Y-word pair (u, v), wt u <= wt v, total weight k:
-    the functional psi -> <k * star_word(psi) | u * v>.  The factor k clears
-    the 1/k of the depth-one tail term, the only non-integral one."""
-    index = _word_index([_int_terms(star_word(c).terms, k) for c in columns])
-    rows = []
-    n = len(columns)
-    for u, v in word_pairs(k, all_ywords):
-        row = [0] * n
-        for w, mult in harmonic_words(u, v).items():
-            for j, c in index.get(w, ()):
-                row[j] += mult * c
-        rows.append(row)
-    return rows
+    the functional psi -> <k * star_word(psi) | u * v>.  At weight k the
+    image is k * q_left(psi) plus <psi | 0^{k-1} 1> y1^k, so the factor k
+    clears the 1/k of the depth-one tail term, the only non-integral one."""
+    star = {y: [(j, k * c) for j, c in cols]
+            for w, cols in index.items() if (y := leading_blocks(w)) is not None}
+    star[(1,) * k] = star.get((1,) * k, []) + index.get("0" * (k - 1) + "1", [])
+    return [_harmonic_row(star, n, (), harmonic_words(u, v))[0]
+            for u, v in word_pairs(k, all_ywords)]
 
 
 def _sharp_scan(k: int):
@@ -201,36 +190,31 @@ def _sharp_scan(k: int):
                 yield l, u, v, expansion
 
 
-def _sharp_harmonic_rows(columns: list[XSeries], k: int) -> list:
-    """One row per l >= 1 and nonempty pair (u, v) with l + wt u + wt v = k:
-    the functional psi -> <q_right(psi) | y_l (u * v)>."""
-    index = _word_index([_int_terms(q_right(c).terms) for c in columns])
+def _sharp_harmonic_rows(index: dict, n: int, k: int) -> list:
+    """One row per l >= 1 and nonempty pair (u, v) with l + wt u + wt v = k
+    that meets some column: the functional psi -> <q_right(psi) | y_l (u * v)>."""
+    sharp = {y: cols for w, cols in index.items()
+             if (y := trailing_blocks(w)) is not None}
     rows = []
-    n = len(columns)
     for l, u, v, expansion in _sharp_scan(k):
-        row = [0] * n
-        touched = False
-        for w, mult in expansion.items():
-            for j, c in index.get((l,) + w, ()):
-                row[j] += mult * c
-                touched = True
+        row, touched = _harmonic_row(sharp, n, (l,), expansion)
         if touched:
             rows.append(row)
     return rows
 
 
-def _sharp_depth_one_rows(columns: list[XSeries], k: int) -> list:
+def _sharp_depth_one_rows(index: dict, n: int, k: int) -> list:
     """The explicit depth-one tail row: <psi | x1 x0^{k-2} x1> = 0."""
     if k < 2:
         return []
-    w = "1" + "0" * (k - 2) + "1"
-    return [[_as_int(c.coeff(w), w) for c in columns]]
+    row = [0] * n
+    for j, c in index.get("1" + "0" * (k - 2) + "1", ()):
+        row[j] = c
+    return [row]
 
 
-def _corner00_rows(columns: list[XSeries], k: int) -> list:
+def _corner00_rows(index: dict, n: int, k: int) -> list:
     """One row per word x0*w*x0 appearing in some column."""
-    index = _word_index([_int_terms(c.terms) for c in columns])
-    n = len(columns)
     rows = []
     for w in sorted(w for w in index if len(w) >= 2 and w[0] == "0" and w[-1] == "0"):
         row = [0] * n
@@ -240,19 +224,14 @@ def _corner00_rows(columns: list[XSeries], k: int) -> list:
     return rows
 
 
-def _parity_rows(columns: list[XSeries], k: int, all_words: bool) -> list:
-    """One row per middle word w of weight k-2:
-    <.|x1 w x1> + <.|x1 w x0> + <.|x0 w x1>."""
+def _parity_rows(index: dict, n: int, k: int) -> list:
+    """One row per middle w of a column word not of the form x0 w x0 (over raw
+    word columns, every w of weight k-2): <.|x1 w x1> + <.|x1 w x0> + <.|x0 w x1>."""
     if k < 2:
         return []
-    index = _word_index([_int_terms(c.terms) for c in columns])
-    if all_words:
-        middles = list(all_xwords(k - 2))
-    else:
-        middles = sorted(
-            {w[1:-1] for w in index if len(w) >= 2 and (w[0], w[-1]) != ("0", "0")}
-        )
-    n = len(columns)
+    middles = sorted(
+        {w[1:-1] for w in index if len(w) >= 2 and (w[0], w[-1]) != ("0", "0")}
+    )
     rows = []
     for w in middles:
         row = [0] * n
@@ -268,35 +247,35 @@ _ROW_BUILDERS = {
     "sharp-harmonic": _sharp_harmonic_rows,
     "sharp-depth-one": _sharp_depth_one_rows,
     "corner00": _corner00_rows,
+    "parity": _parity_rows,
 }
 
 
 def compile_constraints(space: SpaceId, k: int) -> ConstraintMatrix:
     """Two-stage compilation of the weight-k piece of a space.
 
-    Below the space's weight threshold the result has full-rank rows and an
-    empty kernel.
+    The columns are the integer bracketings of the Lyndon words of length k,
+    or single raw words; every builder reads one word -> [(column, coeff)]
+    index over them.  Below the space's weight threshold the result has
+    full-rank rows and an empty kernel.
     """
     if k < 1:
         raise ValueError("weight must be >= 1")
     if space.uses_lyndon():
-        basis = lyndon_primitive_basis(k)
-        labels = [e.lyndon_word for e in basis]
-        columns = [e.expansion for e in basis]
+        labels = lyndon_words(k)
+        columns = [bracketing(w) for w in labels]
         kind = "lyndon"
     else:
         labels = sorted(all_xwords(k))
-        columns = [XSeries.word(w, 1, k) for w in labels]
+        columns = [{w: 1} for w in labels]
         kind = "word"
+    n = len(columns)
     if k < space.min_weight():
-        rows = _identity_rows(len(columns))
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
     else:
-        rows = []
-        for tag in space.condition_tags():
-            if tag == "parity":
-                rows.extend(_parity_rows(columns, k, all_words=not space.uses_lyndon()))
-            else:
-                rows.extend(_ROW_BUILDERS[tag](columns, k))
+        index = _word_index(columns)
+        rows = [row for tag in space.condition_tags()
+                for row in _ROW_BUILDERS[tag](index, n, k)]
     return ConstraintMatrix(
         rows=rows,
         column_kind=kind,
@@ -323,7 +302,7 @@ def compile_primitivity_raw(k: int) -> ConstraintMatrix:
         rows=rows,
         column_kind="word",
         column_labels=labels,
-        column_series=[XSeries.word(w, 1, k) for w in labels],
+        column_series=[{w: 1} for w in labels],
         space=F2GEQ(1),
         weight=k,
     )
@@ -331,18 +310,13 @@ def compile_primitivity_raw(k: int) -> ConstraintMatrix:
 
 def rational_kernel(matrix: ConstraintMatrix) -> SubspaceBasis:
     """Exact nullspace of the compiled system, re-expanded into series in
-    integer arithmetic; each column is converted to integers on first use."""
-    ncols = len(matrix.column_labels)
-    columns: dict = {}
+    integer arithmetic through the integer columns."""
     vectors = []
-    for coords in kernel_basis(matrix.rows, ncols):
+    for coords in kernel_basis(matrix.rows, len(matrix.column_labels)):
         terms: dict = {}
-        for j, c in enumerate(coords):
+        for c, col in zip(coords, matrix.column_series):
             if not c:
                 continue
-            col = columns.get(j)
-            if col is None:
-                col = columns[j] = _int_terms(matrix.column_series[j].terms)
             for w, cw in col.items():
                 terms[w] = terms.get(w, 0) + c * cw
         vectors.append(XSeries(terms, matrix.weight))

@@ -21,6 +21,7 @@ from .lie import (
     tm1_inverse,
 )
 from .linalg import kernel_basis
+from .lyndon import lyndon_primitive_basis
 from .series import XSeries
 from .spaces import (
     ADDMR_FAD_PARITY,
@@ -313,7 +314,6 @@ def verify_racinet_homomorphism(
     t0 = perf_counter()
     rng = random.Random(seed)
     witnesses = []
-    from .lyndon import lyndon_primitive_basis
 
     def random_primitive(weight: int, bound: int) -> XSeries:
         out = XSeries.zero(bound)

@@ -37,7 +37,7 @@ def ydepth(w: YWord) -> int:
 
 
 def is_xword(w: object) -> bool:
-    return isinstance(w, str) and all(c in "01" for c in w)
+    return isinstance(w, str) and not w.strip("01")
 
 
 def is_yword(w: object) -> bool:

@@ -54,9 +54,10 @@ def _tamper(space, k, edit) -> None:
         lambda d: d["vectors"][0]["terms"][0].update(coeff=0.5),
         lambda d: d["vectors"][0]["terms"][0].pop("word"),
         lambda d: d["vectors"][0].update(weight_bound=-1),
+        lambda d: d["vectors"][0]["terms"][0].update(coeff=12345),
     ],
     ids=["dimension", "space", "weight", "term-length", "vectors-type",
-         "float-coeff", "missing-word", "negative-bound"],
+         "float-coeff", "missing-word", "negative-bound", "coeff"],
 )
 def test_inconsistent_entry_is_a_miss(private_cache, edit) -> None:
     basis = get_basis(ADDMR, 5)

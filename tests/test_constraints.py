@@ -148,31 +148,35 @@ def test_composite_spaces_raw_oracle() -> None:
         _sharp_depth_one_rows,
         _sharp_harmonic_rows,
         _star_harmonic_rows,
+        _word_index,
     )
     from dslforge.linalg import kernel_basis
     from dslforge.words import all_xwords
 
     for k in range(3, 7):
         labels = sorted(all_xwords(k))
-        cols = [XSeries.word(w, 1, k) for w in labels]
+        index = _word_index([{w: 1} for w in labels])
+        n = len(labels)
         prim = compile_primitivity_raw(k).rows
-        dmr_rows = prim + _star_harmonic_rows(cols, k)
-        dim = len(kernel_basis(dmr_rows, len(cols)))
+        dmr_rows = prim + _star_harmonic_rows(index, n, k)
+        dim = len(kernel_basis(dmr_rows, n))
         assert dim == rational_kernel(compile_constraints(DMR, k)).dimension
 
         if k >= 4:
             addmr_rows = (
                 prim
-                + _sharp_harmonic_rows(cols, k)
-                + _sharp_depth_one_rows(cols, k)
+                + _sharp_harmonic_rows(index, n, k)
+                + _sharp_depth_one_rows(index, n, k)
             )
-            dim = len(kernel_basis(addmr_rows, len(cols)))
+            dim = len(kernel_basis(addmr_rows, n))
             assert dim == rational_kernel(compile_constraints(ADDMR, k)).dimension
 
             afp_rows = (
-                addmr_rows + _corner00_rows(cols, k) + _parity_rows(cols, k, True)
+                addmr_rows
+                + _corner00_rows(index, n, k)
+                + _parity_rows(index, n, k)
             )
-            dim = len(kernel_basis(afp_rows, len(cols)))
+            dim = len(kernel_basis(afp_rows, n))
             assert (
                 dim
                 == rational_kernel(compile_constraints(ADDMR_FAD_PARITY, k)).dimension

@@ -1,6 +1,7 @@
 """Static check of the package source: every top-level function and class is
-used somewhere other than its own definition, and every module-level import
-is used by the module that makes it.
+used somewhere other than its own definition, every module-level import is
+used by the module that makes it, and every function-level import breaks an
+import cycle.
 
 A use is any name or attribute in `src/dslforge` or `tests/`, an import of
 the name, or an export from `dslforge/__init__.py`.
@@ -70,9 +71,60 @@ def unused_imports(package: Path) -> list[str]:
     return dead
 
 
+def _relative_targets(node: ast.ImportFrom) -> list[str]:
+    """The package modules a relative `from .x import ...` names."""
+    if node.level != 1:
+        return []
+    if node.module:
+        return [node.module.split(".")[0]]
+    return [alias.name for alias in node.names]
+
+
+def _imports_transitively(graph: dict[str, set], start: str, target: str) -> bool:
+    seen, todo = set(), [start]
+    while todo:
+        mod = todo.pop()
+        if mod == target:
+            return True
+        if mod not in seen:
+            seen.add(mod)
+            todo.extend(graph.get(mod, ()))
+    return False
+
+
+def needless_function_imports(package: Path) -> list[str]:
+    """Each function-level `from .x import` whose module x does not import the
+    importing module at module level, directly or through other modules."""
+    trees = {path.stem: tree for path, tree in _trees(package).items()}
+    graph = {
+        name: {
+            t
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom)
+            for t in _relative_targets(node)
+        }
+        for name, tree in trees.items()
+    }
+    found = []
+    for name, tree in trees.items():
+        for top in tree.body:
+            if not isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom):
+                    for target in _relative_targets(node):
+                        if not _imports_transitively(graph, target, name):
+                            found.append(f"{name}:{node.lineno} imports {target}")
+    return found
+
+
 def test_every_definition_is_referenced() -> None:
     assert unreferenced_definitions(_PACKAGE, _ROOT / "tests") == []
 
 
 def test_every_module_level_import_is_used() -> None:
     assert unused_imports(_PACKAGE) == []
+
+
+def test_every_function_level_import_breaks_a_cycle() -> None:
+    assert needless_function_imports(_PACKAGE) == []

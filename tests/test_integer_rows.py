@@ -13,12 +13,14 @@ from fractions import Fraction
 
 import pytest
 
-from dslforge.algebra import star_word
-from dslforge.lyndon import lyndon_primitive_basis
+from dslforge.algebra import q_right, star_word
+from dslforge.lyndon import bracketing, lyndon_primitive_basis, lyndon_words
 from dslforge.series import XSeries
 from dslforge.spaces import (
     SpaceId,
+    _sharp_harmonic_rows,
     _star_harmonic_rows,
+    _word_index,
     compile_constraints,
     rational_kernel,
 )
@@ -135,10 +137,50 @@ def _fraction_star_rows(columns: list[XSeries], k: int) -> list:
     return rows
 
 
+def _column_pairs(k: int):
+    """(integer columns, the same columns as series) for the Lyndon and the
+    raw word coordinates at weight k."""
+    yield (
+        [bracketing(w) for w in lyndon_words(k)],
+        [e.expansion for e in lyndon_primitive_basis(k)],
+    )
+    words = sorted(all_xwords(k))
+    yield [{w: 1} for w in words], [XSeries.word(w, 1, k) for w in words]
+
+
 @pytest.mark.parametrize("k", range(2, 9))
 def test_star_harmonic_rows_are_k_times_the_rational_rows(k) -> None:
-    lyndon = [e.expansion for e in lyndon_primitive_basis(k)]
-    raw = [XSeries.word(w, 1, k) for w in sorted(all_xwords(k))]
-    for columns in (lyndon, raw):
-        oracle = _fraction_star_rows(columns, k)
-        assert _star_harmonic_rows(columns, k) == [[k * c for c in r] for r in oracle]
+    for ints, series in _column_pairs(k):
+        oracle = _fraction_star_rows(series, k)
+        rows = _star_harmonic_rows(_word_index(ints), len(ints), k)
+        assert rows == [[k * c for c in r] for r in oracle]
+
+
+def _fraction_sharp_rows(columns: list[XSeries], k: int) -> list:
+    """The sharp-harmonic rows rebuilt from the rational q_right images: one
+    per l >= 1 and pair (u, v) of total weight k - l that meets an image."""
+    images = [q_right(c).terms for c in columns]
+    rows = []
+    for m in range(2, k):
+        for wu in range(1, m // 2 + 1):
+            for u in all_ywords(wu):
+                for v in all_ywords(m - wu):
+                    if wu == m - wu and v < u:
+                        continue
+                    expansion = harmonic_words(u, v)
+                    for l in range(1, k - m + 1):
+                        keys = [((l,) + w, mult) for w, mult in expansion.items()]
+                        if not any(y in t for y, _ in keys for t in images):
+                            continue
+                        rows.append([
+                            sum((mult * t.get(y, 0) for y, mult in keys), Fraction(0))
+                            for t in images
+                        ])
+    return rows
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_sharp_harmonic_rows_equal_the_rational_rows(k) -> None:
+    for ints, series in _column_pairs(k):
+        oracle = _fraction_sharp_rows(series, k)
+        assert _sharp_harmonic_rows(_word_index(ints), len(ints), k) == oracle

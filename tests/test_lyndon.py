@@ -1,13 +1,17 @@
 from __future__ import annotations
 
-from dslforge.algebra import shuffle_primitivity_defect
+from functools import lru_cache
+
+from dslforge.algebra import commutator, shuffle_primitivity_defect
 from dslforge.linalg import kernel_basis
 from dslforge.lyndon import (
+    bracketing,
     lyndon_primitive_basis,
     lyndon_words,
     standard_factorization,
     witt_number,
 )
+from dslforge.series import XSeries
 from dslforge.words import all_xwords
 
 
@@ -65,3 +69,26 @@ def test_expansions_primitive_and_independent() -> None:
         for e in basis:
             for m in range(2, k + 1):
                 assert shuffle_primitivity_defect(e.expansion, m) == []
+
+
+@lru_cache(maxsize=None)
+def _series_bracketing(w: str) -> XSeries:
+    """The standard bracketing by the rational series commutator, the oracle
+    for the integer table."""
+    if len(w) == 1:
+        return XSeries.word(w)
+    u, v = standard_factorization(w)
+    n = len(w)
+    return commutator(
+        _series_bracketing(u).with_bound(n), _series_bracketing(v).with_bound(n)
+    )
+
+
+def test_integer_bracketing_matches_the_series_commutator() -> None:
+    for k in range(1, 13):
+        for e in lyndon_primitive_basis(k):
+            oracle = _series_bracketing(e.lyndon_word)
+            table = bracketing(e.lyndon_word)
+            assert all(type(c) is int and c for c in table.values())
+            assert table == oracle.terms
+            assert e.expansion == oracle

@@ -3,12 +3,16 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+from hypothesis import example, given
+from hypothesis import strategies as st
+
 from dslforge.words import (
     all_xwords,
     all_ywords,
     from_leading_blocks,
     from_trailing_blocks,
     harmonic_words,
+    is_xword,
     leading_blocks,
     shuffle_pairing,
     shuffle_words,
@@ -131,3 +135,32 @@ def test_harmonic_words_against_surjection_oracle() -> None:
         u = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
         v = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
         assert harmonic_words(u, v) == _overlapping_shuffle_oracle(u, v)
+
+
+def _is_xword_by_letters(w: object) -> bool:
+    """The letter-by-letter X-word predicate, kept as the oracle."""
+    return isinstance(w, str) and all(c in "01" for c in w)
+
+
+class _Str(str):
+    pass
+
+
+@given(
+    st.one_of(
+        st.text("01"),
+        st.text("01 2\n\t\x00x"),
+        st.text(),
+        st.text("01").map(_Str),
+        st.integers(),
+        st.none(),
+        st.lists(st.sampled_from("01")),
+        st.binary(),
+    )
+)
+@example(" 01")
+@example("01 ")
+@example("0\n1")
+@example("")
+def test_is_xword_matches_the_letter_predicate(w) -> None:
+    assert is_xword(w) == _is_xword_by_letters(w)
