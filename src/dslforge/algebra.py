@@ -228,25 +228,29 @@ def _weight_component(a: XSeries, k: int) -> dict[XWord, Fraction]:
     return {w: c for w, c in a.terms.items() if len(w) == k}
 
 
-def shuffle_primitivity_defect(
-    a: XSeries, k: int, limit: int | None = None
-) -> list[tuple[XWord, XWord, Fraction]]:
-    """All nonempty pairs (u, v), |u| <= |v|, |u|+|v| = k, with <a | u sh v> != 0,
-    or only the first `limit` of them in scan order.
+def _shuffle_defects(a: XSeries, k: int):
+    """Yield, in scan order, the pairs shuffle_primitivity_defect lists; a
+    component that passes the Lie test yields none without enumerating any."""
+    comp = _weight_component(a, k)
+    if k >= 2 and not _is_lie_component(comp):
+        yield from _pairing_scan(comp, k)
+
+
+def shuffle_primitivity_defect(a: XSeries, k: int) -> list[tuple[XWord, XWord, Fraction]]:
+    """All nonempty pairs (u, v), |u| <= |v|, |u|+|v| = k, with <a | u sh v> != 0.
 
     An empty list at every weight means the series is primitive for the
-    coproduct dual to the interleaving product.  A component that passes the
-    Lie test returns [] without enumerating any pair, and the scan stops once
-    it has found `limit` pairs.
+    coproduct dual to the interleaving product.
     """
-    comp = _weight_component(a, k)
-    if k < 2 or _is_lie_component(comp):
-        return []
-    return list(islice(_pairing_scan(comp, k), limit))
+    return list(_shuffle_defects(a, k))
 
 
-def _harmonic_scan(comp: dict[YWord, Fraction], k: int):
-    """Yield, in scan order, each nonempty pair (u, v) with <comp | u * v> != 0."""
+def _harmonic_scan(a: YSeries, k: int):
+    """Yield, in scan order, each nonempty pair (u, v) with <a | u * v> != 0
+    and total weight k."""
+    if k > a.weight_bound:
+        raise ValueError(f"weight {k} exceeds bound {a.weight_bound}")
+    comp = {w: c for w, c in a.terms.items() if sum(w) == k}
     for u, v in word_pairs(k, all_ywords):
         val = Fraction(0)
         for w, m in harmonic_words(u, v).items():
@@ -257,15 +261,10 @@ def _harmonic_scan(comp: dict[YWord, Fraction], k: int):
             yield u, v, val
 
 
-def harmonic_primitivity_defect(
-    a: YSeries, k: int, limit: int | None = None
-) -> list[tuple[YWord, YWord, Fraction]]:
+def harmonic_primitivity_defect(a: YSeries, k: int) -> list[tuple[YWord, YWord, Fraction]]:
     """All nonempty Y-word pairs (u, v), wt u <= wt v, total weight k, with
-    <a | u * v> != 0, or only the first `limit` of them in scan order."""
-    if k > a.weight_bound:
-        raise ValueError(f"weight {k} exceeds bound {a.weight_bound}")
-    comp = {w: c for w, c in a.terms.items() if sum(w) == k}
-    return list(islice(_harmonic_scan(comp, k), limit))
+    <a | u * v> != 0."""
+    return list(_harmonic_scan(a, k))
 
 
 def is_primitive(a: XSeries, up_to: int | None = None) -> bool:

@@ -58,14 +58,17 @@ def _row_to_int(row) -> list[int]:
 
 
 def _dedupe(rows: list[list[int]]) -> list[list[int]]:
-    seen = set()
+    """The distinct nonzero rows in order.  Rows are bucketed by hash and
+    compared as lists, so no tuple copy of a row is kept."""
+    buckets: dict[int, list] = {}
     out = []
     for r in rows:
-        key = tuple(r)
-        if key in seen or not any(r):
+        if not any(r):
             continue
-        seen.add(key)
-        out.append(r)
+        bucket = buckets.setdefault(hash(tuple(r)), [])
+        if r not in bucket:
+            bucket.append(r)
+            out.append(r)
     return out
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from time import perf_counter
 from typing import Mapping, Sequence
@@ -20,7 +19,7 @@ from typing import Mapping, Sequence
 from .algebra import is_primitive
 from .errors import NonzeroLowWeight
 from .lie import derive_d
-from .series import XSeries, _json_coeff, coeff_str, corner_decompose
+from .series import XSeries, _coeff, _json_coeff, coeff_str, corner_decompose
 from .verify import VerificationReport, _report
 from .words import x_run_lengths, xdepth
 
@@ -40,8 +39,7 @@ class MultiPoly:
             exp = tuple(exp)
             if len(exp) != nvars:
                 raise ValueError(f"exponent vector {exp} has wrong length")
-            if type(c) is not Fraction:
-                c = Fraction(c)
+            c = _coeff(c)
             if c == 0:
                 continue
             acc = terms.get(exp)
@@ -103,7 +101,7 @@ class MultiPoly:
         )
 
     def scale(self, c) -> "MultiPoly":
-        c = Fraction(c)
+        c = _coeff(c)
         return MultiPoly(self.nvars, ((e, c * v) for e, v in self.terms.items()))
 
     def eval_at(self, args: Sequence[int | None], nvars_out: int) -> "MultiPoly":
@@ -153,9 +151,6 @@ class MultiPoly:
                     term = term * power(i, e)
             total = total + term
         return total
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def to_json_dict(self) -> dict:
         return {

@@ -3,8 +3,9 @@
 Every series carries an explicit weight_bound: terms above the bound are
 dropped on construction, and binary operations truncate to the minimum of the
 two bounds.  Coefficients are exact rationals; zero coefficients are never
-stored.  Instances are immutable by convention: no method mutates terms, and
-all operations return new series.
+stored.  Instances are immutable: attributes cannot be set, no method
+mutates terms, and all operations return new series.  The three classes share
+one body and differ only in their keys.
 """
 
 from __future__ import annotations
@@ -16,16 +17,8 @@ from itertools import chain
 from typing import Iterable, Mapping
 
 from .errors import NonzeroLowWeight
-from .words import (
-    XWord,
-    YWord,
-    is_xword,
-    is_yword,
-    xweight,
-    yweight,
-)
+from .words import XWord, YWord, is_xword, is_yword
 
-Rational = Fraction
 TWord = tuple  # (t_exp, YWord)
 
 JSON_FORMAT = "ncseries-v1"
@@ -77,27 +70,6 @@ def _json_terms(data: dict, alphabet: str, key) -> tuple[list, int]:
     return out, bound
 
 
-def _json_xword(t: dict) -> XWord:
-    w = t["word"]
-    if not is_xword(w):
-        raise ValueError(f"not an X-word: {w!r}")
-    return w
-
-
-def _json_yword(t: dict) -> YWord:
-    w = t["yword"]
-    if not (isinstance(w, list) and all(type(k) is int and k >= 1 for k in w)):
-        raise ValueError(f"yword must be a list of positive integers, got {w!r}")
-    return tuple(w)
-
-
-def _json_tword(t: dict) -> TWord:
-    e = t["t"]
-    if type(e) is not int or e < 0:
-        raise ValueError(f"t must be a nonnegative integer, got {e!r}")
-    return e, _json_yword(t)
-
-
 def coeff_str(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
@@ -123,17 +95,73 @@ def _normalize(items: Iterable[tuple], weight_bound: int, weight) -> dict:
 
 
 class _SeriesOps:
-    """Shared arithmetic for the three sparse series classes."""
+    """The body shared by the three sparse series classes.
 
-    terms: Mapping
+    A subclass declares only its keys: _weight(key), the key test _is_key
+    and its noun for the error message, the JSON alphabet, the JSON fields
+    of one key (_key_json) and their reader (_read_key), and how a key is
+    shown in the repr (_show).
+    """
+
+    terms: dict
     weight_bound: int
 
-    @classmethod
-    def _weight(cls, key) -> int:
-        raise NotImplementedError
+    def __init__(self, items=(), weight_bound: int = 0):
+        if isinstance(items, Mapping):
+            items = items.items()
+        terms = _normalize(items, weight_bound, self._weight)
+        for key in terms:
+            if not self._is_key(key):
+                raise ValueError(f"not {self._noun}: {key!r}")
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "weight_bound", weight_bound)
 
-    def _make(self, items, bound):
-        return type(self)(items, bound)
+    def __init_subclass__(cls):
+        # Each class holds its own reader, so that it can be rebound on one
+        # alphabet alone (bench/tracing.py times XSeries reads this way).
+        cls.from_json_dict = classmethod(_SeriesOps.from_json_dict.__func__)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    @classmethod
+    def zero(cls, bound: int):
+        return cls((), bound)
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.terms == other.terms
+            and self.weight_bound == other.weight_bound
+        )
+
+    __hash__ = None
+
+    def _sorted_items(self) -> list:
+        return sorted(self.terms.items(), key=lambda kv: (len(str(kv[0])), str(kv[0])))
+
+    def __repr__(self):
+        name = type(self).__name__
+        if not self.terms:
+            return f"{name}(0; bound={self.weight_bound})"
+        body = " + ".join(f"{coeff_str(c)}*{self._show(w)}" for w, c in self._sorted_items())
+        return f"{name}({body}; bound={self.weight_bound})"
+
+    def to_json_dict(self) -> dict:
+        return {
+            "format": JSON_FORMAT,
+            "alphabet": self._alphabet,
+            "weight_bound": self.weight_bound,
+            "terms": [
+                {**self._key_json(w), "coeff": coeff_str(c)} for w, c in self._sorted_items()
+            ],
+        }
+
+    @classmethod
+    def from_json_dict(cls, data: dict):
+        return cls(*_json_terms(data, cls._alphabet, cls._read_key))
 
     def coeff(self, key) -> Fraction:
         return self.terms.get(key, Fraction(0))
@@ -141,36 +169,31 @@ class _SeriesOps:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support(self):
-        return self.terms.keys()
-
     def component(self, k: int):
         """The weight-k homogeneous part, same bound."""
-        w = type(self)._weight
-        return self._make(
+        w = self._weight
+        return type(self)(
             ((key, c) for key, c in self.terms.items() if w(key) == k), self.weight_bound
         )
 
     def min_weight(self) -> int | None:
-        w = type(self)._weight
-        return min((w(k) for k in self.terms), default=None)
+        return min(map(self._weight, self.terms), default=None)
 
     def max_weight(self) -> int | None:
-        w = type(self)._weight
-        return max((w(k) for k in self.terms), default=None)
+        return max(map(self._weight, self.terms), default=None)
 
     def truncate(self, bound: int):
         """Drop terms above bound and record the new (lower) bound."""
-        return self._make(self.terms.items(), min(bound, self.weight_bound))
+        return type(self)(self.terms.items(), min(bound, self.weight_bound))
 
     def with_bound(self, bound: int):
         """Re-declare the truncation order (may raise or lower it)."""
-        return self._make(self.terms.items(), bound)
+        return type(self)(self.terms.items(), bound)
 
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._make(
+        return type(self)(
             chain(self.terms.items(), other.terms.items()),
             min(self.weight_bound, other.weight_bound),
         )
@@ -179,13 +202,13 @@ class _SeriesOps:
         return self + (-other)
 
     def __neg__(self):
-        return self._make(((w, -c) for w, c in self.terms.items()), self.weight_bound)
+        return type(self)(((w, -c) for w, c in self.terms.items()), self.weight_bound)
 
     def scale(self, c):
         c = _coeff(c)
         if c == 0:
-            return self._make((), self.weight_bound)
-        return self._make(((w, c * v) for w, v in self.terms.items()), self.weight_bound)
+            return type(self)((), self.weight_bound)
+        return type(self)(((w, c * v) for w, v in self.terms.items()), self.weight_bound)
 
     def __mul__(self, c):
         return self.scale(c)
@@ -197,34 +220,28 @@ class _SeriesOps:
         return bool(self.terms)
 
 
-def _sorted_items(terms: Mapping) -> list:
-    return sorted(terms.items(), key=lambda kv: (len(str(kv[0])), str(kv[0])))
-
-
-@dataclass(frozen=True, eq=True)
 class XSeries(_SeriesOps):
     """Rational formal sum of X-words, truncated at weight_bound."""
 
-    terms: dict
-    weight_bound: int
+    _weight = staticmethod(len)
+    _is_key = staticmethod(is_xword)
+    _noun = "an X-word"
+    _alphabet = "x01"
 
-    def __init__(self, items=(), weight_bound: int = 0):
-        if isinstance(items, Mapping):
-            items = items.items()
-        terms = _normalize(items, weight_bound, xweight)
-        for w in terms:
-            if not is_xword(w):
-                raise ValueError(f"not an X-word: {w!r}")
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "weight_bound", weight_bound)
+    @staticmethod
+    def _key_json(w: XWord) -> dict:
+        return {"word": w}
 
-    @classmethod
-    def _weight(cls, key) -> int:
-        return len(key)
+    @staticmethod
+    def _read_key(t: dict) -> XWord:
+        w = t["word"]
+        if not is_xword(w):
+            raise ValueError(f"not an X-word: {w!r}")
+        return w
 
-    @classmethod
-    def zero(cls, bound: int) -> "XSeries":
-        return cls((), bound)
+    @staticmethod
+    def _show(w: XWord) -> str:
+        return f"[{w or '1'}]"
 
     @classmethod
     def unit(cls, bound: int) -> "XSeries":
@@ -234,37 +251,6 @@ class XSeries(_SeriesOps):
     def word(cls, w: XWord, coeff=1, bound: int | None = None) -> "XSeries":
         return cls([(w, coeff)], len(w) if bound is None else bound)
 
-    def __eq__(self, other):
-        return (
-            type(other) is XSeries
-            and self.terms == other.terms
-            and self.weight_bound == other.weight_bound
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        if not self.terms:
-            return f"XSeries(0; bound={self.weight_bound})"
-        body = " + ".join(
-            f"{coeff_str(c)}*[{w or '1'}]" for w, c in _sorted_items(self.terms)
-        )
-        return f"XSeries({body}; bound={self.weight_bound})"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format": JSON_FORMAT,
-            "alphabet": "x01",
-            "weight_bound": self.weight_bound,
-            "terms": [
-                {"word": w, "coeff": coeff_str(c)} for w, c in _sorted_items(self.terms)
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "XSeries":
-        return cls(*_json_terms(data, "x01", _json_xword))
-
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
 
@@ -273,30 +259,28 @@ class XSeries(_SeriesOps):
         return cls.from_json_dict(json.loads(text))
 
 
-@dataclass(frozen=True, eq=True)
 class YSeries(_SeriesOps):
     """Rational formal sum of Y-words, truncated at weight_bound."""
 
-    terms: dict
-    weight_bound: int
+    _weight = staticmethod(sum)
+    _is_key = staticmethod(is_yword)
+    _noun = "a Y-word"
+    _alphabet = "y"
 
-    def __init__(self, items=(), weight_bound: int = 0):
-        if isinstance(items, Mapping):
-            items = items.items()
-        terms = _normalize(items, weight_bound, yweight)
-        for w in terms:
-            if not is_yword(w):
-                raise ValueError(f"not a Y-word: {w!r}")
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "weight_bound", weight_bound)
+    @staticmethod
+    def _key_json(w: YWord) -> dict:
+        return {"yword": list(w)}
 
-    @classmethod
-    def _weight(cls, key) -> int:
-        return sum(key)
+    @staticmethod
+    def _read_key(t: dict) -> YWord:
+        w = t["yword"]
+        if not (isinstance(w, list) and all(type(k) is int and k >= 1 for k in w)):
+            raise ValueError(f"yword must be a list of positive integers, got {w!r}")
+        return tuple(w)
 
-    @classmethod
-    def zero(cls, bound: int) -> "YSeries":
-        return cls((), bound)
+    @staticmethod
+    def _show(w: YWord) -> str:
+        return f"y{list(w)}"
 
     @classmethod
     def unit(cls, bound: int) -> "YSeries":
@@ -307,45 +291,7 @@ class YSeries(_SeriesOps):
         w = tuple(w)
         return cls([(w, coeff)], sum(w) if bound is None else bound)
 
-    def __eq__(self, other):
-        return (
-            type(other) is YSeries
-            and self.terms == other.terms
-            and self.weight_bound == other.weight_bound
-        )
 
-    __hash__ = None
-
-    def __repr__(self):
-        if not self.terms:
-            return f"YSeries(0; bound={self.weight_bound})"
-        body = " + ".join(
-            f"{coeff_str(c)}*y{list(w) if w else '[]'}" for w, c in _sorted_items(self.terms)
-        )
-        return f"YSeries({body}; bound={self.weight_bound})"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format": JSON_FORMAT,
-            "alphabet": "y",
-            "weight_bound": self.weight_bound,
-            "terms": [
-                {"yword": list(w), "coeff": coeff_str(c)}
-                for w, c in _sorted_items(self.terms)
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "YSeries":
-        return cls(*_json_terms(data, "y", _json_yword))
-
-
-def _tweight(key: TWord) -> int:
-    t, w = key
-    return t + 1 + sum(w)
-
-
-@dataclass(frozen=True, eq=True)
 class TYSeries(_SeriesOps):
     """Rational formal sum of (t_exp, Y-word) pairs.
 
@@ -354,35 +300,38 @@ class TYSeries(_SeriesOps):
     with the projection from X-series.
     """
 
-    terms: dict
-    weight_bound: int
+    _noun = "a (t_exp, Y-word) key"
+    _alphabet = "ty"
 
-    def __init__(self, items=(), weight_bound: int = 0):
-        if isinstance(items, Mapping):
-            items = items.items()
-        terms = _normalize(items, weight_bound, _tweight)
-        for t, w in terms:
-            if not (isinstance(t, int) and t >= 0 and is_yword(w)):
-                raise ValueError(f"not a (t_exp, Y-word) key: {(t, w)!r}")
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "weight_bound", weight_bound)
+    @staticmethod
+    def _weight(key: TWord) -> int:
+        t, w = key
+        return t + 1 + sum(w)
 
-    @classmethod
-    def _weight(cls, key) -> int:
-        return _tweight(key)
+    @staticmethod
+    def _is_key(key: TWord) -> bool:
+        t, w = key
+        return isinstance(t, int) and t >= 0 and is_yword(w)
 
-    @classmethod
-    def zero(cls, bound: int) -> "TYSeries":
-        return cls((), bound)
+    @staticmethod
+    def _key_json(key: TWord) -> dict:
+        t, w = key
+        return {"t": t, "yword": list(w)}
 
-    def __eq__(self, other):
-        return (
-            type(other) is TYSeries
-            and self.terms == other.terms
-            and self.weight_bound == other.weight_bound
-        )
+    @staticmethod
+    def _read_key(t: dict) -> TWord:
+        e = t["t"]
+        if type(e) is not int or e < 0:
+            raise ValueError(f"t must be a nonnegative integer, got {e!r}")
+        return e, YSeries._read_key(t)
 
-    __hash__ = None
+    @staticmethod
+    def _show(key: TWord) -> str:
+        t, w = key
+        return f"T^{t}*y{list(w)}"
+
+    def _sorted_items(self) -> list:
+        return sorted(self.terms.items())
 
     def t_layer(self, t: int) -> YSeries:
         """The Y-series multiplying T^t, with the bound lowered accordingly."""
@@ -390,30 +339,6 @@ class TYSeries(_SeriesOps):
             ((w, c) for (s, w), c in self.terms.items() if s == t),
             max(self.weight_bound - t - 1, 0),
         )
-
-    def __repr__(self):
-        if not self.terms:
-            return f"TYSeries(0; bound={self.weight_bound})"
-        body = " + ".join(
-            f"{coeff_str(c)}*T^{t}*y{list(w) if w else '[]'}"
-            for (t, w), c in sorted(self.terms.items())
-        )
-        return f"TYSeries({body}; bound={self.weight_bound})"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format": JSON_FORMAT,
-            "alphabet": "ty",
-            "weight_bound": self.weight_bound,
-            "terms": [
-                {"t": t, "yword": list(w), "coeff": coeff_str(c)}
-                for (t, w), c in sorted(self.terms.items())
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TYSeries":
-        return cls(*_json_terms(data, "ty", _json_tword))
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,9 @@ chosen coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
-from .algebra import (
-    harmonic_primitivity_defect,
-    q_right,
-    shuffle_primitivity_defect,
-    star_word,
-)
+from .algebra import _harmonic_scan, _shuffle_defects, q_right, star_word
 from .linalg import kernel_basis
 from .lyndon import bracketing, lyndon_words
 from .series import XSeries, corner_decompose
@@ -361,85 +357,58 @@ def _sharp_harmonic_defects(image: dict, k: int):
             yield {"t_exp": l - 1, "u": list(u), "v": list(v), "value": str(val)}
 
 
-def membership_check(space: SpaceId, s: XSeries) -> MembershipReport:
-    """Check every defining condition of the space on each weight component."""
-    violations: list = []
-    weights = sorted({len(w) for w in s.terms})
-    bound = s.weight_bound
-
-    def record(weight, condition, detail):
-        if len(violations) < _MAX_VIOLATIONS:
-            violations.append(
-                {"weight": weight, "condition": condition, "detail": detail}
-            )
-        return len(violations) >= _MAX_VIOLATIONS
-
+def _violations(space: SpaceId, s: XSeries, weights: list):
+    """Yield (weight, condition, detail) for each violated defining condition
+    of the space, in report order; each scan runs only as far as it is read."""
     min_wt = space.min_weight()
     for k in weights:
         if k < min_wt:
-            if record(k, "min-weight", f"nonzero component below weight {min_wt}"):
-                break
+            yield k, "min-weight", f"nonzero component below weight {min_wt}"
 
     tags = space.condition_tags()
     if space.uses_lyndon():
         for k in weights:
-            if len(violations) >= _MAX_VIOLATIONS:
-                break
-            room = _MAX_VIOLATIONS - len(violations)
-            for u, v, val in shuffle_primitivity_defect(s, k, limit=room):
-                if record(k, "primitive", {"u": u, "v": v, "value": str(val)}):
-                    break
+            for u, v, val in _shuffle_defects(s, k):
+                yield k, "primitive", {"u": u, "v": v, "value": str(val)}
 
     if "star-harmonic" in tags:
         star = star_word(s)
         for k in weights:
-            if len(violations) >= _MAX_VIOLATIONS:
-                break
-            room = _MAX_VIOLATIONS - len(violations)
-            for u, v, val in harmonic_primitivity_defect(star, k, limit=room):
-                if record(
-                    k,
-                    "star-harmonic",
-                    {"u": list(u), "v": list(v), "value": str(val)},
-                ):
-                    break
+            for u, v, val in _harmonic_scan(star, k):
+                yield k, "star-harmonic", {"u": list(u), "v": list(v), "value": str(val)}
 
     if "sharp-harmonic" in tags:
         image = q_right(s).terms
         for k in weights:
-            if len(violations) >= _MAX_VIOLATIONS:
-                break
             for detail in _sharp_harmonic_defects(image, k):
-                if record(k, "sharp-harmonic", detail):
-                    break
+                yield k, "sharp-harmonic", detail
 
     if "sharp-depth-one" in tags:
         for k in weights:
-            if k >= 2:
-                val = s.coeff("1" + "0" * (k - 2) + "1")
-                if val:
-                    record(k, "sharp-depth-one", {"value": str(val)})
+            if k >= 2 and (val := s.coeff("1" + "0" * (k - 2) + "1")):
+                yield k, "sharp-depth-one", {"value": str(val)}
 
     if "corner00" in tags or "parity" in tags:
-        low_ok = all(s.coeff(w) == 0 for w in ("", "0", "1"))
-        if not low_ok:
-            record(min(weights, default=0), "corner", "nonzero weight <= 1 terms")
-        else:
-            corners = corner_decompose(s)
-            if "corner00" in tags and not corners.c00.is_zero():
-                for w, c in sorted(corners.c00.terms.items()):
-                    if record(
-                        len(w) + 2, "corner00", {"word": "0" + w + "0", "value": str(c)}
-                    ):
-                        break
-            if "parity" in tags:
-                parity = corners.c11 + corners.c10 + corners.c01
-                for w, c in sorted(parity.terms.items()):
-                    if record(
-                        len(w) + 2, "parity", {"middle": w, "value": str(c)}
-                    ):
-                        break
+        if any(s.coeff(w) for w in ("", "0", "1")):
+            yield min(weights, default=0), "corner", "nonzero weight <= 1 terms"
+            return
+        corners = corner_decompose(s)
+        if "corner00" in tags:
+            for w, c in sorted(corners.c00.terms.items()):
+                yield len(w) + 2, "corner00", {"word": "0" + w + "0", "value": str(c)}
+        if "parity" in tags:
+            parity = corners.c11 + corners.c10 + corners.c01
+            for w, c in sorted(parity.terms.items()):
+                yield len(w) + 2, "parity", {"middle": w, "value": str(c)}
 
+
+def membership_check(space: SpaceId, s: XSeries) -> MembershipReport:
+    """Check every defining condition of the space on each weight component."""
+    weights = sorted({len(w) for w in s.terms})
+    violations = [
+        {"weight": k, "condition": condition, "detail": detail}
+        for k, condition, detail in islice(_violations(space, s, weights), _MAX_VIOLATIONS)
+    ]
     return MembershipReport(
         space=space,
         passed=not violations,

@@ -1,10 +1,11 @@
-"""Static check of the package source: every top-level function and class is
-used somewhere other than its own definition, every module-level import is
-used by the module that makes it, and every function-level import breaks an
-import cycle.
+"""Static check of the package source: every top-level function and class,
+every method and every module-level assignment is used somewhere other than
+its own definition, every module-level import is used by the module that
+makes it, and every function-level import breaks an import cycle.
 
-A use is any name or attribute in `src/dslforge` or `tests/`, an import of
-the name, or an export from `dslforge/__init__.py`.
+A use is any name read or attribute in `src/dslforge`, `tests/` or `bench/`,
+an import of the name, or an export from `dslforge/__init__.py`.  Dunder
+names are used by the language and never count as dead.
 """
 
 from __future__ import annotations
@@ -30,12 +31,34 @@ def _names(node: ast.AST) -> Counter:
     out: Counter = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out[sub.id] += 1
+            if not isinstance(sub.ctx, ast.Store):
+                out[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
             out[sub.attr] += 1
         elif isinstance(sub, ast.alias):
             out[sub.name.split(".")[-1]] += 1
     return out
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of each top-level function and class, each
+    method, and each name bound by a module-level assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{sub.name}", sub
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        yield sub.id, sub
 
 
 def unreferenced_definitions(package: Path, *others: Path) -> list[str]:
@@ -45,10 +68,10 @@ def unreferenced_definitions(package: Path, *others: Path) -> list[str]:
     for path, tree in trees.items():
         if path.parent != package:
             continue
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if used[node.name] - _names(node)[node.name] <= 0:
-                    dead.append(f"{path.stem}.{node.name}")
+        for qualname, node in _definitions(tree):
+            name = qualname.split(".")[-1]
+            if not _is_dunder(name) and used[name] - _names(node)[name] <= 0:
+                dead.append(f"{path.stem}.{qualname}")
     return dead
 
 
@@ -119,7 +142,7 @@ def needless_function_imports(package: Path) -> list[str]:
 
 
 def test_every_definition_is_referenced() -> None:
-    assert unreferenced_definitions(_PACKAGE, _ROOT / "tests") == []
+    assert unreferenced_definitions(_PACKAGE, _ROOT / "tests", _ROOT / "bench") == []
 
 
 def test_every_module_level_import_is_used() -> None:

@@ -59,6 +59,12 @@ def test_kernel_accepts_fractions_and_dedupes() -> None:
     assert basis == [[Fraction(2), Fraction(1)]]
 
 
+def test_dedupe_keeps_distinct_rows_with_equal_hashes() -> None:
+    # hash(-1) == hash(-2) in CPython, so these distinct rows share a hash.
+    assert hash((1, -1)) == hash((1, -2))
+    assert kernel_basis([[1, -1], [1, -2]], 2) == []
+
+
 def test_kernel_against_naive_oracle() -> None:
     rng = random.Random(67)
     for trial in range(30):

@@ -69,6 +69,16 @@ def test_multipoly_json_rejects_inexact_or_missing_coefficients() -> None:
             MultiPoly.from_json_dict({"vars": 1, "terms": [term]})
 
 
+def test_multipoly_rejects_inexact_coefficients() -> None:
+    with pytest.raises(TypeError):
+        MultiPoly(1, [((1,), 0.1)])
+    with pytest.raises(TypeError):
+        MultiPoly(1, [((1,), 1)]).scale(0.5)
+    assert MultiPoly(1, [((1,), "1/10")]).scale(Fraction(1, 2)) == MultiPoly(
+        1, [((1,), Fraction(1, 20))]
+    )
+
+
 def test_vimo_examples() -> None:
     assert vimo_extract(XSeries.word("01"), 1) == MultiPoly(2, [((0, 1), 1)])
     assert vimo_extract(XSeries.word("10"), 1) == MultiPoly(2, [((1, 0), 1)])
