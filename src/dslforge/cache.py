@@ -83,7 +83,7 @@ def store_basis(basis: SubspaceBasis) -> Path:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+            fh.write(json.dumps(payload))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

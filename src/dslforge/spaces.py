@@ -5,9 +5,10 @@ parametrized by the Lyndon-bracketing basis of the primitive subspace (186
 coordinates at weight 11 instead of 2048 raw word coordinates), read from the
 integer bracketing table; the strong parity space alone is compiled over raw
 word coordinates.  Stage 2 emits one integer row per residual linear
-condition, a positive multiple of the condition's rational row.  Kernels are
-computed exactly as integer vectors and re-expanded into series through the
-chosen coordinates.
+condition, a positive multiple of the condition's rational row; a harmonic
+condition gets one row per non-Lyndon Y-word, whose products span every
+product u * v (Hoffman 2000; Radford 1979).  Kernels are computed exactly as
+integer vectors and re-expanded into series through the chosen coordinates.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .linalg import kernel_basis
 from .lyndon import bracketing, lyndon_words
 from .series import XSeries, corner_decompose
 from .words import all_xwords, all_ywords, harmonic_words, leading_blocks
-from .words import shuffle_words, trailing_blocks, word_pairs
+from .words import lyndon_factors, shuffle_words, trailing_blocks, word_pairs
 
 # Bumped when the emitted rows or the pivot rule change; part of cache keys.
 SCHEMA_VERSION = "s1p1"
@@ -164,38 +165,46 @@ def _harmonic_row(table: dict, n: int, head: tuple, expansion: dict):
     return row, touched
 
 
+def _harmonic_products(m: int):
+    """The expansion of l1 * (l2 ... ln) for each Y-word w = l1 l2 ... ln of
+    weight m with n >= 2 nonincreasing Lyndon factors, in all_ywords order.
+    The quasi-shuffle algebra over Q is the polynomial algebra on the Lyndon
+    words (Hoffman, J. Algebraic Combin. 11, 2000; for the shuffle algebra,
+    Radford, J. Algebra 58, 1979), so these products, one per non-Lyndon
+    word, span every product u * v of nonempty Y-words of weight m."""
+    for w in all_ywords(m):
+        factors = lyndon_factors(w)
+        if len(factors) > 1:
+            head = factors[0]
+            yield harmonic_words(head, w[len(head) :])
+
+
 def _star_harmonic_rows(index: dict, n: int, k: int) -> list:
-    """One row per nonempty Y-word pair (u, v), wt u <= wt v, total weight k:
-    the functional psi -> <k * star_word(psi) | u * v>.  At weight k the
-    image is k * q_left(psi) plus <psi | 0^{k-1} 1> y1^k, so the factor k
-    clears the 1/k of the depth-one tail term, the only non-integral one."""
+    """One row per non-Lyndon Y-word of weight k, for its product u * v
+    (_harmonic_products): the functional psi -> <k * star_word(psi) | u * v>.
+    At weight k the image is k * q_left(psi) plus <psi | 0^{k-1} 1> y1^k, so
+    the factor k clears the 1/k of the depth-one tail term, the only
+    non-integral one."""
     star = {y: [(j, k * c) for j, c in cols]
             for w, cols in index.items() if (y := leading_blocks(w)) is not None}
     star[(1,) * k] = star.get((1,) * k, []) + index.get("0" * (k - 1) + "1", [])
-    return [_harmonic_row(star, n, (), harmonic_words(u, v))[0]
-            for u, v in word_pairs(k, all_ywords)]
-
-
-def _sharp_scan(k: int):
-    """Each (l, u, v, u * v) with l >= 1 and (u, v) a nonempty pair of total
-    weight k - l, in scan order: the condition <q_right(.) | y_l (u * v)>."""
-    for m in range(2, k):
-        for u, v in word_pairs(m, all_ywords):
-            expansion = harmonic_words(u, v)
-            for l in range(1, k - m + 1):
-                yield l, u, v, expansion
+    return [_harmonic_row(star, n, (), expansion)[0]
+            for expansion in _harmonic_products(k)]
 
 
 def _sharp_harmonic_rows(index: dict, n: int, k: int) -> list:
-    """One row per l >= 1 and nonempty pair (u, v) with l + wt u + wt v = k
-    that meets some column: the functional psi -> <q_right(psi) | y_l (u * v)>."""
+    """One row per l >= 1 and non-Lyndon Y-word of weight k - l, for its
+    product u * v (_harmonic_products), that meets some column: the
+    functional psi -> <q_right(psi) | y_l (u * v)>."""
     sharp = {y: cols for w, cols in index.items()
              if (y := trailing_blocks(w)) is not None}
     rows = []
-    for l, u, v, expansion in _sharp_scan(k):
-        row, touched = _harmonic_row(sharp, n, (l,), expansion)
-        if touched:
-            rows.append(row)
+    for m in range(2, k):
+        for expansion in _harmonic_products(m):
+            for l in range(1, k - m + 1):
+                row, touched = _harmonic_row(sharp, n, (l,), expansion)
+                if touched:
+                    rows.append(row)
     return rows
 
 
@@ -345,16 +354,20 @@ _MAX_VIOLATIONS = 10
 
 
 def _sharp_harmonic_defects(image: dict, k: int):
-    """Yield, in scan order, each nonzero <q_right(s) | y_l (u * v)> at
-    weight k, given the terms of q_right(s)."""
-    for l, u, v, expansion in _sharp_scan(k):
-        val = 0
-        for w, mult in expansion.items():
-            c = image.get((l,) + w)
-            if c is not None:
-                val += mult * c
-        if val:
-            yield {"t_exp": l - 1, "u": list(u), "v": list(v), "value": str(val)}
+    """Yield each nonzero <q_right(s) | y_l (u * v)> at weight k, given the
+    terms of q_right(s), for l >= 1 and every nonempty pair (u, v) of total
+    weight k - l, in the order of m = wt u + wt v, then the pair, then l."""
+    for m in range(2, k):
+        for u, v in word_pairs(m, all_ywords):
+            expansion = harmonic_words(u, v)
+            for l in range(1, k - m + 1):
+                val = 0
+                for w, mult in expansion.items():
+                    c = image.get((l,) + w)
+                    if c is not None:
+                        val += mult * c
+                if val:
+                    yield {"t_exp": l - 1, "u": list(u), "v": list(v), "value": str(val)}
 
 
 def _violations(space: SpaceId, s: XSeries, weights: list):

@@ -131,6 +131,23 @@ def harmonic_words(u: YWord, v: YWord) -> dict[YWord, int]:
     return rec(u, v)
 
 
+def lyndon_factors(w: YWord) -> list[YWord]:
+    """Chen-Fox-Lyndon factorization of a Y-word by Duval's algorithm, with
+    y1 < y2 < ... (plain tuple order): the nonincreasing Lyndon words whose
+    concatenation is w."""
+    factors = []
+    i, n = 0, len(w)
+    while i < n:
+        j, k = i + 1, i
+        while j < n and w[k] <= w[j]:
+            k = i if w[k] < w[j] else k + 1
+            j += 1
+        while i <= k:
+            factors.append(w[i : i + j - k])
+            i += j - k
+    return factors
+
+
 def x_run_lengths(w: XWord) -> list[int]:
     """Lengths of the maximal '0'-runs around the '1' letters, left to right.
 

@@ -278,8 +278,10 @@ def _free_lie_odd_dims(kmax: int) -> list[int]:
     return dims
 
 
-def test_dmr_matches_free_lie_oracle_to_weight_12() -> None:
-    oracle = _free_lie_odd_dims(12)
-    assert oracle == [0, 0, 1, 0, 1, 0, 1, 1, 1, 1, 2, 2]
-    assert dimension_table([DMR], 12)["dmr"] == oracle
+def test_dmr_matches_free_lie_oracle_to_weight_13() -> None:
+    oracle = _free_lie_odd_dims(13)
+    assert oracle == [0, 0, 1, 0, 1, 0, 1, 1, 1, 1, 2, 2, 3]
+    assert dimension_table([DMR], 13)["dmr"] == oracle
+    # addmr beyond k = 11: values computed by this code, not quoted from the paper
     assert get_basis(ADDMR, 12).dimension == 9
+    assert get_basis(ADDMR, 13).dimension == 11

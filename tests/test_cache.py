@@ -73,11 +73,10 @@ def test_store_leaves_no_temporary_files(private_cache, monkeypatch) -> None:
     path = store_basis(basis)
     assert sorted(p.name for p in private_cache.iterdir()) == [path.name]
 
-    def broken_dump(obj, fh):
-        fh.write("{")
+    def broken_replace(src, dst):
         raise OSError("disk full")
 
-    monkeypatch.setattr(cache.json, "dump", broken_dump)
+    monkeypatch.setattr(cache.os, "replace", broken_replace)
     with pytest.raises(OSError):
         store_basis(get_basis(DMR, 7, use_cache=False))
     assert sorted(p.name for p in private_cache.iterdir()) == [path.name]

@@ -13,18 +13,29 @@ from fractions import Fraction
 
 import pytest
 
+from dslforge import spaces
 from dslforge.algebra import q_right, star_word
+from dslforge.linalg import kernel_basis
 from dslforge.lyndon import bracketing, lyndon_primitive_basis, lyndon_words
 from dslforge.series import XSeries
 from dslforge.spaces import (
     SpaceId,
+    _harmonic_row,
     _sharp_harmonic_rows,
     _star_harmonic_rows,
     _word_index,
     compile_constraints,
     rational_kernel,
 )
-from dslforge.words import all_xwords, all_ywords, harmonic_words
+from dslforge.words import (
+    all_xwords,
+    all_ywords,
+    harmonic_words,
+    leading_blocks,
+    lyndon_factors,
+    trailing_blocks,
+    word_pairs,
+)
 
 # sha256 of json.dumps(basis.to_json_dict(), sort_keys=True) for k = 1..8
 _PINNED = {
@@ -120,20 +131,25 @@ def test_compiled_rows_are_plain_ints(name) -> None:
         assert all(type(c) is int for row in rows for c in row), (name, k)
 
 
+def _factor_pairs(m: int):
+    """(l1, l2 ... ln) for each Y-word of weight m, in all_ywords order, whose
+    Lyndon factorization l1 l2 ... ln has n >= 2 factors."""
+    for w in all_ywords(m):
+        factors = lyndon_factors(w)
+        if len(factors) > 1:
+            yield factors[0], w[len(factors[0]) :]
+
+
 def _fraction_star_rows(columns: list[XSeries], k: int) -> list:
     """The star-harmonic rows rebuilt from the rational star_word images."""
     stars = [star_word(c).terms for c in columns]
     rows = []
-    for wu in range(1, k // 2 + 1):
-        for u in all_ywords(wu):
-            for v in all_ywords(k - wu):
-                if wu == k - wu and v < u:
-                    continue
-                row = [Fraction(0)] * len(columns)
-                for w, mult in harmonic_words(u, v).items():
-                    for j, terms in enumerate(stars):
-                        row[j] += mult * terms.get(w, 0)
-                rows.append(row)
+    for u, v in _factor_pairs(k):
+        row = [Fraction(0)] * len(columns)
+        for w, mult in harmonic_words(u, v).items():
+            for j, terms in enumerate(stars):
+                row[j] += mult * terms.get(w, 0)
+        rows.append(row)
     return rows
 
 
@@ -158,24 +174,21 @@ def test_star_harmonic_rows_are_k_times_the_rational_rows(k) -> None:
 
 def _fraction_sharp_rows(columns: list[XSeries], k: int) -> list:
     """The sharp-harmonic rows rebuilt from the rational q_right images: one
-    per l >= 1 and pair (u, v) of total weight k - l that meets an image."""
+    per l >= 1 and factor pair (u, v) of total weight k - l that meets an
+    image."""
     images = [q_right(c).terms for c in columns]
     rows = []
     for m in range(2, k):
-        for wu in range(1, m // 2 + 1):
-            for u in all_ywords(wu):
-                for v in all_ywords(m - wu):
-                    if wu == m - wu and v < u:
-                        continue
-                    expansion = harmonic_words(u, v)
-                    for l in range(1, k - m + 1):
-                        keys = [((l,) + w, mult) for w, mult in expansion.items()]
-                        if not any(y in t for y, _ in keys for t in images):
-                            continue
-                        rows.append([
-                            sum((mult * t.get(y, 0) for y, mult in keys), Fraction(0))
-                            for t in images
-                        ])
+        for u, v in _factor_pairs(m):
+            expansion = harmonic_words(u, v)
+            for l in range(1, k - m + 1):
+                keys = [((l,) + w, mult) for w, mult in expansion.items()]
+                if not any(y in t for y, _ in keys for t in images):
+                    continue
+                rows.append([
+                    sum((mult * t.get(y, 0) for y, mult in keys), Fraction(0))
+                    for t in images
+                ])
     return rows
 
 
@@ -184,3 +197,78 @@ def test_sharp_harmonic_rows_equal_the_rational_rows(k) -> None:
     for ints, series in _column_pairs(k):
         oracle = _fraction_sharp_rows(series, k)
         assert _sharp_harmonic_rows(_word_index(ints), len(ints), k) == oracle
+
+
+def _ywords_kernel(products, k: int) -> list:
+    """Canonical kernel of the products of weight k as rows over raw Y-word
+    coordinates; it fixes the row space."""
+    pos = {w: i for i, w in enumerate(all_ywords(k))}
+    rows = []
+    for expansion in products:
+        row = [0] * len(pos)
+        for w, mult in expansion.items():
+            row[pos[w]] += mult
+        rows.append(row)
+    return kernel_basis(rows, len(pos))
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_factor_pair_products_span_all_pair_products(k) -> None:
+    pairs = (harmonic_words(u, v) for u, v in word_pairs(k, all_ywords))
+    assert _ywords_kernel(spaces._harmonic_products(k), k) == _ywords_kernel(pairs, k)
+
+
+def _pair_star_harmonic_rows(index: dict, n: int, k: int) -> list:
+    """The star-harmonic rows over every nonempty pair (u, v), wt u <= wt v."""
+    star = {y: [(j, k * c) for j, c in cols]
+            for w, cols in index.items() if (y := leading_blocks(w)) is not None}
+    star[(1,) * k] = star.get((1,) * k, []) + index.get("0" * (k - 1) + "1", [])
+    return [_harmonic_row(star, n, (), harmonic_words(u, v))[0]
+            for u, v in word_pairs(k, all_ywords)]
+
+
+def _pair_sharp_harmonic_rows(index: dict, n: int, k: int) -> list:
+    """The sharp-harmonic rows over every l >= 1 and nonempty pair (u, v) with
+    l + wt u + wt v = k that meets some column."""
+    sharp = {y: cols for w, cols in index.items()
+             if (y := trailing_blocks(w)) is not None}
+    rows = []
+    for m in range(2, k):
+        for u, v in word_pairs(m, all_ywords):
+            expansion = harmonic_words(u, v)
+            for l in range(1, k - m + 1):
+                row, touched = _harmonic_row(sharp, n, (l,), expansion)
+                if touched:
+                    rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("name", ["dmr", "addmr", "addmr-fad", "addmr-fad-parity"])
+def test_kernels_match_the_pair_rows(name, monkeypatch) -> None:
+    space = SpaceId.parse(name)
+    compiled = [rational_kernel(compile_constraints(space, k)) for k in range(1, 10)]
+    monkeypatch.setitem(spaces._ROW_BUILDERS, "star-harmonic", _pair_star_harmonic_rows)
+    monkeypatch.setitem(spaces._ROW_BUILDERS, "sharp-harmonic", _pair_sharp_harmonic_rows)
+    pairs = [rational_kernel(compile_constraints(space, k)) for k in range(1, 10)]
+    assert compiled == pairs
+
+
+def _mobius(n: int) -> int:
+    out, q = 1, 2
+    while n > 1:
+        if n % q == 0:
+            n //= q
+            if n % q == 0:
+                return 0
+            out = -out
+        q += 1
+    return out
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_one_star_row_per_non_lyndon_composition(k) -> None:
+    lyndon = sum(_mobius(k // d) * (2**d - 1) for d in range(1, k + 1) if k % d == 0)
+    assert lyndon % k == 0
+    columns = [bracketing(w) for w in lyndon_words(k)]
+    rows = _star_harmonic_rows(_word_index(columns), len(columns), k)
+    assert len(rows) == 2 ** (k - 1) - lyndon // k

@@ -14,6 +14,7 @@ from dslforge.words import (
     harmonic_words,
     is_xword,
     leading_blocks,
+    lyndon_factors,
     shuffle_pairing,
     shuffle_words,
     trailing_blocks,
@@ -164,3 +165,19 @@ class _Str(str):
 @example("")
 def test_is_xword_matches_the_letter_predicate(w) -> None:
     assert is_xword(w) == _is_xword_by_letters(w)
+
+
+def _is_lyndon(w: tuple) -> bool:
+    """Brute force: nonempty and strictly less than each proper suffix."""
+    return bool(w) and all(w < w[i:] for i in range(1, len(w)))
+
+
+@given(st.lists(st.integers(1, 4), max_size=12).map(tuple))
+@example(())
+@example((1, 2, 1, 1, 3, 2, 2))
+@example((2, 1, 2, 1, 2))
+def test_lyndon_factors_are_a_nonincreasing_lyndon_factorization(w) -> None:
+    factors = lyndon_factors(w)
+    assert sum(factors, ()) == w
+    assert all(_is_lyndon(f) for f in factors)
+    assert all(a >= b for a, b in zip(factors, factors[1:]))
