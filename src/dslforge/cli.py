@@ -30,8 +30,18 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 
+def _positive_int(text: str) -> int:
+    """The argparse type of every weight, bound and count: an integer >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _parse_spaces(text: str) -> list[SpaceId]:
-    return [SpaceId.parse(part) for part in text.split(",") if part.strip()]
+    spaces = [SpaceId.parse(part) for part in text.split(",") if part.strip()]
+    if not spaces:
+        raise ValueError(f"no space id in --space {text!r}")
+    return spaces
 
 
 def _load_xseries(path: str) -> XSeries:
@@ -92,7 +102,7 @@ def cmd_bracket(args) -> int:
 
 def cmd_decompose(args) -> int:
     phi = _load_xseries(args.infile)
-    if args.bound:
+    if args.bound is not None:
         phi = phi.with_bound(args.bound)
     dec = fad_decompose(phi)
     payload = {
@@ -111,7 +121,7 @@ _CHECKS = {
         a.k1, a.k2, use_cache=not a.no_cache
     ),
     "lemma-essential": lambda a: verify_lemma_essential_all(
-        a.k if a.k else 11, use_cache=not a.no_cache
+        11 if a.k is None else a.k, use_cache=not a.no_cache
     ),
     "ad-embedding": lambda a: verify_ad_embedding(a.k, use_cache=not a.no_cache),
     "lie-axioms": lambda a: verify_lie_axioms(
@@ -171,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dims", help="dimension table of graded subspaces")
     p.add_argument("--space", required=True, help="comma-separated space ids")
-    p.add_argument("--kmax", type=int, required=True)
+    p.add_argument("--kmax", type=_positive_int, required=True)
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--table", action="store_true")
@@ -180,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("basis", help="export a kernel basis")
     p.add_argument("--space", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--out")
     p.add_argument("--no-cache", action="store_true")
     p.set_defaults(func=cmd_basis)
@@ -197,18 +207,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="conjugation-recovery decomposition")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--bound", type=int)
+    p.add_argument("--bound", type=_positive_int)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("verify", help="run a named verification check")
     p.add_argument("--check", required=True)
-    p.add_argument("--k1", type=int)
-    p.add_argument("--k2", type=int)
-    p.add_argument("--k", type=int)
+    p.add_argument("--k1", type=_positive_int)
+    p.add_argument("--k2", type=_positive_int)
+    p.add_argument("--k", type=_positive_int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--kmax", type=int, default=6)
-    p.add_argument("--trunc", type=int, default=6)
+    p.add_argument("--samples", type=_positive_int, default=50)
+    p.add_argument("--kmax", type=_positive_int, default=6)
+    p.add_argument("--trunc", type=_positive_int, default=6)
     p.add_argument("--json", action="store_true")
     p.add_argument("--no-cache", action="store_true")
     p.set_defaults(func=cmd_verify)

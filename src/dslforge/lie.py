@@ -3,8 +3,9 @@
 The common setting: series whose x1-coefficient and x0-power coefficients
 (including the empty word) vanish form a Lie algebra under the derivation
 bracket; series with x1-coefficient 1 and vanishing x0-powers form a group
-under substitution.  The bracketing-with-x1 map links the two pictures and
-is inverted weightwise by an exact linear solve over the Lyndon basis.
+under substitution.  The bracketing-with-x1 map links the two pictures; its
+kernel on words is spanned by the x1-powers, so its inverse is read off the
+words of the input and certified exactly.
 """
 
 from __future__ import annotations
@@ -29,10 +30,7 @@ from .errors import (
     NotPrimitive,
     PreconditionViolation,
 )
-from .linalg import solve_exact
-from .lyndon import lyndon_primitive_basis
 from .series import XSeries, corner_decompose
-from .words import all_xwords
 
 
 def derive_d(psi: XSeries, target: XSeries) -> XSeries:
@@ -94,10 +92,11 @@ def ad_x1(a: XSeries) -> XSeries:
 def ad_x1_inverse(v: XSeries, check: bool = True) -> XSeries:
     """The primitive psi with no pure-x1-power component and [x1, psi] = v.
 
-    Solved weightwise as an exact linear system over the Lyndon coordinates
-    of the one-lighter primitive space.  Raises NotInImage when the system is
-    inconsistent (the input then violates the image characterization:
-    primitive with vanishing 00-corner).
+    The kernel of bracketing with x1 on words is spanned by the x1-powers, so
+    psi reads off the words of v: psi(u) = v(1u) when u ends in 0, and
+    psi(a1) = v(1a1) + psi(1a) otherwise.  Each weight is certified exactly,
+    also with check=False: [x1, psi] = v and psi is primitive, or NotInImage
+    is raised.  The image is the primitive series with vanishing 00-corner.
     """
     if check:
         mw = v.min_weight()
@@ -107,28 +106,22 @@ def ad_x1_inverse(v: XSeries, check: bool = True) -> XSeries:
             raise NotPrimitive("ad_x1_inverse: input is not primitive")
         if mw is not None and not corner_decompose(v).c00.is_zero():
             raise NotInImage("ad_x1_inverse: nonzero 00-corner")
-    bound = v.weight_bound
-    result = XSeries.zero(max(bound - 1, 0))
+    psi: dict[str, Fraction] = {}
+    # c*1u adds c at u and at each rotation that moves a leading 1 to the end
+    for w, c in v.terms.items():
+        if w[:1] != "1" or "0" not in w:
+            continue
+        u = w[1:]
+        psi[u] = psi.get(u, 0) + c
+        while u[0] == "1":
+            u = u[1:] + "1"
+            psi[u] = psi.get(u, 0) + c
+    result = XSeries(psi, max(v.weight_bound - 1, 0))
     for n in sorted({len(w) for w in v.terms}):
-        comp = v.component(n)
-        basis = [
-            e for e in lyndon_primitive_basis(n - 1) if e.lyndon_word != "1" * (n - 1)
-        ]
-        images = [ad_x1(e.expansion.with_bound(n)) for e in basis]
-        words = sorted(all_xwords(n))
-        rows = [[img.coeff(w) for img in images] for w in words]
-        rhs = [comp.coeff(w) for w in words]
-        sol = solve_exact(rows, rhs)
-        if sol is None:
+        part = result.component(n - 1)
+        image = ad_x1(part.with_bound(n))
+        if image != v.component(n).with_bound(n) or not is_primitive(part):
             raise NotInImage(f"ad_x1_inverse: no primitive preimage at weight {n}")
-        result = result + XSeries(
-            (
-                (w, c * cw)
-                for c, e in zip(sol, basis) if c
-                for w, cw in e.expansion.terms.items()
-            ),
-            result.weight_bound,
-        )
     return result
 
 
@@ -244,6 +237,27 @@ class FadDecomposition:
         return total
 
 
+def _nested_ad(ms: tuple[int, ...], psi_parts: dict, cache: dict) -> XSeries:
+    """ad(psi_{m1}) o ... o ad(psi_{mr}) applied to x1, memoized in cache;
+    cache[()] holds x1 at the working bound."""
+    hit = cache.get(ms)
+    if hit is None:
+        inner = _nested_ad(ms[1:], psi_parts, cache)
+        hit = commutator(psi_parts[ms[0]].with_bound(inner.weight_bound), inner)
+        cache[ms] = hit
+    return hit
+
+
+def _compositions(total: int):
+    """The ordered tuples of integers >= 2 summing to total."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(2, total + 1):
+        for rest in _compositions(total - first):
+            yield (first,) + rest
+
+
 def fad_decompose(phi: XSeries) -> FadDecomposition:
     """Decide whether phi is a conjugate x1 series, recovering the conjugator.
 
@@ -255,7 +269,8 @@ def fad_decompose(phi: XSeries) -> FadDecomposition:
     exp(-psi) x1 exp(psi) is checked against phi up to the bound.
     """
     bound = phi.weight_bound
-    diff = phi - XSeries.word("1", 1, bound)
+    x1 = XSeries.word("1", 1, bound)
+    diff = phi - x1
     mw = diff.min_weight()
     if mw is not None and mw < 3:
         raise PreconditionViolation("fad_decompose: phi - x1 has weight < 3 terms")
@@ -265,42 +280,15 @@ def fad_decompose(phi: XSeries) -> FadDecomposition:
     psi_parts: dict[int, XSeries] = {}
     residuals: dict[int, XSeries] = {}
     member = True
-    ad_cache: dict[tuple[int, ...], XSeries] = {}
-
-    def nested_ad(ms: tuple[int, ...]) -> XSeries:
-        """ad(psi_{m1}) o ... o ad(psi_{mr}) applied to x1, memoized."""
-        hit = ad_cache.get(ms)
-        if hit is not None:
-            return hit
-        if not ms:
-            out = XSeries.word("1", 1, bound)
-        else:
-            out = commutator(psi_parts[ms[0]].with_bound(bound), nested_ad(ms[1:]))
-        ad_cache[ms] = out
-        return out
-
-    def compositions(total: int, parts_at_least: int = 2):
-        if total == 0:
-            yield ()
-            return
-        for first in range(parts_at_least, total + 1):
-            for rest in compositions(total - first, parts_at_least):
-                yield (first,) + rest
+    ad_cache: dict[tuple[int, ...], XSeries] = {(): x1}
 
     for n in range(3, bound + 1):
         u_n = XSeries.zero(bound)
-        if n >= 5:
-            for ms in compositions(n - 1):
-                r = len(ms)
-                if r < 2:
-                    continue
-                sign = Fraction((-1) ** r, factorial(r))
-                u_n = u_n + nested_ad(ms).scale(sign)
+        for ms in _compositions(n - 1):
+            if len(ms) > 1:
+                sign = Fraction((-1) ** len(ms), factorial(len(ms)))
+                u_n = u_n + _nested_ad(ms, psi_parts, ad_cache).scale(sign)
         target = diff.component(n).with_bound(bound) - u_n
-        if target.is_zero():
-            psi_parts[n - 1] = XSeries.zero(n - 1)
-            residuals[n] = XSeries.zero(bound)
-            continue
         c00 = corner_decompose(target).c00
         if not c00.is_zero():
             x0 = XSeries.word("0", 1, bound)
@@ -308,13 +296,12 @@ def fad_decompose(phi: XSeries) -> FadDecomposition:
             member = False
             break
         residuals[n] = XSeries.zero(bound)
-        psi_parts[n - 1] = ad_x1_inverse(target.truncate(n), check=False).component(n - 1)
+        psi_parts[n - 1] = ad_x1_inverse(target.truncate(n), check=False)
 
     psi_parts = {m: p for m, p in psi_parts.items() if not p.is_zero()}
     out = FadDecomposition(psi_parts=psi_parts, residuals=residuals, is_member=member)
     if member:
         psi = out.psi(bound)
-        x1 = XSeries.word("1", 1, bound)
         rebuilt = concat_product(
             concat_product(concat_exp(-psi), x1), concat_exp(psi)
         )

@@ -109,6 +109,8 @@ class _SeriesOps:
     def __init__(self, items=(), weight_bound: int = 0):
         if isinstance(items, Mapping):
             items = items.items()
+        if weight_bound < 0:
+            raise ValueError(f"weight_bound must be nonnegative, got {weight_bound}")
         terms = _normalize(items, weight_bound, self._weight)
         for key in terms:
             if not self._is_key(key):

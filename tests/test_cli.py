@@ -161,3 +161,34 @@ def test_member_rejects_bad_series_json(cli_cache, capsys, tmp_path, edit) -> No
     path.write_text(json.dumps(data))
     assert main(["member", "--space", "dmr", "--in", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dims", "--space", "dmr", "--kmax", "0"],
+        ["dims", "--space", "dmr", "--kmax", "-2"],
+        ["basis", "--space", "dmr", "--k", "0"],
+        ["decompose", "--in", "{phi}", "--bound", "-3"],
+        ["decompose", "--in", "{phi}", "--bound", "0"],
+        ["verify", "--check", "lemma-essential", "--k", "0"],
+        ["verify", "--check", "bracket-closure", "--k1", "0", "--k2", "4"],
+        ["verify", "--check", "racinet-homomorphism", "--samples", "-1"],
+        ["verify", "--check", "lie-axioms", "--kmax", "two"],
+        ["verify", "--check", "group-laws", "--trunc", "0"],
+    ],
+    ids=lambda argv: " ".join(a for a in argv if a != "{phi}"),
+)
+def test_bad_numbers_exit_2(cli_cache, capsys, tmp_path, argv) -> None:
+    phi = tmp_path / "phi.json"
+    phi.write_text(XSeries.word("1", 1, 5).to_json())
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(phi=phi) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "expected a positive integer" in err and "Traceback" not in err
+
+
+def test_dims_empty_space_list_exits_2(cli_cache, capsys) -> None:
+    assert main(["dims", "--space", ",", "--kmax", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: no space id")

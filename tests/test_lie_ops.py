@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 from fractions import Fraction
 
@@ -27,9 +28,11 @@ from dslforge.lie import (
     kappa_substitute,
     tm1_inverse,
 )
+from dslforge.linalg import solve_exact
 from dslforge.lyndon import lyndon_primitive_basis
 from dslforge.series import XSeries, corner_decompose
 from dslforge.verify import random_tm1_element
+from dslforge.words import all_xwords
 
 
 def _commutator(a: XSeries, b: XSeries) -> XSeries:
@@ -135,6 +138,103 @@ def test_ad_x1_inverse_rejects_nonimage() -> None:
     # x0 x1 x0 has a 00-corner, cannot be [x1, psi]
     with pytest.raises((NotInImage, NotPrimitive, PreconditionViolation)):
         ad_x1_inverse(XSeries.word("010", 1, 3))
+
+
+def _lyndon_solve_inverse(v: XSeries, check: bool = True) -> XSeries:
+    """Reference inverse of bracketing with x1: at each weight n of v, an
+    exact linear solve for v over the images [x1, e] of the Lyndon primitive
+    basis of weight n - 1 (without x1 itself)."""
+    if check:
+        mw = v.min_weight()
+        if mw is not None and mw < 3:
+            raise PreconditionViolation("ad_x1_inverse: input has weight < 3 terms")
+        if not is_primitive(v):
+            raise NotPrimitive("ad_x1_inverse: input is not primitive")
+        if mw is not None and not corner_decompose(v).c00.is_zero():
+            raise NotInImage("ad_x1_inverse: nonzero 00-corner")
+    result = XSeries.zero(max(v.weight_bound - 1, 0))
+    for n in sorted({len(w) for w in v.terms}):
+        comp = v.component(n)
+        basis = [e for e in lyndon_primitive_basis(n - 1) if e.lyndon_word != "1"]
+        images = [ad_x1(e.expansion.with_bound(n)) for e in basis]
+        words = sorted(all_xwords(n))
+        rows = [[img.coeff(w) for img in images] for w in words]
+        sol = solve_exact(rows, [comp.coeff(w) for w in words])
+        if sol is None:
+            raise NotInImage(f"ad_x1_inverse: no primitive preimage at weight {n}")
+        for c, e in zip(sol, basis):
+            result = result + e.expansion.with_bound(result.weight_bound).scale(c)
+    return result
+
+
+def _image(rng: random.Random, weights, bound: int) -> XSeries:
+    """[x1, psi] for a seeded primitive psi with parts at the given weights."""
+    psi = XSeries.zero(bound)
+    for k in weights:
+        psi = psi + _random_primitive(rng, k - 1, bound)
+    return ad_x1(psi)
+
+
+def test_ad_x1_inverse_matches_the_lyndon_solve_on_images() -> None:
+    rng = random.Random(61)
+    weights = [[n] for n in range(3, 12)] + [[3, 5], [4, 6, 7], [3, 8]]
+    inputs = [_image(rng, ws, max(ws) + (len(ws) > 1)) for ws in weights]
+    assert [sorted({len(w) for w in v.terms}) for v in inputs] == weights
+    inputs.append(XSeries.zero(6))
+    for v in inputs:
+        assert corner_decompose(v).c00.is_zero()
+        psi = ad_x1_inverse(v)
+        assert psi == _lyndon_solve_inverse(v)
+        assert ad_x1(psi.with_bound(v.weight_bound)) == v
+
+
+@pytest.mark.parametrize(
+    "v, check, message",
+    [
+        # x0x1x0: a 00-corner, so no word of it starts with 1
+        (XSeries.word("010", 1, 3), False, "no primitive preimage at weight 3"),
+        # [x1, x0x1] holds, but x0x1 is not primitive
+        (XSeries([("101", 1), ("011", -1)], 3), False, "no primitive preimage at weight 3"),
+        # an image at weight 4 and a lone word at weight 6
+        (
+            ad_x1(XSeries([("001", 1), ("010", -2), ("100", 1)], 6))
+            + XSeries.word("111110", 1, 6),
+            False,
+            "no primitive preimage at weight 6",
+        ),
+        # [x0, [x0, x1]] is primitive with a nonzero 00-corner
+        (XSeries([("001", 1), ("010", -2), ("100", 1)], 3), True, "nonzero 00-corner"),
+    ],
+    ids=["corner-word", "not-primitive", "second-weight", "checked-corner"],
+)
+def test_ad_x1_inverse_rejects_non_images_like_the_lyndon_solve(v, check, message) -> None:
+    with pytest.raises(NotInImage) as new:
+        ad_x1_inverse(v, check=check)
+    with pytest.raises(NotInImage) as ref:
+        _lyndon_solve_inverse(v, check=check)
+    assert str(new.value) == str(ref.value) == f"ad_x1_inverse: {message}"
+
+
+def test_no_reference_cycles_left_behind() -> None:
+    # a cycle would hold every intermediate series until the next collection
+    bound = 7
+    x1 = XSeries.word("1", 1, bound)
+    psi = _random_primitive(random.Random(71), 2, bound)
+    psi = psi + _random_primitive(random.Random(73), 3, bound)
+    member = concat_product(concat_product(concat_exp(-psi), x1), concat_exp(psi))
+    non_member = x1 + XSeries([("101", 2), ("110", -1), ("011", -1)], bound)
+    image = ad_x1(_random_primitive(random.Random(79), 6, bound))
+    gc.collect()
+    gc.disable()
+    try:
+        assert fad_decompose(member).is_member
+        assert gc.collect() == 0
+        assert not fad_decompose(non_member).is_member
+        assert gc.collect() == 0
+        assert not ad_x1_inverse(image).is_zero()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_kappa_substitute_examples() -> None:

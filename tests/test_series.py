@@ -32,6 +32,19 @@ def test_rejects_bad_words() -> None:
         TYSeries([((-1, (1,)), 1)], 3)
 
 
+def test_rejects_negative_bounds() -> None:
+    with pytest.raises(ValueError, match="weight_bound"):
+        XSeries({"01": 1}, -2)
+    with pytest.raises(ValueError, match="weight_bound"):
+        YSeries.zero(-1)
+    with pytest.raises(ValueError, match="weight_bound"):
+        TYSeries([((0, (1,)), 1)], -1)
+    phi = XSeries([("1", 1), ("101", 2), ("110", -1), ("011", -1)], 5)
+    with pytest.raises(ValueError, match="weight_bound"):
+        phi.with_bound(-3)
+    assert XSeries({"01": 1}, 0).is_zero()
+
+
 def test_arithmetic_and_bounds() -> None:
     a = XSeries([("0", 1)], 4)
     b = XSeries([("1", 2)], 3)
