@@ -17,11 +17,13 @@ from pathlib import Path
 
 from .spaces import (
     SCHEMA_VERSION,
-    ConstraintMatrix,
+    VSTRPRTY,
     SpaceId,
     SubspaceBasis,
     compile_constraints,
+    compile_on_parent,
     rational_kernel,
+    vstrprty_basis,
 )
 
 ENV_VAR = "DSLFORGE_CACHE_DIR"
@@ -93,13 +95,20 @@ def store_basis(basis: SubspaceBasis) -> Path:
 
 
 def get_basis(space: SpaceId, k: int, use_cache: bool = True) -> SubspaceBasis:
-    """Load the basis from cache or compile, solve, and store it."""
+    """Load the basis from cache, or compute and store it: the strong parity
+    space in closed form, an intersection on its parent's basis (read through
+    this function, so the parent is cached too), any other space from its
+    full rows."""
     if use_cache:
         hit = load_basis(space, k)
         if hit is not None:
             return hit
-    matrix: ConstraintMatrix = compile_constraints(space, k)
-    basis = rational_kernel(matrix)
+    if space == VSTRPRTY:
+        basis = vstrprty_basis(k)
+    elif (parent := space.parent()) is not None:
+        basis = rational_kernel(compile_on_parent(space, get_basis(parent, k, use_cache)))
+    else:
+        basis = rational_kernel(compile_constraints(space, k))
     if use_cache:
         store_basis(basis)
     return basis

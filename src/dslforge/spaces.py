@@ -3,18 +3,23 @@
 Stage 1 picks the coordinates: spaces that include primitivity are
 parametrized by the Lyndon-bracketing basis of the primitive subspace (186
 coordinates at weight 11 instead of 2048 raw word coordinates), read from the
-integer bracketing table; the strong parity space alone is compiled over raw
-word coordinates.  Stage 2 emits one integer row per residual linear
+integer bracketing table.  Stage 2 emits one integer row per residual linear
 condition, a positive multiple of the condition's rational row; a harmonic
 condition gets one row per non-Lyndon Y-word, whose products span every
 product u * v (Hoffman 2000; Radford 1979).  Kernels are computed exactly as
 integer vectors and re-expanded into series through the chosen coordinates.
+
+An intersection can also be solved on its parent's basis: only the conditions
+it adds become rows, over the parent's vectors as columns, so `addmr-fad`
+solves 7 columns at weight 11 instead of 186.  The strong parity space is not
+primitive; its basis is written in closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from math import gcd
 
 from .algebra import _harmonic_scan, _shuffle_defects, q_right, star_word
 from .linalg import kernel_basis
@@ -26,17 +31,17 @@ from .words import lyndon_factors, shuffle_words, trailing_blocks, word_pairs
 # Bumped when the emitted rows or the pivot rule change; part of cache keys.
 SCHEMA_VERSION = "s1p1"
 
+# name: (minimum weight, parent, the conditions added to the parent's).  An
+# intersection keeps its parent's minimum weight.  `fad-parity` has no parent:
+# `fad` is wide (56 vectors at weight 10, of which 13 are kept).
 _KNOWN = {
-    "dmr": (3, ("star-harmonic",)),
-    "addmr": (4, ("sharp-harmonic", "sharp-depth-one")),
-    "fad": (3, ("corner00",)),
-    "vstrprty": (2, ("parity",)),
-    "addmr-fad": (4, ("sharp-harmonic", "sharp-depth-one", "corner00")),
-    "addmr-fad-parity": (
-        4,
-        ("sharp-harmonic", "sharp-depth-one", "corner00", "parity"),
-    ),
-    "fad-parity": (3, ("corner00", "parity")),
+    "dmr": (3, None, ("star-harmonic",)),
+    "addmr": (4, None, ("sharp-harmonic", "sharp-depth-one")),
+    "fad": (3, None, ("corner00",)),
+    "vstrprty": (2, None, ("parity",)),
+    "addmr-fad": (4, "addmr", ("corner00",)),
+    "addmr-fad-parity": (4, "addmr-fad", ("parity",)),
+    "fad-parity": (3, None, ("corner00", "parity")),
 }
 
 
@@ -72,13 +77,21 @@ class SpaceId:
             return self.min_weight_arg or 1
         return _KNOWN[self.name][0]
 
-    def condition_tags(self) -> tuple[str, ...]:
+    def parent(self) -> "SpaceId | None":
+        """The space whose basis this intersection is solved on, if any."""
+        if self.name == "f2geq" or _KNOWN[self.name][1] is None:
+            return None
+        return SpaceId(_KNOWN[self.name][1])
+
+    def own_tags(self) -> tuple[str, ...]:
+        """The conditions added to the parent's (all of them without one)."""
         if self.name == "f2geq":
             return ()
-        return _KNOWN[self.name][1]
+        return _KNOWN[self.name][2]
 
-    def uses_lyndon(self) -> bool:
-        return self.name != "vstrprty"
+    def condition_tags(self) -> tuple[str, ...]:
+        parent = self.parent()
+        return (parent.condition_tags() if parent else ()) + self.own_tags()
 
     def __str__(self) -> str:
         return self.key
@@ -101,13 +114,12 @@ def F2GEQ(m: int) -> SpaceId:
 class ConstraintMatrix:
     """Exact system whose kernel is the weight-k piece of the space.
 
-    column_kind is 'lyndon' (columns are Lyndon-bracketing coordinates of the
-    primitive subspace) or 'word' (raw word coordinates); column_series holds
-    each column's expansion into words as {word: int}.
+    column_series holds each column's expansion into words as {word: int};
+    column_labels names the columns: Lyndon words, raw words, or the indices
+    of a parent's basis vectors.
     """
 
     rows: list
-    column_kind: str
     column_labels: list
     column_series: list
     space: SpaceId
@@ -256,38 +268,51 @@ _ROW_BUILDERS = {
 }
 
 
-def compile_constraints(space: SpaceId, k: int) -> ConstraintMatrix:
-    """Two-stage compilation of the weight-k piece of a space.
+def _condition_rows(tags: tuple, columns: list[dict], k: int) -> list:
+    """The rows of the conditions over the integer columns {word: int}; every
+    builder reads one word -> [(column, coeff)] index over them."""
+    index = _word_index(columns)
+    return [row for tag in tags for row in _ROW_BUILDERS[tag](index, len(columns), k)]
 
-    The columns are the integer bracketings of the Lyndon words of length k,
-    or single raw words; every builder reads one word -> [(column, coeff)]
-    index over them.  Below the space's weight threshold the result has
+
+def compile_constraints(space: SpaceId, k: int) -> ConstraintMatrix:
+    """Two-stage compilation of the weight-k piece of a primitive space over
+    the integer bracketings of the Lyndon words of length k, with every row
+    of every condition.  Below the space's weight threshold the result has
     full-rank rows and an empty kernel.
     """
     if k < 1:
         raise ValueError("weight must be >= 1")
-    if space.uses_lyndon():
-        labels = lyndon_words(k)
-        columns = [bracketing(w) for w in labels]
-        kind = "lyndon"
-    else:
-        labels = sorted(all_xwords(k))
-        columns = [{w: 1} for w in labels]
-        kind = "word"
+    if space == VSTRPRTY:
+        raise ValueError("vstrprty is not primitive: its basis is vstrprty_basis(k)")
+    labels = lyndon_words(k)
+    columns = [bracketing(w) for w in labels]
     n = len(columns)
     if k < space.min_weight():
         rows = [[int(i == j) for j in range(n)] for i in range(n)]
     else:
-        index = _word_index(columns)
-        rows = [row for tag in space.condition_tags()
-                for row in _ROW_BUILDERS[tag](index, n, k)]
+        rows = _condition_rows(space.condition_tags(), columns, k)
     return ConstraintMatrix(
         rows=rows,
-        column_kind=kind,
         column_labels=labels,
         column_series=columns,
         space=space,
         weight=k,
+    )
+
+
+def compile_on_parent(space: SpaceId, parent: SubspaceBasis) -> ConstraintMatrix:
+    """An intersection inside its parent's basis: the rows of the conditions
+    the space adds, over the parent's primitive integer vectors as columns.
+    The parent's rows hold on every combination, and rational_kernel turns
+    the kernel into the canonical basis (see there)."""
+    columns = [{w: c.numerator for w, c in v.terms.items()} for v in parent.vectors]
+    return ConstraintMatrix(
+        rows=_condition_rows(space.own_tags(), columns, parent.weight),
+        column_labels=list(range(len(columns))),
+        column_series=columns,
+        space=space,
+        weight=parent.weight,
     )
 
 
@@ -305,7 +330,6 @@ def compile_primitivity_raw(k: int) -> ConstraintMatrix:
         rows.append(row)
     return ConstraintMatrix(
         rows=rows,
-        column_kind="word",
         column_labels=labels,
         column_series=[{w: 1} for w in labels],
         space=F2GEQ(1),
@@ -315,7 +339,18 @@ def compile_primitivity_raw(k: int) -> ConstraintMatrix:
 
 def rational_kernel(matrix: ConstraintMatrix) -> SubspaceBasis:
     """Exact nullspace of the compiled system, re-expanded into series in
-    integer arithmetic through the integer columns."""
+    integer arithmetic through the integer columns, each vector divided by
+    the gcd of its word coefficients and signed so that its smallest word
+    has a positive coefficient.
+
+    This changes no canonical basis over raw words or Lyndon bracketings:
+    each bracketing has its Lyndon word as smallest word, with coefficient 1
+    (Reutenauer, Free Lie Algebras, ch. 5), so the gcd and the first
+    coordinate's sign read the same off the words.  Over a parent's
+    canonical basis it gives the canonical basis of the intersection: each
+    parent vector's last nonzero Lyndon coordinate is its own free column, so
+    the kernel's free columns are the intersection's Lyndon free columns.
+    """
     vectors = []
     for coords in kernel_basis(matrix.rows, len(matrix.column_labels)):
         terms: dict = {}
@@ -324,8 +359,32 @@ def rational_kernel(matrix: ConstraintMatrix) -> SubspaceBasis:
                 continue
             for w, cw in col.items():
                 terms[w] = terms.get(w, 0) + c * cw
-        vectors.append(XSeries(terms, matrix.weight))
+        g = gcd(*terms.values())
+        if terms[min(w for w, c in terms.items() if c)] < 0:
+            g = -g
+        vectors.append(XSeries({w: c // g for w, c in terms.items()}, matrix.weight))
     return SubspaceBasis(space=matrix.space, weight=matrix.weight, vectors=vectors)
+
+
+def vstrprty_basis(k: int) -> SubspaceBasis:
+    """The canonical basis of the strong parity space in closed form.
+
+    Its row for each middle w, <x1 w x1> + <x1 w x0> + <x0 w x1> = 0, touches
+    a triple of words that no other row touches, with x0 w x1 as pivot, and
+    every x0 w x0 is free.  So, in sorted order of the free words, the basis
+    is the unit vector at each x0 w x0 and x0 w x1 - x1 w a at each x1 w a:
+    3 * 2^(k-2) vectors, none below weight 2.
+    """
+    if k < 1:
+        raise ValueError("weight must be >= 1")
+    words = sorted(all_xwords(k)) if k >= VSTRPRTY.min_weight() else []
+    vectors = []
+    for w in words:
+        if w[0] == "1":
+            vectors.append(XSeries({"0" + w[1:-1] + "1": 1, w: -1}, k))
+        elif w[-1] == "0":
+            vectors.append(XSeries({w: 1}, k))
+    return SubspaceBasis(space=VSTRPRTY, weight=k, vectors=vectors)
 
 
 @dataclass(frozen=True)
@@ -379,7 +438,7 @@ def _violations(space: SpaceId, s: XSeries, weights: list):
             yield k, "min-weight", f"nonzero component below weight {min_wt}"
 
     tags = space.condition_tags()
-    if space.uses_lyndon():
+    if space != VSTRPRTY:
         for k in weights:
             for u, v, val in _shuffle_defects(s, k):
                 yield k, "primitive", {"u": u, "v": v, "value": str(val)}

@@ -7,9 +7,9 @@ import json
 import pytest
 
 from dslforge import cache
-from dslforge.cache import get_basis, load_basis, store_basis
+from dslforge.cache import get_basis, list_entries, load_basis, store_basis
 from dslforge.cli import main
-from dslforge.spaces import ADDMR, DMR
+from dslforge.spaces import ADDMR, ADDMR_FAD, ADDMR_FAD_PARITY, DMR
 
 
 @pytest.fixture()
@@ -80,3 +80,27 @@ def test_store_leaves_no_temporary_files(private_cache, monkeypatch) -> None:
     with pytest.raises(OSError):
         store_basis(get_basis(DMR, 7, use_cache=False))
     assert sorted(p.name for p in private_cache.iterdir()) == [path.name]
+
+
+def test_intersection_stores_its_parents(private_cache) -> None:
+    get_basis(ADDMR_FAD_PARITY, 6)
+    assert list_entries() == [
+        "addmr-6-s1p1.json", "addmr-fad-6-s1p1.json", "addmr-fad-parity-6-s1p1.json"
+    ]
+
+
+def test_parent_with_a_bad_checksum_is_recomputed(private_cache) -> None:
+    child = get_basis(ADDMR_FAD, 6)
+    child_bytes = cache._entry_path(ADDMR_FAD, 6).read_bytes()
+    parent = load_basis(ADDMR, 6)
+    _tamper(ADDMR, 6, lambda d: d.update(crc32=d["crc32"] ^ 1))
+    assert load_basis(ADDMR, 6) is None
+    cache._entry_path(ADDMR_FAD, 6).unlink()
+    assert get_basis(ADDMR_FAD, 6) == child
+    assert cache._entry_path(ADDMR_FAD, 6).read_bytes() == child_bytes
+    assert load_basis(ADDMR, 6) == parent
+
+
+def test_no_cache_writes_no_file(private_cache) -> None:
+    get_basis(ADDMR_FAD_PARITY, 6, use_cache=False)
+    assert not private_cache.exists()

@@ -13,14 +13,19 @@ from dslforge.spaces import (
     F2GEQ,
     FAD,
     VSTRPRTY,
+    ConstraintMatrix,
     SpaceId,
     SubspaceBasis,
+    _parity_rows,
+    _word_index,
     compile_constraints,
+    compile_on_parent,
     compile_primitivity_raw,
     dimension_table,
     membership_check,
     rational_kernel,
 )
+from dslforge.words import all_xwords
 
 
 def test_space_id_parse() -> None:
@@ -73,14 +78,28 @@ def test_dimension_rows_up_to_7() -> None:
     assert table == expected
 
 
+def _raw_parity_kernel(k: int) -> SubspaceBasis:
+    """The reference for the closed form: the kernel of the parity rows over
+    raw word coordinates, on the dense modular engine."""
+    labels = sorted(all_xwords(k))
+    columns = [{w: 1} for w in labels]
+    n = len(labels)
+    if k < VSTRPRTY.min_weight():
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    else:
+        rows = _parity_rows(_word_index(columns), n, k)
+    return rational_kernel(ConstraintMatrix(rows, labels, columns, VSTRPRTY, k))
+
+
 def test_vstrprty_raw_compile() -> None:
-    m = compile_constraints(VSTRPRTY, 2)
-    assert m.column_kind == "word"
-    basis = rational_kernel(m)
-    assert basis.dimension == 3
-    for v in basis.vectors:
+    for k in range(1, 10):
+        basis = get_basis(VSTRPRTY, k, use_cache=False)
+        assert basis == _raw_parity_kernel(k), k
+        assert basis.dimension == (3 * 2 ** (k - 2) if k >= 2 else 0)
+    for v in get_basis(VSTRPRTY, 2, use_cache=False).vectors:
         assert membership_check(VSTRPRTY, v).passed
-    assert rational_kernel(compile_constraints(VSTRPRTY, 1)).dimension == 0
+    with pytest.raises(ValueError):
+        compile_constraints(VSTRPRTY, 2)
 
 
 def test_membership_examples() -> None:
@@ -104,10 +123,9 @@ def test_every_basis_vector_passes_membership() -> None:
 
 def test_basis_vectors_linearly_independent() -> None:
     from dslforge.linalg import kernel_basis
-    from dslforge.words import all_xwords
 
     for space, k in ((ADDMR, 4), (ADDMR, 6), (ADDMR_FAD, 6), (VSTRPRTY, 4)):
-        basis = rational_kernel(compile_constraints(space, k))
+        basis = get_basis(space, k, use_cache=False)
         if basis.dimension == 0:
             continue
         words = sorted(all_xwords(k))
@@ -128,6 +146,24 @@ def test_monotone_dimensions() -> None:
         assert d_fp <= d_f <= d
 
 
+def test_parity_rows_vanish_on_addmr_fad() -> None:
+    # computed here, not quoted from the paper: on addmr ∩ fad the parity
+    # rows are all zero for k <= 12, so addmr-fad-parity = addmr-fad
+    for k in range(1, 13):
+        basis = get_basis(ADDMR_FAD, k)
+        rows = compile_on_parent(ADDMR_FAD_PARITY, basis).rows
+        assert bool(rows) == bool(basis.vectors) and not any(map(any, rows)), k
+        assert get_basis(ADDMR_FAD_PARITY, k).vectors == basis.vectors
+
+
+def test_kernel_vectors_are_normalised_on_their_words() -> None:
+    # a + b = 0 over these columns gives a - b = 2*x1x0 - 2*x0x1, which the
+    # kernel's own scaling leaves with a common factor and the wrong sign
+    columns = [{"00": 1, "10": 2}, {"00": 1, "01": 2}]
+    matrix = ConstraintMatrix([[1, 1]], [0, 1], columns, ADDMR_FAD, 2)
+    assert rational_kernel(matrix).vectors == [XSeries({"01": 1, "10": -1}, 2)]
+
+
 def test_raw_vs_lyndon_oracle_equivalence() -> None:
     for k in range(1, 8):
         raw = rational_kernel(compile_primitivity_raw(k))
@@ -144,14 +180,11 @@ def test_composite_spaces_raw_oracle() -> None:
     # the bracketing parametrization entirely
     from dslforge.spaces import (
         _corner00_rows,
-        _parity_rows,
         _sharp_depth_one_rows,
         _sharp_harmonic_rows,
         _star_harmonic_rows,
-        _word_index,
     )
     from dslforge.linalg import kernel_basis
-    from dslforge.words import all_xwords
 
     for k in range(3, 7):
         labels = sorted(all_xwords(k))

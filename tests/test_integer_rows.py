@@ -15,10 +15,12 @@ import pytest
 
 from dslforge import spaces
 from dslforge.algebra import q_right, star_word
+from dslforge.cache import get_basis
 from dslforge.linalg import kernel_basis
 from dslforge.lyndon import bracketing, lyndon_primitive_basis, lyndon_words
 from dslforge.series import XSeries
 from dslforge.spaces import (
+    VSTRPRTY,
     SpaceId,
     _harmonic_row,
     _sharp_harmonic_rows,
@@ -112,18 +114,30 @@ _PINNED = {
 }
 
 
+def _sha256(basis) -> str:
+    return hashlib.sha256(json.dumps(basis.to_json_dict(), sort_keys=True).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(_PINNED))
 def test_bases_match_pinned_hashes(name) -> None:
+    """Through get_basis (closed form, parent basis or full rows) and, for
+    every space that compiles, through the full rows."""
     space = SpaceId.parse(name)
-    got = []
-    for k in range(1, 9):
-        basis = rational_kernel(compile_constraints(space, k))
-        payload = json.dumps(basis.to_json_dict(), sort_keys=True).encode()
-        got.append(hashlib.sha256(payload).hexdigest())
+    got = [_sha256(get_basis(space, k, use_cache=False)) for k in range(1, 9)]
     assert got == _PINNED[name]
+    if space != VSTRPRTY:
+        full = [_sha256(rational_kernel(compile_constraints(space, k))) for k in range(1, 9)]
+        assert full == _PINNED[name]
 
 
-@pytest.mark.parametrize("name", sorted(_PINNED) + ["f2geq4"])
+@pytest.mark.parametrize("name", ["addmr-fad", "addmr-fad-parity"])
+def test_parent_route_equals_the_full_rows(name) -> None:
+    space = SpaceId.parse(name)
+    for k in range(9, 13):
+        assert get_basis(space, k) == rational_kernel(compile_constraints(space, k)), k
+
+
+@pytest.mark.parametrize("name", sorted(set(_PINNED) - {"vstrprty"}) + ["f2geq4"])
 def test_compiled_rows_are_plain_ints(name) -> None:
     space = SpaceId.parse(name)
     for k in range(1, 8):
