@@ -42,9 +42,9 @@ def _entry_path(space: SpaceId, k: int) -> Path:
 
 def _checksum(payload: dict) -> int:
     """CRC-32 of the canonical JSON.  It guards against edited entries, not
-    forged ones; zlib is already loaded with numpy, while importing hashlib
-    initialises OpenSSL, about 3.5 MB of resident memory for every cache
-    reader (CPython 3.11, Linux x86-64)."""
+    forged ones; zlib is already loaded by shutil, which tempfile imports,
+    while importing hashlib initialises OpenSSL, about 3.5 MB of resident
+    memory for every cache reader (CPython 3.11, Linux x86-64)."""
     return zlib.crc32(json.dumps(payload, sort_keys=True).encode())
 
 

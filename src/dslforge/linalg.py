@@ -20,8 +20,6 @@ from fractions import Fraction
 from itertools import chain, islice
 from math import gcd, isqrt, lcm
 
-import numpy as np
-
 
 def _primes_below(n: int):
     """The odd primes below the odd number n, largest first."""
@@ -85,6 +83,8 @@ def _rref_mod_p(rows: list[list[int]], ncols: int, p: int):
     pivot that would take rank * (p - 1)**2 to 2**63 raises ArithmeticError
     instead of letting int64 wrap.
     """
+    import numpy as np  # imported on first use, so `import dslforge` does not load it
+
     F = np.zeros((min(len(rows), ncols), ncols), dtype=np.int64)
     perm = np.arange(ncols)  # free columns, then pivot columns newest first
     nfree = ncols

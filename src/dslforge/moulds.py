@@ -19,9 +19,17 @@ from typing import Mapping, Sequence
 from .algebra import is_primitive
 from .errors import NonzeroLowWeight
 from .lie import derive_d
-from .series import XSeries, _coeff, _json_coeff, coeff_str, corner_decompose
+from .series import XSeries, _accumulate, _coeff, _json_coeff, coeff_str, corner_decompose
 from .verify import VerificationReport, _report
 from .words import x_run_lengths, xdepth
+
+
+def _exponent(exp, nvars: int) -> tuple:
+    """The exponent vector as a tuple, checked for its length."""
+    exp = tuple(exp)
+    if len(exp) != nvars:
+        raise ValueError(f"exponent vector {exp} has wrong length")
+    return exp
 
 
 @dataclass(frozen=True)
@@ -34,20 +42,7 @@ class MultiPoly:
     def __init__(self, nvars: int, items=()):
         if isinstance(items, Mapping):
             items = items.items()
-        terms: dict = {}
-        for exp, c in items:
-            exp = tuple(exp)
-            if len(exp) != nvars:
-                raise ValueError(f"exponent vector {exp} has wrong length")
-            c = _coeff(c)
-            if c == 0:
-                continue
-            acc = terms.get(exp)
-            acc = c if acc is None else acc + c
-            if acc == 0:
-                terms.pop(exp, None)
-            else:
-                terms[exp] = acc
+        terms = _accumulate((_exponent(exp, nvars), c) for exp, c in items)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", terms)
 

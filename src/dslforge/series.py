@@ -74,11 +74,11 @@ def coeff_str(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def _normalize(items: Iterable[tuple], weight_bound: int, weight) -> dict:
+def _accumulate(items: Iterable[tuple]) -> dict:
+    """The sum of the (key, exact coefficient) pairs as {key: Fraction},
+    with no zero coefficient stored."""
     out: dict = {}
     for w, c in items:
-        if weight(w) > weight_bound:
-            continue
         c = _coeff(c)
         if c == 0:
             continue
@@ -111,7 +111,8 @@ class _SeriesOps:
             items = items.items()
         if weight_bound < 0:
             raise ValueError(f"weight_bound must be nonnegative, got {weight_bound}")
-        terms = _normalize(items, weight_bound, self._weight)
+        weight = self._weight
+        terms = _accumulate((w, c) for w, c in items if weight(w) <= weight_bound)
         for key in terms:
             if not self._is_key(key):
                 raise ValueError(f"not {self._noun}: {key!r}")

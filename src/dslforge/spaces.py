@@ -6,8 +6,9 @@ coordinates at weight 11 instead of 2048 raw word coordinates), read from the
 integer bracketing table.  Stage 2 emits one integer row per residual linear
 condition, a positive multiple of the condition's rational row; a harmonic
 condition gets one row per non-Lyndon Y-word, whose products span every
-product u * v (Hoffman 2000; Radford 1979).  Kernels are computed exactly as
-integer vectors and re-expanded into series through the chosen coordinates.
+product u * v (Hoffman 2000; Radford 1979), and a sharp row pairs a product
+of weight m only with y_{k-m}.  Kernels are computed exactly as integer
+vectors and re-expanded into series through the chosen coordinates.
 
 An intersection can also be solved on its parent's basis: only the conditions
 it adds become rows, over the parent's vectors as columns, so `addmr-fad`
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from itertools import islice
 from math import gcd
 
-from .algebra import _harmonic_scan, _shuffle_defects, q_right, star_word
+from .algebra import _harmonic_scan, _shuffle_defects, q_sharp, star_word
 from .linalg import kernel_basis
 from .lyndon import bracketing, lyndon_words
 from .series import XSeries, corner_decompose
@@ -164,17 +165,14 @@ def _word_index(columns: list[dict]) -> dict:
     return index
 
 
-def _harmonic_row(table: dict, n: int, head: tuple, expansion: dict):
+def _harmonic_row(table: dict, n: int, head: tuple, expansion: dict) -> list:
     """The row psi -> sum of mult * <image of psi | head + w> over the
-    expansion, where table maps Y-words to [(column, coeff)] of the images,
-    and whether any column met it."""
+    expansion, where table maps Y-words to [(column, coeff)] of the images."""
     row = [0] * n
-    touched = False
     for w, mult in expansion.items():
         for j, c in table.get(head + w, ()):
             row[j] += mult * c
-            touched = True
-    return row, touched
+    return row
 
 
 def _harmonic_products(m: int):
@@ -200,24 +198,17 @@ def _star_harmonic_rows(index: dict, n: int, k: int) -> list:
     star = {y: [(j, k * c) for j, c in cols]
             for w, cols in index.items() if (y := leading_blocks(w)) is not None}
     star[(1,) * k] = star.get((1,) * k, []) + index.get("0" * (k - 1) + "1", [])
-    return [_harmonic_row(star, n, (), expansion)[0]
-            for expansion in _harmonic_products(k)]
+    return [_harmonic_row(star, n, (), expansion) for expansion in _harmonic_products(k)]
 
 
 def _sharp_harmonic_rows(index: dict, n: int, k: int) -> list:
-    """One row per l >= 1 and non-Lyndon Y-word of weight k - l, for its
-    product u * v (_harmonic_products), that meets some column: the
-    functional psi -> <q_right(psi) | y_l (u * v)>."""
+    """One row per non-Lyndon Y-word of weight m, 2 <= m < k, for its product
+    u * v (_harmonic_products): the functional psi -> <q_right(psi) |
+    y_{k-m} (u * v)>.  A weight-k column meets y_l (u * v) only at l = k - m."""
     sharp = {y: cols for w, cols in index.items()
              if (y := trailing_blocks(w)) is not None}
-    rows = []
-    for m in range(2, k):
-        for expansion in _harmonic_products(m):
-            for l in range(1, k - m + 1):
-                row, touched = _harmonic_row(sharp, n, (l,), expansion)
-                if touched:
-                    rows.append(row)
-    return rows
+    return [_harmonic_row(sharp, n, (k - m,), expansion)
+            for m in range(2, k) for expansion in _harmonic_products(m)]
 
 
 def _sharp_depth_one_rows(index: dict, n: int, k: int) -> list:
@@ -412,23 +403,6 @@ class MembershipReport:
 _MAX_VIOLATIONS = 10
 
 
-def _sharp_harmonic_defects(image: dict, k: int):
-    """Yield each nonzero <q_right(s) | y_l (u * v)> at weight k, given the
-    terms of q_right(s), for l >= 1 and every nonempty pair (u, v) of total
-    weight k - l, in the order of m = wt u + wt v, then the pair, then l."""
-    for m in range(2, k):
-        for u, v in word_pairs(m, all_ywords):
-            expansion = harmonic_words(u, v)
-            for l in range(1, k - m + 1):
-                val = 0
-                for w, mult in expansion.items():
-                    c = image.get((l,) + w)
-                    if c is not None:
-                        val += mult * c
-                if val:
-                    yield {"t_exp": l - 1, "u": list(u), "v": list(v), "value": str(val)}
-
-
 def _violations(space: SpaceId, s: XSeries, weights: list):
     """Yield (weight, condition, detail) for each violated defining condition
     of the space, in report order; each scan runs only as far as it is read."""
@@ -450,10 +424,13 @@ def _violations(space: SpaceId, s: XSeries, weights: list):
                 yield k, "star-harmonic", {"u": list(u), "v": list(v), "value": str(val)}
 
     if "sharp-harmonic" in tags:
-        image = q_right(s).terms
+        sharp = q_sharp(s)
         for k in weights:
-            for detail in _sharp_harmonic_defects(image, k):
-                yield k, "sharp-harmonic", detail
+            # the T^t layer pairs y_{t+1} (u * v) with wt u + wt v = k - t - 1
+            for t in range(k - 3, -1, -1):
+                for u, v, val in _harmonic_scan(sharp.t_layer(t), k - t - 1):
+                    yield k, "sharp-harmonic", {
+                        "t_exp": t, "u": list(u), "v": list(v), "value": str(val)}
 
     if "sharp-depth-one" in tags:
         for k in weights:

@@ -22,12 +22,12 @@ from .lie import (
 )
 from .linalg import kernel_basis
 from .lyndon import lyndon_primitive_basis
-from .series import XSeries
+from .series import XSeries, _accumulate
 from .spaces import (
     ADDMR_FAD_PARITY,
     DMR,
     FAD_PARITY,
-    SpaceId,
+    SubspaceBasis,
     membership_check,
 )
 from .words import all_xwords, all_ywords, harmonic_words, word_pairs
@@ -69,9 +69,9 @@ def verify_bracket_closure(
     bracket to vanish."""
     t0 = perf_counter()
     kt = k1 + k2 - 1
-    basis1 = get_basis(ADDMR_FAD_PARITY, k1, use_cache=use_cache)
-    basis2 = get_basis(ADDMR_FAD_PARITY, k2, use_cache=use_cache)
-    target = get_basis(ADDMR_FAD_PARITY, kt, use_cache=use_cache)
+    bases = {k: get_basis(ADDMR_FAD_PARITY, k, use_cache=use_cache)
+             for k in dict.fromkeys((k1, k2, kt))}
+    basis1, basis2, target = bases[k1], bases[k2], bases[kt]
     witnesses = []
     for i, a in enumerate(basis1.vectors):
         for j, b in enumerate(basis2.vectors):
@@ -106,8 +106,6 @@ def verify_lemma_essential(a: XSeries, b: XSeries) -> VerificationReport:
                               + <q_sharp(b)|u><q_sharp(a)|v>,
     with coefficients in Q[T] multiplied as polynomials (layers convolved).
     """
-    from .moulds import MultiPoly  # moulds imports this module
-
     t0 = perf_counter()
     d = derive_d(a, b)
     n = min(d.weight_bound, a.weight_bound + b.weight_bound - 1)
@@ -117,25 +115,25 @@ def verify_lemma_essential(a: XSeries, b: XSeries) -> VerificationReport:
     witnesses = []
     for m in range(2, n):
         for u, v in word_pairs(m, all_ywords):
-            # both sides as polynomials in T, one variable
-            lhs = MultiPoly(1, (
-                ((t,), mult * c)
+            # both sides as polynomials in T: {T-exponent: coefficient}
+            lhs = _accumulate(
+                (t, mult * c)
                 for w, mult in harmonic_words(u, v).items()
                 for t, c in lhs_table.get(w, {}).items()
-            ))
-            rhs = MultiPoly(1, (
-                ((t1 + t2,), c1 * c2)
+            )
+            rhs = _accumulate(
+                (t1 + t2, c1 * c2)
                 for first, second in ((a_table, b_table), (b_table, a_table))
                 for t1, c1 in first.get(u, {}).items()
                 for t2, c2 in second.get(v, {}).items()
-            ))
+            )
             if lhs != rhs:
                 witnesses.append(
                     {
                         "u": list(u),
                         "v": list(v),
-                        "lhs": {str(t): str(c) for (t,), c in sorted(lhs.terms.items())},
-                        "rhs": {str(t): str(c) for (t,), c in sorted(rhs.terms.items())},
+                        "lhs": {str(t): str(c) for t, c in sorted(lhs.items())},
+                        "rhs": {str(t): str(c) for t, c in sorted(rhs.items())},
                     }
                 )
     return _report(
@@ -154,17 +152,17 @@ def verify_lemma_essential_all(
     t0 = perf_counter()
     witnesses = []
     pairs = 0
-    weights = [
-        k
+    bases = {
+        k: basis
         for k in range(4, total_weight_max - 3)
-        if get_basis(ADDMR_FAD_PARITY, k, use_cache=use_cache).dimension > 0
-    ]
-    for ka in weights:
-        for kb in weights:
+        if (basis := get_basis(ADDMR_FAD_PARITY, k, use_cache=use_cache)).dimension > 0
+    }
+    for ka, basis_a in bases.items():
+        for kb, basis_b in bases.items():
             if ka + kb > total_weight_max:
                 continue
-            for i, a in enumerate(get_basis(ADDMR_FAD_PARITY, ka, use_cache=use_cache).vectors):
-                for j, b in enumerate(get_basis(ADDMR_FAD_PARITY, kb, use_cache=use_cache).vectors):
+            for i, a in enumerate(basis_a.vectors):
+                for j, b in enumerate(basis_b.vectors):
                     pairs += 1
                     bound = ka + kb - 1
                     rep = verify_lemma_essential(a.with_bound(bound), b.with_bound(bound))
@@ -230,8 +228,7 @@ def random_tm1_element(rng: random.Random, weight: int, bound: int) -> XSeries:
     return XSeries(items, bound)
 
 
-def _random_space_element(rng, space: SpaceId, k: int, bound: int, use_cache: bool):
-    basis = get_basis(space, k, use_cache=use_cache)
+def _random_space_element(rng, basis: SubspaceBasis, bound: int) -> XSeries:
     out = XSeries.zero(bound)
     for v in basis.vectors:
         c = rng.randint(-2, 2)
@@ -278,15 +275,16 @@ def verify_lie_axioms(
             witnesses.append({"sample": idx, "reason": "jacobi"})
 
     # closure of the corner-and-parity subspace under the bracket
-    closure_weights = [
-        k for k in range(3, k_max + 1)
-        if get_basis(FAD_PARITY, k, use_cache=use_cache).dimension > 0
-    ]
-    for ka in closure_weights:
-        for kb in closure_weights:
+    bases = {
+        k: basis
+        for k in range(3, k_max + 1)
+        if (basis := get_basis(FAD_PARITY, k, use_cache=use_cache)).dimension > 0
+    }
+    for ka, basis_a in bases.items():
+        for kb, basis_b in bases.items():
             bound = ka + kb - 1
-            a = _random_space_element(rng, FAD_PARITY, ka, bound, use_cache)
-            b = _random_space_element(rng, FAD_PARITY, kb, bound, use_cache)
+            a = _random_space_element(rng, basis_a, bound)
+            b = _random_space_element(rng, basis_b, bound)
             if a.is_zero() or b.is_zero():
                 continue
             br = bracket1(a, b)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from dslforge import algebra
 from dslforge.cache import clear_cache, get_basis, list_entries, load_basis, store_basis
 from dslforge.lyndon import witt_number
 from dslforge.series import XSeries
@@ -25,7 +26,7 @@ from dslforge.spaces import (
     membership_check,
     rational_kernel,
 )
-from dslforge.words import all_xwords
+from dslforge.words import all_xwords, all_ywords, word_pairs
 
 
 def test_space_id_parse() -> None:
@@ -255,10 +256,26 @@ def test_basis_json_round_trip() -> None:
     assert back.vectors == basis.vectors
 
 
+def _sharp_harmonic_defects(image: dict, k: int):
+    """Reference scan: each nonzero <q_right(s) | y_l (u * v)> at weight k,
+    given the terms of q_right(s), for every l >= 1 and nonempty pair (u, v)
+    of total weight k - l, in the order of wt u + wt v, then the pair, then l."""
+    for m in range(2, k):
+        for u, v in word_pairs(m, all_ywords):
+            expansion = algebra.harmonic_words(u, v)
+            for l in range(1, k - m + 1):
+                val = 0
+                for w, mult in expansion.items():
+                    c = image.get((l,) + w)
+                    if c is not None:
+                        val += mult * c
+                if val:
+                    yield {"t_exp": l - 1, "u": list(u), "v": list(v), "value": str(val)}
+
+
 def test_sharp_harmonic_scan_stops_at_the_cap(monkeypatch) -> None:
     import random
 
-    from dslforge import spaces
     from dslforge.algebra import q_right
     from dslforge.lyndon import lyndon_primitive_basis
 
@@ -267,11 +284,11 @@ def test_sharp_harmonic_scan_stops_at_the_cap(monkeypatch) -> None:
     for e in lyndon_primitive_basis(8):
         s = s + e.expansion.scale(rng.choice((-2, -1, 1, 2)))
     calls = []
-    real = spaces.harmonic_words
+    real = algebra.harmonic_words
     monkeypatch.setattr(
-        spaces, "harmonic_words", lambda u, v: calls.append(1) or real(u, v)
+        algebra, "harmonic_words", lambda u, v: calls.append(1) or real(u, v)
     )
-    full = list(spaces._sharp_harmonic_defects(q_right(s).terms, 8))
+    full = list(_sharp_harmonic_defects(q_right(s).terms, 8))
     full_calls = len(calls)
     assert len(full) > 10
     calls.clear()
@@ -279,3 +296,14 @@ def test_sharp_harmonic_scan_stops_at_the_cap(monkeypatch) -> None:
     assert [v["detail"] for v in rep.violations] == full[:10]
     assert {v["condition"] for v in rep.violations} == {"sharp-harmonic"}
     assert len(calls) < full_calls
+
+
+def test_sharp_harmonic_defect_is_reported_at_its_own_weight() -> None:
+    from dslforge.lyndon import lyndon_primitive_basis
+
+    low = lyndon_primitive_basis(5)[1].expansion.with_bound(8)
+    s = low + get_basis(ADDMR, 8).vectors[0].with_bound(8)
+    rep = membership_check(ADDMR, s)
+    defect = {"t_exp": 2, "u": [1], "v": [1], "value": "-2"}
+    assert [v["weight"] for v in rep.violations if v["detail"] == defect] == [5]
+    assert not rep.passed

@@ -237,7 +237,7 @@ def _pair_star_harmonic_rows(index: dict, n: int, k: int) -> list:
     star = {y: [(j, k * c) for j, c in cols]
             for w, cols in index.items() if (y := leading_blocks(w)) is not None}
     star[(1,) * k] = star.get((1,) * k, []) + index.get("0" * (k - 1) + "1", [])
-    return [_harmonic_row(star, n, (), harmonic_words(u, v))[0]
+    return [_harmonic_row(star, n, (), harmonic_words(u, v))
             for u, v in word_pairs(k, all_ywords)]
 
 
@@ -251,9 +251,8 @@ def _pair_sharp_harmonic_rows(index: dict, n: int, k: int) -> list:
         for u, v in word_pairs(m, all_ywords):
             expansion = harmonic_words(u, v)
             for l in range(1, k - m + 1):
-                row, touched = _harmonic_row(sharp, n, (l,), expansion)
-                if touched:
-                    rows.append(row)
+                if any((l,) + w in sharp for w in expansion):
+                    rows.append(_harmonic_row(sharp, n, (l,), expansion))
     return rows
 
 

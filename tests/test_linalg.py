@@ -254,3 +254,23 @@ def test_solve_exact_against_naive_solve() -> None:
             assert all(type(c) is Fraction for c in got)
             outcomes["solved"] += 1
     assert outcomes["none"] >= 60 and outcomes["solved"] >= 120
+
+
+def test_importing_the_package_does_not_load_numpy() -> None:
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import dslforge
+
+    src = Path(dslforge.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, dslforge; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"
