@@ -14,9 +14,19 @@ standard bracketing P_w of a Lyndon word w expands to w plus lexicographically
 larger words of the same length (Reutenauer, Free Lie Algebras, ch. 5).  So
 subtracting coeff * P_w for the smallest word w left in the support empties
 a component exactly when it is Lie, and stops at a non-Lyndon smallest word
-otherwise.  The cost follows the number of Lyndon words, not the number of
-interleavings; the pairing scan over all (u, v) runs only to list the
-defects of a component that fails.
+otherwise.  The reduction runs on the component cleared of denominators: the
+bracketings have integer coefficients, so it stays in integers.  The cost
+follows the number of Lyndon words, not the number of interleavings; the
+pairing scan over all (u, v) runs only to list the defects of a component
+that fails.
+
+Harmonic primitivity is decided the same way.  The quasi-shuffle algebra
+over Q is the polynomial algebra on the Lyndon Y-words (Hoffman, J.
+Algebraic Combin. 11, 2000), so the products l1 * (l2 ... ln), one per
+non-Lyndon Y-word l1 l2 ... ln, span every product u * v.  A component
+cleared of denominators is paired with these products in integers, and the
+scan over all (u, v) runs only when one of them is nonzero, to list the
+defects.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import islice
-from math import factorial
+from math import factorial, lcm
 
 from .errors import NonUnitConstant
 from .lyndon import bracketing
@@ -37,6 +47,7 @@ from .words import (
     from_leading_blocks,
     harmonic_words,
     leading_blocks,
+    lyndon_factors,
     shuffle_pairing,
     shuffle_words,
     trailing_blocks,
@@ -196,10 +207,18 @@ def group_star(phi: XSeries) -> YSeries:
     return y_concat_product(gamma, base)
 
 
+def _integral(comp: dict) -> dict:
+    """The component times the lcm of its coefficients' denominators, as
+    {word: int}: a positive multiple, so it meets the same linear conditions."""
+    scale = lcm(*(c.denominator for c in comp.values()))
+    return {w: c.numerator * (scale // c.denominator) for w, c in comp.items()}
+
+
 def _is_lie_component(comp: dict[XWord, Fraction]) -> bool:
     """True when a homogeneous component of weight >= 1 is a Lie polynomial,
-    by triangular reduction against the Lyndon bracketings."""
-    rest = dict(comp)
+    by triangular reduction against the Lyndon bracketings, in integers: each
+    bracketing has integer coefficients and its Lyndon word at coefficient 1."""
+    rest = _integral(comp)
     while rest:
         w = min(rest)
         if any(w >= w[i:] for i in range(1, len(w))):
@@ -222,10 +241,12 @@ def _pairing_scan(comp: dict[XWord, Fraction], k: int):
             yield u, v, val
 
 
-def _weight_component(a: XSeries, k: int) -> dict[XWord, Fraction]:
+def _weight_component(a, k: int) -> dict:
+    """The terms of weight k of an X- or Y-series, as {word: coefficient}."""
     if k > a.weight_bound:
         raise ValueError(f"weight {k} exceeds bound {a.weight_bound}")
-    return {w: c for w, c in a.terms.items() if len(w) == k}
+    weight = a._weight
+    return {w: c for w, c in a.terms.items() if weight(w) == k}
 
 
 def _shuffle_defects(a: XSeries, k: int):
@@ -245,26 +266,58 @@ def shuffle_primitivity_defect(a: XSeries, k: int) -> list[tuple[XWord, XWord, F
     return list(_shuffle_defects(a, k))
 
 
+def _harmonic_products(m: int):
+    """The expansion of l1 * (l2 ... ln) for each Y-word w = l1 l2 ... ln of
+    weight m with n >= 2 nonincreasing Lyndon factors, in all_ywords order.
+    The quasi-shuffle algebra over Q is the polynomial algebra on the Lyndon
+    words (Hoffman, J. Algebraic Combin. 11, 2000; for the shuffle algebra,
+    Radford, J. Algebra 58, 1979), so these products, one per non-Lyndon
+    word, span every product u * v of nonempty Y-words of weight m."""
+    for w in all_ywords(m):
+        factors = lyndon_factors(w)
+        if len(factors) > 1:
+            head = factors[0]
+            yield harmonic_words(head, w[len(head) :])
+
+
+def _pairing(comp: dict, expansion: dict):
+    """<comp | the expansion {word: multiplicity}>."""
+    total = 0
+    for w, m in expansion.items():
+        c = comp.get(w)
+        if c is not None:
+            total += m * c
+    return total
+
+
 def _harmonic_scan(a: YSeries, k: int):
     """Yield, in scan order, each nonempty pair (u, v) with <a | u * v> != 0
     and total weight k."""
-    if k > a.weight_bound:
-        raise ValueError(f"weight {k} exceeds bound {a.weight_bound}")
-    comp = {w: c for w, c in a.terms.items() if sum(w) == k}
+    comp = _weight_component(a, k)
     for u, v in word_pairs(k, all_ywords):
-        val = Fraction(0)
-        for w, m in harmonic_words(u, v).items():
-            c = comp.get(w)
-            if c is not None:
-                val += m * c
+        val = _pairing(comp, harmonic_words(u, v))
         if val:
             yield u, v, val
+
+
+def _products_vanish(comp: dict[YWord, Fraction], k: int) -> bool:
+    """True when the weight-k component pairs to 0 with every spanning product
+    (_harmonic_products), so with every u * v; decided in integers."""
+    comp = _integral(comp)
+    return not comp or not any(_pairing(comp, p) for p in _harmonic_products(k))
+
+
+def _harmonic_defects(a: YSeries, k: int):
+    """Yield what _harmonic_scan yields; a component on which every spanning
+    product vanishes yields none without pairing any (u, v)."""
+    if not _products_vanish(_weight_component(a, k), k):
+        yield from _harmonic_scan(a, k)
 
 
 def harmonic_primitivity_defect(a: YSeries, k: int) -> list[tuple[YWord, YWord, Fraction]]:
     """All nonempty Y-word pairs (u, v), wt u <= wt v, total weight k, with
     <a | u * v> != 0."""
-    return list(_harmonic_scan(a, k))
+    return list(_harmonic_defects(a, k))
 
 
 def is_primitive(a: XSeries, up_to: int | None = None) -> bool:

@@ -99,18 +99,27 @@ def get_basis(space: SpaceId, k: int, use_cache: bool = True) -> SubspaceBasis:
     space in closed form, an intersection on its parent's basis (read through
     this function, so the parent is cached too), any other space from its
     full rows."""
-    if use_cache:
-        hit = load_basis(space, k)
-        if hit is not None:
-            return hit
-    if space == VSTRPRTY:
-        basis = vstrprty_basis(k)
-    elif (parent := space.parent()) is not None:
-        basis = rational_kernel(compile_on_parent(space, get_basis(parent, k, use_cache)))
-    else:
-        basis = rational_kernel(compile_constraints(space, k))
-    if use_cache:
-        store_basis(basis)
+    return _resolve_basis(space, k, use_cache, {})
+
+
+def _resolve_basis(space: SpaceId, k: int, use_cache: bool, resolved: dict) -> SubspaceBasis:
+    """get_basis, where resolved maps the spaces already resolved at weight k
+    to their bases and gains every basis this call resolves, the parents
+    included, so that a parent is computed once even without the cache."""
+    basis = resolved.get(space)
+    if basis is None and use_cache:
+        basis = load_basis(space, k)
+    if basis is None:
+        if space == VSTRPRTY:
+            basis = vstrprty_basis(k)
+        elif (parent := space.parent()) is not None:
+            parent_basis = _resolve_basis(parent, k, use_cache, resolved)
+            basis = rational_kernel(compile_on_parent(space, parent_basis))
+        else:
+            basis = rational_kernel(compile_constraints(space, k))
+        if use_cache:
+            store_basis(basis)
+    resolved[space] = basis
     return basis
 
 

@@ -22,12 +22,12 @@ from dataclasses import dataclass
 from itertools import islice
 from math import gcd
 
-from .algebra import _harmonic_scan, _shuffle_defects, q_sharp, star_word
+from .algebra import _harmonic_defects, _harmonic_products, _shuffle_defects
+from .algebra import q_sharp, star_word
 from .linalg import kernel_basis
 from .lyndon import bracketing, lyndon_words
 from .series import XSeries, corner_decompose
-from .words import all_xwords, all_ywords, harmonic_words, leading_blocks
-from .words import lyndon_factors, shuffle_words, trailing_blocks, word_pairs
+from .words import all_xwords, leading_blocks, shuffle_words, trailing_blocks, word_pairs
 
 # Bumped when the emitted rows or the pivot rule change; part of cache keys.
 SCHEMA_VERSION = "s1p1"
@@ -173,20 +173,6 @@ def _harmonic_row(table: dict, n: int, head: tuple, expansion: dict) -> list:
         for j, c in table.get(head + w, ()):
             row[j] += mult * c
     return row
-
-
-def _harmonic_products(m: int):
-    """The expansion of l1 * (l2 ... ln) for each Y-word w = l1 l2 ... ln of
-    weight m with n >= 2 nonincreasing Lyndon factors, in all_ywords order.
-    The quasi-shuffle algebra over Q is the polynomial algebra on the Lyndon
-    words (Hoffman, J. Algebraic Combin. 11, 2000; for the shuffle algebra,
-    Radford, J. Algebra 58, 1979), so these products, one per non-Lyndon
-    word, span every product u * v of nonempty Y-words of weight m."""
-    for w in all_ywords(m):
-        factors = lyndon_factors(w)
-        if len(factors) > 1:
-            head = factors[0]
-            yield harmonic_words(head, w[len(head) :])
 
 
 def _star_harmonic_rows(index: dict, n: int, k: int) -> list:
@@ -382,8 +368,12 @@ def vstrprty_basis(k: int) -> SubspaceBasis:
 class MembershipReport:
     """Independent re-verification of the defining conditions on a series.
 
-    Built from direct defect recomputation, never from the compiled matrix;
-    violations list at most the first 10 offending conditions.
+    Built from direct defect recomputation, never from the compiled matrix.
+    Each weight is decided first: primitivity by the Lie test, the harmonic
+    conditions by pairing the star_word and q_sharp images in integers with
+    the spanning products, one per non-Lyndon Y-word.  Only a failing weight
+    is scanned over every pair (u, v), and violations list at most the first
+    10 offending conditions in scan order.
     """
 
     space: SpaceId
@@ -420,7 +410,7 @@ def _violations(space: SpaceId, s: XSeries, weights: list):
     if "star-harmonic" in tags:
         star = star_word(s)
         for k in weights:
-            for u, v, val in _harmonic_scan(star, k):
+            for u, v, val in _harmonic_defects(star, k):
                 yield k, "star-harmonic", {"u": list(u), "v": list(v), "value": str(val)}
 
     if "sharp-harmonic" in tags:
@@ -428,7 +418,7 @@ def _violations(space: SpaceId, s: XSeries, weights: list):
         for k in weights:
             # the T^t layer pairs y_{t+1} (u * v) with wt u + wt v = k - t - 1
             for t in range(k - 3, -1, -1):
-                for u, v, val in _harmonic_scan(sharp.t_layer(t), k - t - 1):
+                for u, v, val in _harmonic_defects(sharp.t_layer(t), k - t - 1):
                     yield k, "sharp-harmonic", {
                         "t_exp": t, "u": list(u), "v": list(v), "value": str(val)}
 
@@ -469,13 +459,15 @@ def membership_check(space: SpaceId, s: XSeries) -> MembershipReport:
 def dimension_table(
     spaces: list[SpaceId], k_max: int, use_cache: bool = True
 ) -> dict:
-    """Kernel dimension for each space and 1 <= k <= k_max."""
-    from .cache import get_basis
+    """Kernel dimension for each space and 1 <= k <= k_max; a basis this call
+    already resolved at weight k, such as a parent shared by two
+    intersections, is not resolved again."""
+    from .cache import _resolve_basis
 
     out: dict = {}
-    for space in spaces:
-        out[space.key] = [
-            get_basis(space, k, use_cache=use_cache).dimension
-            for k in range(1, k_max + 1)
-        ]
+    for k in range(1, k_max + 1):
+        resolved: dict = {}
+        for space in spaces:
+            basis = _resolve_basis(space, k, use_cache, resolved)
+            out.setdefault(space.key, [0] * k_max)[k - 1] = basis.dimension
     return out

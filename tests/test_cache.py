@@ -9,7 +9,7 @@ import pytest
 from dslforge import cache
 from dslforge.cache import get_basis, list_entries, load_basis, store_basis
 from dslforge.cli import main
-from dslforge.spaces import ADDMR, ADDMR_FAD, ADDMR_FAD_PARITY, DMR
+from dslforge.spaces import ADDMR, ADDMR_FAD, ADDMR_FAD_PARITY, DMR, dimension_table
 
 
 @pytest.fixture()
@@ -103,4 +103,20 @@ def test_parent_with_a_bad_checksum_is_recomputed(private_cache) -> None:
 
 def test_no_cache_writes_no_file(private_cache) -> None:
     get_basis(ADDMR_FAD_PARITY, 6, use_cache=False)
+    assert not private_cache.exists()
+
+
+def test_no_cache_table_solves_each_addmr_kernel_once(private_cache, monkeypatch) -> None:
+    spaces_solved = []
+    real = cache.rational_kernel
+    monkeypatch.setattr(
+        cache, "rational_kernel", lambda m: spaces_solved.append(m.space) or real(m)
+    )
+    table = dimension_table([ADDMR, ADDMR_FAD, ADDMR_FAD_PARITY], 7, use_cache=False)
+    assert table["addmr"] == [0, 0, 0, 2, 2, 3, 3]
+    assert spaces_solved.count(ADDMR) == 7
+    spaces_solved.clear()
+    dimension_table([ADDMR_FAD_PARITY, ADDMR_FAD], 7, use_cache=False)
+    assert spaces_solved == [ADDMR, ADDMR_FAD, ADDMR_FAD_PARITY] * 7
+    assert dimension_table([ADDMR, ADDMR], 5, use_cache=False) == {"addmr": table["addmr"][:5]}
     assert not private_cache.exists()

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from dslforge import spaces
-from dslforge.algebra import q_right, star_word
+from dslforge.algebra import _harmonic_products, q_right, star_word
 from dslforge.cache import get_basis
 from dslforge.linalg import kernel_basis
 from dslforge.lyndon import bracketing, lyndon_primitive_basis, lyndon_words
@@ -229,7 +229,7 @@ def _ywords_kernel(products, k: int) -> list:
 @pytest.mark.parametrize("k", range(2, 11))
 def test_factor_pair_products_span_all_pair_products(k) -> None:
     pairs = (harmonic_words(u, v) for u, v in word_pairs(k, all_ywords))
-    assert _ywords_kernel(spaces._harmonic_products(k), k) == _ywords_kernel(pairs, k)
+    assert _ywords_kernel(_harmonic_products(k), k) == _ywords_kernel(pairs, k)
 
 
 def _pair_star_harmonic_rows(index: dict, n: int, k: int) -> list:

@@ -6,12 +6,13 @@ import random
 from fractions import Fraction
 from itertools import islice
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dslforge import algebra
 from dslforge.algebra import is_primitive, shuffle_primitivity_defect
-from dslforge.lyndon import _expand, lyndon_words
+from dslforge.lyndon import _expand, bracketing, lyndon_words
 from dslforge.series import XSeries
 from dslforge.spaces import ADDMR, DMR, FAD, membership_check
 from dslforge.words import all_xwords
@@ -108,3 +109,46 @@ def test_limited_defect_list_is_the_scan_prefix_and_stops_early(monkeypatch) -> 
         calls.clear()
         assert list(islice(algebra._shuffle_defects(s, 8), limit)) == full[:limit]
         assert len(calls) < full_calls
+
+
+def _fraction_lie_reference(comp: dict) -> bool:
+    """Triangular reduction against the bracketings in Fraction arithmetic,
+    on the component as given."""
+    rest = {w: Fraction(c) for w, c in comp.items()}
+    while rest:
+        w = min(rest)
+        if any(w >= w[i:] for i in range(1, len(w))):
+            return False
+        c = rest[w]
+        for u, cu in bracketing(w).items():
+            acc = rest.get(u, Fraction(0)) - c * cu
+            if acc:
+                rest[u] = acc
+            else:
+                rest.pop(u, None)
+    return True
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+def test_integer_lie_test_agrees_with_the_fraction_reduction(k) -> None:
+    rng = random.Random(k)
+    coeffs = [Fraction(n, d) for n, d in ((1, 2), (-2, 3), (3, 7), (5, 42), (-7, 6))]
+    words = list(all_xwords(k))
+    verdicts = []
+    for _ in range(4):
+        comp: dict = {}
+        for w in lyndon_words(k):
+            c = rng.choice(coeffs)
+            for u, cu in bracketing(w).items():
+                comp[u] = comp.get(u, 0) + c * cu
+        comp = {w: c for w, c in comp.items() if c}
+        assert {c.denominator for c in comp.values()} - {1}
+        perturbed = dict(comp)
+        word = rng.choice(words)
+        perturbed[word] = perturbed.get(word, 0) + rng.choice(coeffs)
+        perturbed = {w: c for w, c in perturbed.items() if c}
+        for case in (comp, perturbed):
+            verdict = algebra._is_lie_component(case)
+            assert verdict == _fraction_lie_reference(case)
+            verdicts.append(verdict)
+    assert verdicts == [True, False] * 4
