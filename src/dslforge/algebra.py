@@ -320,13 +320,12 @@ def harmonic_primitivity_defect(a: YSeries, k: int) -> list[tuple[YWord, YWord, 
     return list(_harmonic_defects(a, k))
 
 
-def is_primitive(a: XSeries, up_to: int | None = None) -> bool:
+def is_primitive(a: XSeries) -> bool:
     """True when the constant term is 0 and every weight component from 2 up to
     the bound is a Lie polynomial, so has empty shuffle defect."""
-    top = a.weight_bound if up_to is None else min(up_to, a.weight_bound)
     if a.coeff("") != 0:
         return False
-    for k in range(2, top + 1):
+    for k in range(2, a.weight_bound + 1):
         if not _is_lie_component(_weight_component(a, k)):
             return False
     return True

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from .algebra import (
     commutator,
@@ -126,36 +125,35 @@ def ad_x1_inverse(v: XSeries, check: bool = True) -> XSeries:
 
 
 def kappa_substitute(f: XSeries, target: XSeries) -> XSeries:
-    """Algebra endomorphism fixing x0 and sending x1 to f, applied wordwise."""
+    """Algebra endomorphism fixing x0 and sending x1 to f, applied wordwise:
+    the word x0^a0 x1 x0^a1 ... x1 x0^ad goes to x0^a0 f x0^a1 ... f x0^ad."""
     if f.coeff("") != 0:
         raise NonzeroConstant("kappa substitution needs <f | 1> = 0")
     bound = min(f.weight_bound, target.weight_bound)
-    fmin = f.min_weight()
-    grow = (fmin or 1) - 1  # each substituted '1' adds at least this much weight
-    f = f.with_bound(bound)
-    out = XSeries.zero(bound)
-    for w, c in target.terms.items():
-        if len(w) + w.count("1") * grow > bound:
-            continue
-        piece = XSeries.unit(bound)
-        run = 0
-        ok = True
-        for ch in w:
-            if ch == "0":
-                run += 1
-                continue
-            if run:
-                piece = concat_product(piece, XSeries.word("0" * run, 1, bound))
-                run = 0
-            piece = concat_product(piece, f)
-            if piece.is_zero():
-                ok = False
-                break
-        if ok and run:
-            piece = concat_product(piece, XSeries.word("0" * run, 1, bound))
-        if ok and not piece.is_zero():
-            out = out + piece.scale(c)
-    return out
+    # f x0^a for each length a < bound of an x0-run after an x1
+    tails = [
+        concat_product(f, XSeries.word("0" * a, 1, bound)) for a in range(bound)
+    ]
+
+    def substituted(w: str) -> XSeries:
+        first, *rest = w.split("1")  # the x0-runs around the x1 letters
+        out = XSeries.word(first, 1, bound)
+        for run in rest:
+            out = concat_product(out, tails[len(run)])
+        return out
+
+    # f has no constant term, so no word gets shorter under the substitution
+    return XSeries(
+        ((u, c * cu) for w, c in target.terms.items() if len(w) <= bound
+         for u, cu in substituted(w).terms.items()),
+        bound,
+    )
+
+
+def conjugate_x1(a: XSeries) -> XSeries:
+    """a^{-1} x1 a under concatenation, at a's bound."""
+    x1 = XSeries.word("1", 1, a.weight_bound)
+    return concat_product(concat_product(concat_inverse(a), x1), a)
 
 
 def ihara_product(a: XSeries, b: XSeries) -> XSeries:
@@ -165,9 +163,7 @@ def ihara_product(a: XSeries, b: XSeries) -> XSeries:
             raise NonUnitConstant(f"ihara_product: {name} factor needs constant term 1")
     bound = min(a.weight_bound, b.weight_bound)
     a = a.truncate(bound)
-    x1 = XSeries.word("1", 1, bound)
-    conj = concat_product(concat_product(concat_inverse(a), x1), a)
-    return concat_product(a, kappa_substitute(conj, b.truncate(bound)))
+    return concat_product(a, kappa_substitute(conjugate_x1(a), b.truncate(bound)))
 
 
 def _check_TM1(a: XSeries, where: str) -> None:
@@ -231,40 +227,22 @@ class FadDecomposition:
     is_member: bool
 
     def psi(self, bound: int) -> XSeries:
-        total = XSeries.zero(bound)
-        for part in self.psi_parts.values():
-            total = total + part.with_bound(bound)
-        return total
-
-
-def _nested_ad(ms: tuple[int, ...], psi_parts: dict, cache: dict) -> XSeries:
-    """ad(psi_{m1}) o ... o ad(psi_{mr}) applied to x1, memoized in cache;
-    cache[()] holds x1 at the working bound."""
-    hit = cache.get(ms)
-    if hit is None:
-        inner = _nested_ad(ms[1:], psi_parts, cache)
-        hit = commutator(psi_parts[ms[0]].with_bound(inner.weight_bound), inner)
-        cache[ms] = hit
-    return hit
-
-
-def _compositions(total: int):
-    """The ordered tuples of integers >= 2 summing to total."""
-    if total == 0:
-        yield ()
-        return
-    for first in range(2, total + 1):
-        for rest in _compositions(total - first):
-            yield (first,) + rest
+        return XSeries(
+            (t for part in self.psi_parts.values() for t in part.terms.items()), bound
+        )
 
 
 def fad_decompose(phi: XSeries) -> FadDecomposition:
     """Decide whether phi is a conjugate x1 series, recovering the conjugator.
 
-    Runs the weight recursion: at each weight n the part of phi not explained
-    by nested brackets of the already-recovered generators must be a bracket
-    with x1, which happens exactly when its 00-corner vanishes.  On the first
-    nonzero residual the recursion stops (later steps depend on the missing
+    phi = exp(-psi) x1 exp(psi) = sum over r of (-1)^r ad(psi)^r(x1) / r!.
+    With psi = psi_2 + psi_3 + ..., layers[r, w] holds the weight-w part of
+    ad(psi)^r(x1) / r!, which is (1/r) sum over m of [psi_m, layers[r-1, w-m]].
+    At weight n the layers with r >= 2 use only psi_m with m <= n - 3, and
+    the r = 1 layer is [psi_{n-1}, x1] = -[x1, psi_{n-1}].  So the part of
+    phi not explained by the deeper layers must be a bracket with x1, which
+    happens exactly when its 00-corner vanishes.  On the first nonzero
+    residual the recursion stops (later steps depend on the missing
     generator) and is_member is False.  On success the reconstruction
     exp(-psi) x1 exp(psi) is checked against phi up to the bound.
     """
@@ -280,15 +258,22 @@ def fad_decompose(phi: XSeries) -> FadDecomposition:
     psi_parts: dict[int, XSeries] = {}
     residuals: dict[int, XSeries] = {}
     member = True
-    ad_cache: dict[tuple[int, ...], XSeries] = {(): x1}
+    lifted: dict[int, XSeries] = {}  # psi_m at the working bound
+    layers: dict[tuple[int, int], XSeries] = {}
 
     for n in range(3, bound + 1):
-        u_n = XSeries.zero(bound)
-        for ms in _compositions(n - 1):
-            if len(ms) > 1:
-                sign = Fraction((-1) ** len(ms), factorial(len(ms)))
-                u_n = u_n + _nested_ad(ms, psi_parts, ad_cache).scale(sign)
-        target = diff.component(n).with_bound(bound) - u_n
+        depths = range(2, (n - 1) // 2 + 1)
+        for r in depths:
+            layers[r, n] = XSeries(
+                ((w, c / r) for m in range(2, n - 2 * r + 2)
+                 for w, c in commutator(lifted[m], layers[r - 1, n - m]).terms.items()),
+                bound,
+            )
+        u_n = XSeries(
+            ((w, -c if r % 2 else c) for r in depths for w, c in layers[r, n].terms.items()),
+            bound,
+        )
+        target = diff.component(n) - u_n
         c00 = corner_decompose(target).c00
         if not c00.is_zero():
             x0 = XSeries.word("0", 1, bound)
@@ -297,6 +282,8 @@ def fad_decompose(phi: XSeries) -> FadDecomposition:
             break
         residuals[n] = XSeries.zero(bound)
         psi_parts[n - 1] = ad_x1_inverse(target.truncate(n), check=False)
+        lifted[n - 1] = psi_parts[n - 1].with_bound(bound)
+        layers[1, n] = commutator(lifted[n - 1], x1)
 
     psi_parts = {m: p for m, p in psi_parts.items() if not p.is_zero()}
     out = FadDecomposition(psi_parts=psi_parts, residuals=residuals, is_member=member)

@@ -50,13 +50,13 @@ def _mobius(n: int) -> int:
     return -1 if count % 2 else 1
 
 
-def witt_number(k: int, alphabet_size: int = 2) -> int:
-    """Dimension of the degree-k part of the free Lie algebra on the alphabet:
-    (1/k) * sum over d | k of mu(d) * size^(k/d)."""
+def witt_number(k: int) -> int:
+    """Dimension of the degree-k part of the free Lie algebra on two letters:
+    (1/k) * sum over d | k of mu(d) * 2^(k/d)."""
     total = 0
     for d in range(1, k + 1):
         if k % d == 0:
-            total += _mobius(d) * alphabet_size ** (k // d)
+            total += _mobius(d) * 2 ** (k // d)
     return total // k
 
 

@@ -107,28 +107,25 @@ def shuffle_pairing(terms: dict[XWord, object], u: XWord, v: XWord):
 
 def harmonic_words(u: YWord, v: YWord) -> dict[YWord, int]:
     """Expand the overlapping shuffle of two Y-words: interleavings plus the
-    merge term that adds the two leading parts."""
-    memo: dict[tuple[YWord, YWord], dict[YWord, int]] = {}
+    merge term that adds the two leading parts.
 
-    def rec(a: YWord, b: YWord) -> dict[YWord, int]:
-        if not a:
-            return {b: 1}
-        if not b:
-            return {a: 1}
-        key = (a, b)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        out: dict[YWord, int] = {}
-        for head, tail in (((a[0],), rec(a[1:], b)), ((b[0],), rec(a, b[1:])),
-                           ((a[0] + b[0],), rec(a[1:], b[1:]))):
-            for w, m in tail.items():
-                ww = head + w
-                out[ww] = out.get(ww, 0) + m
-        memo[key] = out
-        return out
-
-    return rec(u, v)
+    The expansions of the suffix pairs u[i:] * v[j:] are filled from the ends
+    of the words, one row of i at a time: each starts with u[i], with v[j],
+    or with their sum, followed by an expansion already in the table.
+    """
+    below = [{v[j:]: 1} for j in range(len(v) + 1)]  # the row of i = len(u)
+    for i in range(len(u) - 1, -1, -1):
+        row = [None] * len(v) + [{u[i:]: 1}]
+        for j in range(len(v) - 1, -1, -1):
+            out: dict[YWord, int] = {}
+            for head, tail in (((u[i],), below[j]), ((v[j],), row[j + 1]),
+                               ((u[i] + v[j],), below[j + 1])):
+                for w, m in tail.items():
+                    ww = head + w
+                    out[ww] = out.get(ww, 0) + m
+            row[j] = out
+        below = row
+    return below[0]
 
 
 def lyndon_factors(w: YWord) -> list[YWord]:

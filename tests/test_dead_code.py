@@ -1,11 +1,14 @@
 """Static check of the package source: every top-level function and class,
 every method and every module-level assignment is used somewhere other than
 its own definition, every module-level import is used by the module that
-makes it, and every function-level import breaks an import cycle.
+makes it, every function-level import breaks an import cycle, and every
+defaulted parameter is passed by some call.
 
 A use is any name read or attribute in `src/dslforge`, `tests/` or `bench/`,
 an import of the name, or an export from `dslforge/__init__.py`.  Dunder
-names are used by the language and never count as dead.
+names are used by the language and never count as dead.  Calls are matched
+to definitions by name alone, and a call that passes *args or **kw counts as
+passing every parameter.
 """
 
 from __future__ import annotations
@@ -141,6 +144,67 @@ def needless_function_imports(package: Path) -> list[str]:
     return found
 
 
+def _defaulted_parameters(tree: ast.Module):
+    """(qualified name, position, parameter) of each defaulted parameter of a
+    non-dunder function or method.  position counts the positional arguments
+    a call passes before it (self or cls not included), None when the
+    parameter is keyword-only."""
+    for qualname, node in _definitions(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if _is_dunder(qualname.split(".")[-1]):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        shift = 1 if "." in qualname and not static else 0
+        for i in range(first, len(positional)):
+            yield qualname, i - shift, positional[i].arg
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield qualname, None, arg.arg
+
+
+def _calls(trees) -> dict[str, tuple[int, set] | None]:
+    """Callee name -> (most positional arguments, keyword names) over every
+    call by that name, or None when some call passes *args or **kw."""
+    out: dict = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None or (name in out and out[name] is None):
+                continue
+            keywords = {k.arg for k in node.keywords}
+            if None in keywords or any(isinstance(a, ast.Starred) for a in node.args):
+                out[name] = None
+                continue
+            count, seen = out.get(name, (0, set()))
+            out[name] = (max(count, len(node.args)), seen | keywords)
+    return out
+
+
+def unpassed_parameters(package: Path, *others: Path) -> list[str]:
+    """Each defaulted parameter that no call in the given trees passes, by
+    keyword or by position: a knob that always takes its default."""
+    trees = _trees(package, *others)
+    calls = _calls(trees.values())
+    dead = []
+    for path, tree in trees.items():
+        if path.parent != package:
+            continue
+        for qualname, position, param in _defaulted_parameters(tree):
+            seen = calls.get(qualname.split(".")[-1], (0, set()))
+            if seen is None or param in seen[1]:
+                continue
+            if position is None or seen[0] <= position:
+                dead.append(f"{path.stem}.{qualname}({param})")
+    return dead
+
+
 def test_every_definition_is_referenced() -> None:
     assert unreferenced_definitions(_PACKAGE, _ROOT / "tests", _ROOT / "bench") == []
 
@@ -151,3 +215,7 @@ def test_every_module_level_import_is_used() -> None:
 
 def test_every_function_level_import_breaks_a_cycle() -> None:
     assert needless_function_imports(_PACKAGE) == []
+
+
+def test_every_defaulted_parameter_is_passed_somewhere() -> None:
+    assert unpassed_parameters(_PACKAGE, _ROOT / "tests", _ROOT / "bench") == []

@@ -3,10 +3,12 @@ from __future__ import annotations
 import gc
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from dslforge.algebra import concat_exp, concat_product, is_primitive
+from dslforge.algebra import concat_exp, concat_product, harmonic_product, is_primitive
+from dslforge.cache import get_basis
 from dslforge.errors import (
     NonzeroConstant,
     NotInImage,
@@ -16,6 +18,7 @@ from dslforge.errors import (
     PreconditionViolation,
 )
 from dslforge.lie import (
+    FadDecomposition,
     ad_x1,
     ad_x1_inverse,
     bracket1,
@@ -30,9 +33,10 @@ from dslforge.lie import (
 )
 from dslforge.linalg import solve_exact
 from dslforge.lyndon import lyndon_primitive_basis
-from dslforge.series import XSeries, corner_decompose
-from dslforge.verify import random_tm1_element
-from dslforge.words import all_xwords
+from dslforge.series import XSeries, YSeries, corner_decompose
+from dslforge.spaces import ADDMR, membership_check
+from dslforge.verify import random_group_shaped, random_tm1_element, random_unit_series
+from dslforge.words import all_xwords, harmonic_words
 
 
 def _commutator(a: XSeries, b: XSeries) -> XSeries:
@@ -224,15 +228,27 @@ def test_no_reference_cycles_left_behind() -> None:
     member = concat_product(concat_product(concat_exp(-psi), x1), concat_exp(psi))
     non_member = x1 + XSeries([("101", 2), ("110", -1), ("011", -1)], bound)
     image = ad_x1(_random_primitive(random.Random(79), 6, bound))
+    rng = random.Random(83)
+    f, target = random_group_shaped(rng, 6), random_unit_series(rng, 6)
+    left = YSeries([((1, 2), 1), ((3,), -2)], 6)
+    right = YSeries([((2, 1), 1), ((1, 1, 1), 3)], 6)
+    basis = get_basis(ADDMR, 7).vectors
+    certified = basis[0] + basis[-1].scale(-2)
+    calls = {
+        "fad_decompose, member": lambda: fad_decompose(member).is_member,
+        "fad_decompose, non-member": lambda: not fad_decompose(non_member).is_member,
+        "ad_x1_inverse": lambda: not ad_x1_inverse(image).is_zero(),
+        "harmonic_words": lambda: harmonic_words((1, 2, 1), (2, 1, 3)) != {},
+        "harmonic_product": lambda: not harmonic_product(left, right).is_zero(),
+        "kappa_substitute": lambda: not kappa_substitute(f, target).is_zero(),
+        "membership_check": lambda: membership_check(ADDMR, certified).passed,
+    }
     gc.collect()
     gc.disable()
     try:
-        assert fad_decompose(member).is_member
-        assert gc.collect() == 0
-        assert not fad_decompose(non_member).is_member
-        assert gc.collect() == 0
-        assert not ad_x1_inverse(image).is_zero()
-        assert gc.collect() == 0
+        for name, call in calls.items():
+            assert call(), name
+            assert gc.collect() == 0, name
     finally:
         gc.enable()
 
@@ -247,6 +263,56 @@ def test_kappa_substitute_examples() -> None:
     assert kappa_substitute(f, XSeries.word("10", 1, 3)) == XSeries([("110", 1)], 3)
     with pytest.raises(NonzeroConstant):
         kappa_substitute(XSeries.unit(3), s)
+
+
+def _reference_kappa(f: XSeries, target: XSeries) -> XSeries:
+    """kappa_substitute letter by letter: a product by f for each x1, a
+    product by x0^run for each run of x0, skipping the words that cannot fit
+    under the bound and stopping a word once its product vanishes."""
+    if f.coeff("") != 0:
+        raise NonzeroConstant("kappa substitution needs <f | 1> = 0")
+    bound = min(f.weight_bound, target.weight_bound)
+    grow = (f.min_weight() or 1) - 1
+    f = f.with_bound(bound)
+    out = XSeries.zero(bound)
+    for w, c in target.terms.items():
+        if len(w) + w.count("1") * grow > bound:
+            continue
+        piece = XSeries.unit(bound)
+        run = 0
+        ok = True
+        for ch in w:
+            if ch == "0":
+                run += 1
+                continue
+            if run:
+                piece = concat_product(piece, XSeries.word("0" * run, 1, bound))
+                run = 0
+            piece = concat_product(piece, f)
+            if piece.is_zero():
+                ok = False
+                break
+        if ok and run:
+            piece = concat_product(piece, XSeries.word("0" * run, 1, bound))
+        if ok and not piece.is_zero():
+            out = out + piece.scale(c)
+    return out
+
+
+def test_kappa_substitute_matches_the_letter_by_letter_reference() -> None:
+    rng = random.Random(89)
+    pairs = []
+    for bound in range(0, 7):
+        for _ in range(4):
+            group = random_group_shaped(rng, max(bound, 1))
+            tm1 = random_tm1_element(rng, rng.randint(2, 4), bound + rng.randint(0, 2))
+            for f in (group, tm1):
+                # targets of bound 0, of the same bound, and longer than f's
+                for tb in (0, bound, bound + rng.randint(1, 3)):
+                    pairs.append((f, random_unit_series(rng, tb)))
+    assert any(t.max_weight() > f.weight_bound for f, t in pairs)
+    for f, target in pairs:
+        assert kappa_substitute(f, target) == _reference_kappa(f, target)
 
 
 def test_ihara_product_examples() -> None:
@@ -356,6 +422,77 @@ def test_fad_decompose_rejects_unconjugatable() -> None:
     )
     assert res5 == expected
     assert res5.coeff("01110") == -1
+
+
+def _compositions(total: int):
+    """The ordered tuples of integers >= 2 summing to total."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(2, total + 1):
+        for rest in _compositions(total - first):
+            yield (first,) + rest
+
+
+def _nested_ad(ms: tuple, parts: dict, memo: dict) -> XSeries:
+    """ad(psi_m1) ... ad(psi_mr)(x1), memoized by composition; memo[()] is x1."""
+    if ms not in memo:
+        inner = _nested_ad(ms[1:], parts, memo)
+        memo[ms] = _commutator(parts[ms[0]].with_bound(inner.weight_bound), inner)
+    return memo[ms]
+
+
+def _composition_decompose(phi: XSeries) -> FadDecomposition:
+    """fad_decompose by compositions: the weight-n part of phi beyond
+    [x1, psi_{n-1}] is the sum over the compositions (m1, ..., mr) of n - 1
+    into parts >= 2 with r >= 2 of (-1)^r / r! ad(psi_m1) ... ad(psi_mr)(x1)."""
+    bound = phi.weight_bound
+    x1 = XSeries.word("1", 1, bound)
+    diff = phi - x1
+    parts: dict = {}
+    residuals: dict = {}
+    memo: dict = {(): x1}
+    member = True
+    for n in range(3, bound + 1):
+        u_n = XSeries.zero(bound)
+        for ms in _compositions(n - 1):
+            if len(ms) > 1:
+                sign = Fraction((-1) ** len(ms), factorial(len(ms)))
+                u_n = u_n + _nested_ad(ms, parts, memo).scale(sign)
+        target = diff.component(n) - u_n
+        c00 = corner_decompose(target).c00
+        if not c00.is_zero():
+            x0 = XSeries.word("0", 1, bound)
+            residuals[n] = concat_product(concat_product(x0, c00.with_bound(bound)), x0)
+            member = False
+            break
+        residuals[n] = XSeries.zero(bound)
+        parts[n - 1] = ad_x1_inverse(target.truncate(n), check=False)
+    parts = {m: p for m, p in parts.items() if not p.is_zero()}
+    return FadDecomposition(psi_parts=parts, residuals=residuals, is_member=member)
+
+
+def test_fad_decompose_matches_the_composition_recursion() -> None:
+    rng = random.Random(97)
+    perturbed = 0
+    for bound in range(3, 11):
+        x1 = XSeries.word("1", 1, bound)
+        psi = XSeries.zero(bound)
+        for k in range(2, bound):
+            psi = psi + _random_primitive(rng, k, bound)
+        phi = concat_product(concat_product(concat_exp(-psi), x1), concat_exp(psi))
+        dec = fad_decompose(phi)
+        assert dec.is_member
+        assert dec == _composition_decompose(phi)
+        if bound > 8:
+            continue
+        # a primitive bump at weight n: rejected there when its 00-corner is not 0
+        for n in range(3, bound + 1):
+            bumped = phi + _random_primitive(rng, n, bound)
+            dec = fad_decompose(bumped)
+            assert dec == _composition_decompose(bumped)
+            perturbed += not dec.is_member and max(dec.residuals) == n
+    assert perturbed >= 15
 
 
 def test_fad_decompose_precondition() -> None:
