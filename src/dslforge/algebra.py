@@ -12,21 +12,21 @@ per weight component by triangular reduction.  In characteristic 0 the
 primitive elements are exactly the Lie polynomials (Friedrichs), and the
 standard bracketing P_w of a Lyndon word w expands to w plus lexicographically
 larger words of the same length (Reutenauer, Free Lie Algebras, ch. 5).  So
-subtracting coeff * P_w for the smallest word w left in the support empties
-a component exactly when it is Lie, and stops at a non-Lyndon smallest word
-otherwise.  The reduction runs on the component cleared of denominators: the
-bracketings have integer coefficients, so it stays in integers.  The cost
-follows the number of Lyndon words, not the number of interleavings; the
-pairing scan over all (u, v) runs only to list the defects of a component
-that fails.
+walking the Lyndon words in increasing order and subtracting coeff * P_w at
+each one reads every coefficient after the last subtraction that can touch
+it, and the component is Lie exactly when nothing is left.  The reduction
+runs on the component cleared of denominators: the bracketings have integer
+coefficients, so it stays in integers.  The cost follows the number of
+Lyndon words, not the number of interleavings.
 
 Harmonic primitivity is decided the same way.  The quasi-shuffle algebra
 over Q is the polynomial algebra on the Lyndon Y-words (Hoffman, J.
 Algebraic Combin. 11, 2000), so the products l1 * (l2 ... ln), one per
 non-Lyndon Y-word l1 l2 ... ln, span every product u * v.  A component
-cleared of denominators is paired with these products in integers, and the
-scan over all (u, v) runs only when one of them is nonzero, to list the
-defects.
+cleared of denominators is paired with these products in integers.
+
+On both alphabets one pair scan over all (u, v) lists the defects, and it
+runs only on a component that the decision above rejects.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from itertools import islice
 from math import factorial, lcm
 
 from .errors import NonUnitConstant
-from .lyndon import bracketing
+from .lyndon import bracketing, lyndon_words
 from .series import TYSeries, XSeries, YSeries
 from .words import (
     XWord,
@@ -48,17 +48,17 @@ from .words import (
     harmonic_words,
     leading_blocks,
     lyndon_factors,
-    shuffle_pairing,
     shuffle_words,
     trailing_blocks,
     word_pairs,
 )
 
 
-def _term_pairs(a, b, weight):
+def _term_pairs(a, b):
     """(u, v, <a|u> <b|v>) for the term pairs within the lower bound, in a's
     order; b's terms are sorted by weight, so the pairs over the bound are
-    never visited."""
+    never visited.  a and b are series over the same alphabet."""
+    weight = a._weight
     bound = min(a.weight_bound, b.weight_bound)
     right = sorted(b.terms.items(), key=lambda t: weight(t[0]))
     weights = [weight(v) for v, _ in right]
@@ -70,7 +70,7 @@ def _term_pairs(a, b, weight):
 def shuffle_product(a: XSeries, b: XSeries) -> XSeries:
     """Bilinear extension of word interleaving; truncates to the lower bound."""
     return XSeries(
-        ((w, c * m) for u, v, c in _term_pairs(a, b, len)
+        ((w, c * m) for u, v, c in _term_pairs(a, b)
          for w, m in shuffle_words(u, v).items()),
         min(a.weight_bound, b.weight_bound),
     )
@@ -79,24 +79,17 @@ def shuffle_product(a: XSeries, b: XSeries) -> XSeries:
 def harmonic_product(a: YSeries, b: YSeries) -> YSeries:
     """Bilinear extension of the overlapping shuffle; truncates to the lower bound."""
     return YSeries(
-        ((w, c * m) for u, v, c in _term_pairs(a, b, sum)
+        ((w, c * m) for u, v, c in _term_pairs(a, b)
          for w, m in harmonic_words(u, v).items()),
         min(a.weight_bound, b.weight_bound),
     )
 
 
-def concat_product(a: XSeries, b: XSeries) -> XSeries:
-    """Distributive word concatenation, truncated to the lower bound."""
-    return XSeries(
-        ((u + v, c) for u, v, c in _term_pairs(a, b, len)),
-        min(a.weight_bound, b.weight_bound),
-    )
-
-
-def y_concat_product(a: YSeries, b: YSeries) -> YSeries:
-    """Distributive Y-word concatenation, truncated to the lower bound."""
-    return YSeries(
-        ((u + v, c) for u, v, c in _term_pairs(a, b, sum)),
+def concat_product(a, b):
+    """Distributive word concatenation of two X- or two Y-series, truncated
+    to the lower bound."""
+    return type(a)(
+        ((u + v, c) for u, v, c in _term_pairs(a, b)),
         min(a.weight_bound, b.weight_bound),
     )
 
@@ -104,7 +97,7 @@ def y_concat_product(a: YSeries, b: YSeries) -> YSeries:
 def commutator(a: XSeries, b: XSeries) -> XSeries:
     """ab - ba under concatenation, truncated to the lower bound."""
     return XSeries(
-        (t for u, v, c in _term_pairs(a, b, len) for t in ((u + v, c), (v + u, -c))),
+        (t for u, v, c in _term_pairs(a, b) for t in ((u + v, c), (v + u, -c))),
         min(a.weight_bound, b.weight_bound),
     )
 
@@ -202,9 +195,9 @@ def group_star(phi: XSeries) -> YSeries:
     """
     if phi.coeff("") != 1:
         raise NonUnitConstant("group_star needs constant term 1")
-    gamma = _power_series(_y1_tail(phi), y_concat_product, exponential=True)
+    gamma = _power_series(_y1_tail(phi), concat_product, exponential=True)
     base = q_right(phi) + YSeries.unit(phi.weight_bound)
-    return y_concat_product(gamma, base)
+    return concat_product(gamma, base)
 
 
 def _integral(comp: dict) -> dict:
@@ -214,29 +207,43 @@ def _integral(comp: dict) -> dict:
     return {w: c.numerator * (scale // c.denominator) for w, c in comp.items()}
 
 
-def _is_lie_component(comp: dict[XWord, Fraction]) -> bool:
-    """True when a homogeneous component of weight >= 1 is a Lie polynomial,
-    by triangular reduction against the Lyndon bracketings, in integers: each
-    bracketing has integer coefficients and its Lyndon word at coefficient 1."""
+def _is_lie_component(comp: dict[XWord, Fraction], k: int) -> bool:
+    """True when a homogeneous component of weight k >= 1 is a Lie polynomial,
+    by triangular reduction against the Lyndon bracketings in increasing
+    order, in integers: each bracketing has integer coefficients, its Lyndon
+    word at coefficient 1 and otherwise only larger words, so the coefficient
+    read at each Lyndon word is final."""
+    if not comp:
+        return True  # is_primitive visits many empty weights: generate no words
     rest = _integral(comp)
-    while rest:
-        w = min(rest)
-        if any(w >= w[i:] for i in range(1, len(w))):
-            return False  # the smallest word of a Lie element is Lyndon
-        c = rest[w]
-        for u, cu in bracketing(w).items():
-            acc = rest.get(u, 0) - c * cu
-            if acc:
-                rest[u] = acc
-            else:
-                rest.pop(u, None)
-    return True
+    for w in lyndon_words(k):
+        c = rest.get(w)
+        if c:
+            for u, cu in bracketing(w).items():
+                acc = rest.get(u, 0) - c * cu
+                if acc:
+                    rest[u] = acc
+                else:
+                    del rest[u]
+    return not rest
 
 
-def _pairing_scan(comp: dict[XWord, Fraction], k: int):
-    """Yield, in scan order, each nonempty pair (u, v) with <comp | u sh v> != 0."""
-    for u, v in word_pairs(k, all_xwords):
-        val = shuffle_pairing(comp, u, v)
+def _pairing(comp: dict, expansion: dict):
+    """<comp | the expansion {word: multiplicity}>."""
+    total = 0
+    for w, m in expansion.items():
+        c = comp.get(w)
+        if c is not None:
+            total += m * c
+    return total
+
+
+def _pair_scan(comp: dict, k: int, words, product):
+    """Yield, in word_pairs order, each nonempty pair (u, v) of total weight k
+    with <comp | product(u, v)> != 0; words is all_xwords or all_ywords and
+    product the matching shuffle_words or harmonic_words."""
+    for u, v in word_pairs(k, words):
+        val = _pairing(comp, product(u, v))
         if val:
             yield u, v, val
 
@@ -253,8 +260,8 @@ def _shuffle_defects(a: XSeries, k: int):
     """Yield, in scan order, the pairs shuffle_primitivity_defect lists; a
     component that passes the Lie test yields none without enumerating any."""
     comp = _weight_component(a, k)
-    if k >= 2 and not _is_lie_component(comp):
-        yield from _pairing_scan(comp, k)
+    if k >= 2 and not _is_lie_component(comp, k):
+        yield from _pair_scan(comp, k, all_xwords, shuffle_words)
 
 
 def shuffle_primitivity_defect(a: XSeries, k: int) -> list[tuple[XWord, XWord, Fraction]]:
@@ -280,26 +287,6 @@ def _harmonic_products(m: int):
             yield harmonic_words(head, w[len(head) :])
 
 
-def _pairing(comp: dict, expansion: dict):
-    """<comp | the expansion {word: multiplicity}>."""
-    total = 0
-    for w, m in expansion.items():
-        c = comp.get(w)
-        if c is not None:
-            total += m * c
-    return total
-
-
-def _harmonic_scan(a: YSeries, k: int):
-    """Yield, in scan order, each nonempty pair (u, v) with <a | u * v> != 0
-    and total weight k."""
-    comp = _weight_component(a, k)
-    for u, v in word_pairs(k, all_ywords):
-        val = _pairing(comp, harmonic_words(u, v))
-        if val:
-            yield u, v, val
-
-
 def _products_vanish(comp: dict[YWord, Fraction], k: int) -> bool:
     """True when the weight-k component pairs to 0 with every spanning product
     (_harmonic_products), so with every u * v; decided in integers."""
@@ -308,10 +295,12 @@ def _products_vanish(comp: dict[YWord, Fraction], k: int) -> bool:
 
 
 def _harmonic_defects(a: YSeries, k: int):
-    """Yield what _harmonic_scan yields; a component on which every spanning
-    product vanishes yields none without pairing any (u, v)."""
-    if not _products_vanish(_weight_component(a, k), k):
-        yield from _harmonic_scan(a, k)
+    """Yield, in scan order, the pairs harmonic_primitivity_defect lists; a
+    component on which every spanning product vanishes yields none without
+    pairing any (u, v)."""
+    comp = _weight_component(a, k)
+    if not _products_vanish(comp, k):
+        yield from _pair_scan(comp, k, all_ywords, harmonic_words)
 
 
 def harmonic_primitivity_defect(a: YSeries, k: int) -> list[tuple[YWord, YWord, Fraction]]:
@@ -326,7 +315,7 @@ def is_primitive(a: XSeries) -> bool:
     if a.coeff("") != 0:
         return False
     for k in range(2, a.weight_bound + 1):
-        if not _is_lie_component(_weight_component(a, k)):
+        if not _is_lie_component(_weight_component(a, k), k):
             return False
     return True
 

@@ -13,9 +13,6 @@ class NonUnitConstant(DslforgeError):
     """Constant term is not 1."""
 
 
-NotGrouplikeUnit = NonUnitConstant
-
-
 class NonzeroConstant(DslforgeError):
     """Constant term is not 0."""
 

@@ -47,10 +47,11 @@ def _json_coeff(value) -> Fraction:
     raise ValueError(f"coefficient must be an integer or a string, got {value!r}")
 
 
-def _json_terms(data: dict, alphabet: str, key) -> tuple[list, int]:
-    """The (key, coeff) pairs and the weight bound of a series JSON object,
-    checked for format, alphabet, well-formed terms and exact coefficients;
-    key(term) reads and checks the word of one term."""
+def _json_terms(data: dict, alphabet: str, key, weight) -> tuple[dict, int]:
+    """The {key: coeff} terms and the weight bound of a series JSON object,
+    checked for format, alphabet, well-formed, distinct terms within the
+    bound and exact coefficients; key(term) reads and checks the word of one
+    term.  A file is not truncated or summed, so no listed term is lost."""
     if data.get("format") != JSON_FORMAT:
         raise ValueError(f"unknown series format: {data.get('format')!r}")
     if data.get("alphabet") != alphabet:
@@ -61,12 +62,17 @@ def _json_terms(data: dict, alphabet: str, key) -> tuple[list, int]:
     terms = data.get("terms")
     if not isinstance(terms, list):
         raise ValueError("series JSON needs a list of terms")
-    out = []
+    out = {}
     for t in terms:
         try:
-            out.append((key(t), _json_coeff(t["coeff"])))
+            w, c = key(t), _json_coeff(t["coeff"])
         except (KeyError, TypeError):
             raise ValueError(f"malformed term: {t!r}") from None
+        if w in out:
+            raise ValueError(f"repeated term: {t!r}")
+        if weight(w) > bound:
+            raise ValueError(f"term above weight_bound {bound}: {t!r}")
+        out[w] = c
     return out, bound
 
 
@@ -164,7 +170,7 @@ class _SeriesOps:
 
     @classmethod
     def from_json_dict(cls, data: dict):
-        return cls(*_json_terms(data, cls._alphabet, cls._read_key))
+        return cls(*_json_terms(data, cls._alphabet, cls._read_key, cls._weight))
 
     def coeff(self, key) -> Fraction:
         return self.terms.get(key, Fraction(0))

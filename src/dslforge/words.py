@@ -4,12 +4,15 @@ X-words are strings of '0' and '1' ('0' is the first letter of the alphabet,
 '1' the second); the leftmost character is the leftmost letter.  Y-words are
 tuples of positive integers.  Both encodings are canonical and hashable, so
 they serve directly as dictionary keys in sparse series.
+
+The interleaving (shuffle) product of X-words and the overlapping shuffle
+(harmonic product) of Y-words are expanded by one table over suffix pairs:
+the harmonic product is the shuffle plus one merge term (Hoffman, J.
+Algebraic Combin. 11, 2000).
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import combinations
 from typing import Iterator
 
 XWord = str
@@ -19,21 +22,9 @@ X0 = "0"
 X1 = "1"
 
 
-def xweight(w: XWord) -> int:
-    return len(w)
-
-
 def xdepth(w: XWord) -> int:
     """Number of occurrences of the second letter."""
     return w.count(X1)
-
-
-def yweight(w: YWord) -> int:
-    return sum(w)
-
-
-def ydepth(w: YWord) -> int:
-    return len(w)
 
 
 def is_xword(w: object) -> bool:
@@ -75,57 +66,42 @@ def word_pairs(k: int, words) -> Iterator[tuple]:
                 yield u, v
 
 
-def _interleavings(u: XWord, v: XWord) -> Iterator[XWord]:
-    """Each interleaving of u and v, once per choice of positions for u."""
-    n = len(u) + len(v)
-    for positions in combinations(range(n), len(u)):
-        chars = [""] * n
-        for c, i in zip(u, positions):
-            chars[i] = c
-        it = iter(v)
-        for i in range(n):
-            if not chars[i]:
-                chars[i] = next(it)
-        yield "".join(chars)
+def _suffix_products(u, v, merge: bool) -> dict:
+    """The expansion of u sh v, or of u * v when merge, as {word: multiplicity}.
+
+    The expansions of the suffix pairs u[i:] . v[j:] are filled from the ends
+    of the words, one row of i at a time: each starts with u[i], with v[j],
+    or (merge only) with the letter u[i] + v[j], followed by an expansion
+    already in the table.  The words beginning with u[i] are all distinct,
+    so they start the expansion as one dict.
+    """
+    below = [{v[j:]: 1} for j in range(len(v) + 1)]  # the row of i = len(u)
+    for i in range(len(u) - 1, -1, -1):
+        head = u[i : i + 1]
+        row = [None] * len(v) + [{u[i:]: 1}]
+        for j in range(len(v) - 1, -1, -1):
+            out = {head + w: m for w, m in below[j].items()}
+            pairs = ((v[j : j + 1], row[j + 1]),)
+            if merge:
+                pairs += (((u[i] + v[j],), below[j + 1]),)
+            for h, tail in pairs:
+                for w, m in tail.items():
+                    w = h + w
+                    out[w] = out.get(w, 0) + m
+            row[j] = out
+        below = row
+    return below[0]
 
 
 def shuffle_words(u: XWord, v: XWord) -> dict[XWord, int]:
     """Expand the interleaving product of two X-words into a word -> multiplicity map."""
-    return dict(Counter(_interleavings(u, v)))
-
-
-def shuffle_pairing(terms: dict[XWord, object], u: XWord, v: XWord):
-    """Pair a coefficient map against u interleaved with v, without expanding
-    the product into a dictionary first (memory-friendly at high weight)."""
-    total = 0
-    for w in _interleavings(u, v):
-        c = terms.get(w)
-        if c is not None:
-            total = total + c
-    return total
+    return _suffix_products(u, v, merge=False)
 
 
 def harmonic_words(u: YWord, v: YWord) -> dict[YWord, int]:
     """Expand the overlapping shuffle of two Y-words: interleavings plus the
-    merge term that adds the two leading parts.
-
-    The expansions of the suffix pairs u[i:] * v[j:] are filled from the ends
-    of the words, one row of i at a time: each starts with u[i], with v[j],
-    or with their sum, followed by an expansion already in the table.
-    """
-    below = [{v[j:]: 1} for j in range(len(v) + 1)]  # the row of i = len(u)
-    for i in range(len(u) - 1, -1, -1):
-        row = [None] * len(v) + [{u[i:]: 1}]
-        for j in range(len(v) - 1, -1, -1):
-            out: dict[YWord, int] = {}
-            for head, tail in (((u[i],), below[j]), ((v[j],), row[j + 1]),
-                               ((u[i] + v[j],), below[j + 1])):
-                for w, m in tail.items():
-                    ww = head + w
-                    out[ww] = out.get(ww, 0) + m
-            row[j] = out
-        below = row
-    return below[0]
+    merge term that adds the two leading parts."""
+    return _suffix_products(u, v, merge=True)
 
 
 def lyndon_factors(w: YWord) -> list[YWord]:
@@ -185,7 +161,3 @@ def from_leading_blocks(w: YWord) -> XWord:
     """Inverse of leading_blocks: (k1, ..., kr) -> 1 0^{k1-1} ... 1 0^{kr-1}."""
     return "".join(X1 + X0 * (k - 1) for k in w)
 
-
-def from_trailing_blocks(w: YWord) -> XWord:
-    """(k1, ..., kr) -> 0^{k1-1} 1 ... 0^{kr-1} 1."""
-    return "".join(X0 * (k - 1) + X1 for k in w)

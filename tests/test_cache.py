@@ -68,6 +68,27 @@ def test_inconsistent_entry_is_a_miss(private_cache, edit) -> None:
     assert load_basis(ADDMR, 5) == basis
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda v: v.update(weight_bound=4),
+        lambda v: v["terms"].append(v["terms"][0]),
+    ],
+    ids=["term-above-bound", "repeated-term"],
+)
+def test_entry_with_a_bad_term_and_a_valid_checksum_is_a_miss(private_cache, edit) -> None:
+    basis = get_basis(ADDMR, 5)
+
+    def edit_and_sign(data):
+        data.pop("crc32")
+        edit(data["vectors"][0])
+        data["crc32"] = cache._checksum(data)
+
+    _tamper(ADDMR, 5, edit_and_sign)
+    assert load_basis(ADDMR, 5) is None
+    assert get_basis(ADDMR, 5) == basis
+
+
 def test_store_leaves_no_temporary_files(private_cache, monkeypatch) -> None:
     basis = get_basis(DMR, 5, use_cache=False)
     path = store_basis(basis)

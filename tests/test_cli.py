@@ -151,8 +151,11 @@ def test_library_error_exits_2_without_traceback(cli_cache, capsys, tmp_path) ->
         lambda d: d["terms"][0].update(coeff=0.1),
         lambda d: d["terms"][0].pop("coeff"),
         lambda d: d.update(weight_bound=-1),
+        lambda d: d.update(weight_bound=2),
+        lambda d: d["terms"].extend([dict(t, coeff=str(-int(t["coeff"]))) for t in d["terms"]]),
     ],
-    ids=["float-coeff", "missing-coeff", "negative-bound"],
+    ids=["float-coeff", "missing-coeff", "negative-bound", "term-above-bound",
+         "repeated-term"],
 )
 def test_member_rejects_bad_series_json(cli_cache, capsys, tmp_path, edit) -> None:
     data = XSeries([("101", 2), ("110", -1), ("011", -1)], 3).to_json_dict()

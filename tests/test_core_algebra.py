@@ -23,7 +23,7 @@ from dslforge.algebra import (
     shuffle_product,
     star_word,
 )
-from dslforge.errors import NotGrouplikeUnit
+from dslforge.errors import NonUnitConstant
 from dslforge.series import TYSeries, XSeries, YSeries
 from dslforge.words import all_xwords, all_ywords
 
@@ -242,7 +242,7 @@ def test_group_star_examples() -> None:
     )
     phi = XSeries([("", 1), ("1", 1)], 2)
     assert group_star(phi) == YSeries([((), 1), ((1,), 1)], 2)
-    with pytest.raises(NotGrouplikeUnit):
+    with pytest.raises(NonUnitConstant):
         group_star(XSeries.word("1", 1, 2))
 
 

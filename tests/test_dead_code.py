@@ -1,8 +1,10 @@
 """Static check of the package source: every top-level function and class,
 every method and every module-level assignment is used somewhere other than
 its own definition, every module-level import is used by the module that
-makes it, every function-level import breaks an import cycle, and every
-defaulted parameter is passed by some call.
+makes it, every function-level import breaks an import cycle, every
+defaulted parameter is passed by some call, and every public top-level name
+is exported from `dslforge/__init__.py` or used by the package or the
+benchmark, not by the tests alone.
 
 A use is any name read or attribute in `src/dslforge`, `tests/` or `bench/`,
 an import of the name, or an export from `dslforge/__init__.py`.  Dunder
@@ -205,6 +207,36 @@ def unpassed_parameters(package: Path, *others: Path) -> list[str]:
     return dead
 
 
+def _strings(tree: ast.Module) -> Counter:
+    return Counter(
+        sub.value for sub in ast.walk(tree)
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+    )
+
+
+def public_names_only_tests_use(package: Path, bench: Path) -> list[str]:
+    """Each top-level name of the package without a leading underscore that
+    dslforge/__init__.py does not export and that neither the package nor
+    the benchmark uses outside its own definition.  A string constant in the
+    benchmark counts as a use, because its tracer wraps functions by name."""
+    trees = _trees(package, bench)
+    exported = _names(trees[package / "__init__.py"])
+    used = sum((_names(tree) for tree in trees.values()), Counter())
+    for path, tree in trees.items():
+        if bench in path.parents:
+            used += _strings(tree)
+    found = []
+    for path, tree in trees.items():
+        if path.parent != package:
+            continue
+        for name, node in _definitions(tree):
+            if "." in name or name.startswith("_") or exported[name]:
+                continue
+            if used[name] - _names(node)[name] <= 0:
+                found.append(f"{path.stem}.{name}")
+    return found
+
+
 def test_every_definition_is_referenced() -> None:
     assert unreferenced_definitions(_PACKAGE, _ROOT / "tests", _ROOT / "bench") == []
 
@@ -219,3 +251,7 @@ def test_every_function_level_import_breaks_a_cycle() -> None:
 
 def test_every_defaulted_parameter_is_passed_somewhere() -> None:
     assert unpassed_parameters(_PACKAGE, _ROOT / "tests", _ROOT / "bench") == []
+
+
+def test_every_public_name_is_exported_or_used_outside_the_tests() -> None:
+    assert public_names_only_tests_use(_PACKAGE, _ROOT / "bench") == []

@@ -15,6 +15,7 @@ from dslforge.cache import get_basis
 from dslforge.lyndon import bracketing, lyndon_words
 from dslforge.series import XSeries
 from dslforge.spaces import ADDMR, ADDMR_FAD_PARITY, DMR, membership_check
+from dslforge.words import all_xwords, all_ywords, harmonic_words, shuffle_words
 
 _COEFFS = (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 7), -1, 2)
 
@@ -50,7 +51,9 @@ def test_products_vanish_exactly_when_the_pair_scan_is_empty(k) -> None:
         for s in (member, member + _lyndon_perturbation(rng, k)):
             for image, m in _harmonic_images(s, k):
                 vanish = algebra._products_vanish(algebra._weight_component(image, m), m)
-                scan_empty = next(algebra._harmonic_scan(image, m), None) is None
+                comp = algebra._weight_component(image, m)
+                scan = algebra._pair_scan(comp, m, all_ywords, harmonic_words)
+                scan_empty = next(scan, None) is None
                 assert vanish == scan_empty, (space.key, k, m)
                 decided.add(vanish)
     if k >= 4:
@@ -61,12 +64,10 @@ def _pair_scan_only(monkeypatch, space, s):
     """The report of a membership check whose every weight is decided by the
     pair scans alone."""
     with monkeypatch.context() as m:
-        m.setattr(spaces, "_harmonic_defects", algebra._harmonic_scan)
-        m.setattr(
-            spaces,
-            "_shuffle_defects",
-            lambda a, k: algebra._pairing_scan(algebra._weight_component(a, k), k),
-        )
+        m.setattr(spaces, "_harmonic_defects", lambda a, k: algebra._pair_scan(
+            algebra._weight_component(a, k), k, all_ywords, harmonic_words))
+        m.setattr(spaces, "_shuffle_defects", lambda a, k: algebra._pair_scan(
+            algebra._weight_component(a, k), k, all_xwords, shuffle_words))
         return membership_check(space, s)
 
 

@@ -19,7 +19,6 @@ from dslforge.algebra import (
     harmonic_product,
     shuffle_product,
     star_word,
-    y_concat_product,
 )
 from dslforge.lie import derive_d
 from dslforge.lyndon import lyndon_primitive_basis
@@ -161,7 +160,7 @@ def test_y_products_and_sum_match_naive_references(pair) -> None:
     a, b = pair
     bound = min(a.weight_bound, b.weight_bound)
     _check(harmonic_product(a, b), _naive_product(a, b, sum, _naive_harmonic), bound)
-    _check(y_concat_product(a, b), _naive_product(a, b, sum, lambda u, v: [u + v]), bound)
+    _check(concat_product(a, b), _naive_product(a, b, sum, lambda u, v: [u + v]), bound)
     _check(
         a + b,
         _naive_sum((w, c) for s in (a, b) for w, c in s.terms.items() if sum(w) <= bound),
@@ -209,7 +208,7 @@ def test_star_harmonic_violations_are_the_scan_prefix_and_stop_early(monkeypatch
     assert len(full) > 10
     for limit in (0, 1, 10):
         calls.clear()
-        assert list(islice(algebra._harmonic_scan(star, 8), limit)) == full[:limit]
+        assert list(islice(algebra._harmonic_defects(star, 8), limit)) == full[:limit]
         assert len(calls) < full_calls
     calls.clear()
     rep = membership_check(DMR, s)

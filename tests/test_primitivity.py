@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +15,7 @@ from dslforge.algebra import is_primitive, shuffle_primitivity_defect
 from dslforge.lyndon import _expand, bracketing, lyndon_words
 from dslforge.series import XSeries
 from dslforge.spaces import ADDMR, DMR, FAD, membership_check
-from dslforge.words import all_xwords
+from dslforge.words import all_xwords, all_ywords, harmonic_words, shuffle_words, word_pairs
 
 
 def test_lyndon_bracketing_is_unitriangular() -> None:
@@ -53,8 +53,8 @@ def _components(draw):
 @given(_components())
 def test_lie_test_agrees_with_pairing_scan(case) -> None:
     k, comp = case
-    scan = list(algebra._pairing_scan(comp, k))
-    assert algebra._is_lie_component(comp) == (scan == [])
+    scan = list(algebra._pair_scan(comp, k, all_xwords, shuffle_words))
+    assert algebra._is_lie_component(comp, k) == (scan == [])
     s = XSeries(comp, k)
     assert shuffle_primitivity_defect(s, k) == scan
     assert is_primitive(s) == (scan == [])
@@ -71,8 +71,8 @@ def test_membership_primitive_violations_are_the_scan_prefix() -> None:
             {"weight": k, "condition": "primitive",
              "detail": {"u": u, "v": v, "value": str(val)}}
             for k in sorted({len(w) for w in s.terms})
-            for u, v, val in algebra._pairing_scan(
-                {w: c for w, c in s.terms.items() if len(w) == k}, k
+            for u, v, val in algebra._pair_scan(
+                {w: c for w, c in s.terms.items() if len(w) == k}, k, all_xwords, shuffle_words
             )
         ]
         assert scan
@@ -98,9 +98,9 @@ def test_limited_defect_list_is_the_scan_prefix_and_stops_early(monkeypatch) -> 
     words = list(all_xwords(8))
     s = XSeries([(rng.choice(words), rng.randint(1, 3)) for _ in range(5)], 8)
     calls = []
-    real = algebra.shuffle_pairing
+    real = algebra.shuffle_words
     monkeypatch.setattr(
-        algebra, "shuffle_pairing", lambda *a: calls.append(1) or real(*a)
+        algebra, "shuffle_words", lambda *a: calls.append(1) or real(*a)
     )
     full = shuffle_primitivity_defect(s, 8)
     full_calls = len(calls)
@@ -129,26 +129,85 @@ def _fraction_lie_reference(comp: dict) -> bool:
     return True
 
 
-@pytest.mark.parametrize("k", range(2, 10))
+@pytest.mark.parametrize("k", range(2, 13))
 def test_integer_lie_test_agrees_with_the_fraction_reduction(k) -> None:
     rng = random.Random(k)
     coeffs = [Fraction(n, d) for n, d in ((1, 2), (-2, 3), (3, 7), (5, 42), (-7, 6))]
     words = list(all_xwords(k))
-    verdicts = []
+    lyndon = lyndon_words(k)
+    assert algebra._is_lie_component({}, k) and _fraction_lie_reference({})
+    # a non-Lie component whose smallest word is not Lyndon
+    cases = [{"0" * (k - 2) + "10": rng.choice(coeffs), "1" * k: rng.choice(coeffs)}]
     for _ in range(4):
         comp: dict = {}
-        for w in lyndon_words(k):
+        for w in rng.sample(lyndon, min(len(lyndon), 40)):
             c = rng.choice(coeffs)
             for u, cu in bracketing(w).items():
                 comp[u] = comp.get(u, 0) + c * cu
         comp = {w: c for w, c in comp.items() if c}
         assert {c.denominator for c in comp.values()} - {1}
-        perturbed = dict(comp)
-        word = rng.choice(words)
-        perturbed[word] = perturbed.get(word, 0) + rng.choice(coeffs)
-        perturbed = {w: c for w, c in perturbed.items() if c}
-        for case in (comp, perturbed):
-            verdict = algebra._is_lie_component(case)
-            assert verdict == _fraction_lie_reference(case)
-            verdicts.append(verdict)
-    assert verdicts == [True, False] * 4
+        cases.append(comp)
+        # perturbed at a random word, at the smallest and at the largest word
+        for word in (rng.choice(words), words[0], words[-1]):
+            perturbed = dict(comp)
+            perturbed[word] = perturbed.get(word, 0) + rng.choice(coeffs)
+            cases.append({w: c for w, c in perturbed.items() if c})
+    verdicts = []
+    for case in cases:
+        verdict = algebra._is_lie_component(case, k)
+        assert verdict == _fraction_lie_reference(case)
+        verdicts.append(verdict)
+    assert verdicts == [False] + [True, False, False, False] * 4
+
+
+def test_is_primitive_generates_lyndon_words_only_for_nonempty_weights(monkeypatch) -> None:
+    seen = []
+    real = algebra.lyndon_words
+    monkeypatch.setattr(algebra, "lyndon_words", lambda k: seen.append(k) or real(k))
+    lie = XSeries(bracketing("0011"), 9) + XSeries(bracketing("00101"), 9)
+    assert is_primitive(lie)
+    assert seen == [4, 5]
+    seen.clear()
+    assert not is_primitive(lie + XSeries.word("0110", 1, 9))
+    assert seen == [4]
+
+
+def _interleaving_pairing_scan(comp: dict, k: int):
+    """The shuffle pair scan that pairs comp with each interleaving in turn,
+    without expanding the product."""
+    for u, v in word_pairs(k, all_xwords):
+        val = 0
+        for positions in combinations(range(k), len(u)):
+            chars, it = list(v), iter(u)
+            for i in positions:
+                chars.insert(i, next(it))
+            c = comp.get("".join(chars))
+            if c is not None:
+                val = val + c
+        if val:
+            yield u, v, val
+
+
+def _harmonic_pairing_scan(comp: dict, k: int):
+    """The harmonic pair scan, pairing comp with each expansion u * v."""
+    for u, v in word_pairs(k, all_ywords):
+        val = sum(m * comp.get(w, 0) for w, m in harmonic_words(u, v).items())
+        if val:
+            yield u, v, val
+
+
+def test_pair_scan_matches_the_scan_of_each_alphabet() -> None:
+    rng = random.Random(13)
+    for k in range(2, 9):
+        for words, product, reference in (
+            (all_xwords, shuffle_words, _interleaving_pairing_scan),
+            (all_ywords, harmonic_words, _harmonic_pairing_scan),
+        ):
+            pool = list(words(k))
+            for size in (1, 3, 8):
+                comp = {rng.choice(pool): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                        for _ in range(size)}
+                comp = {w: c for w, c in comp.items() if c}
+                got = list(algebra._pair_scan(comp, k, words, product))
+                assert got == list(reference(comp, k))
+                assert all(type(val) is Fraction for _, _, val in got)

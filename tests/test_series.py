@@ -157,6 +157,25 @@ def test_json_rejects_inexact_and_malformed(cls, data) -> None:
         cls.from_json_dict(data)
 
 
+@pytest.mark.parametrize(
+    "series",
+    [XSeries([("011", Fraction(-3, 2)), ("0", 1)], 4),
+     YSeries([((2, 1), 5)], 6),
+     TYSeries([((2, (1,)), Fraction(1, 7))], 5)],
+    ids=lambda s: type(s).__name__,
+)
+def test_json_rejects_terms_above_the_bound_and_repeated_terms(series) -> None:
+    """A file's terms are neither truncated nor summed, so none is lost."""
+    good = series.to_json_dict()
+    term = good["terms"][-1]
+    opposite = dict(term, coeff=str(-Fraction(term["coeff"])))
+    for data in (dict(good, weight_bound=series.max_weight() - 1),
+                 dict(good, terms=good["terms"] + [term]),
+                 dict(good, terms=good["terms"] + [opposite])):
+        with pytest.raises(ValueError, match="above weight_bound|repeated term"):
+            type(series).from_json_dict(data)
+
+
 def test_json_accepts_integer_and_string_coefficients() -> None:
     data = XSeries.word("01", 3, 2).to_json_dict()
     data["terms"][0]["coeff"] = 3

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 
 from hypothesis import example, given
@@ -10,28 +11,20 @@ from dslforge.words import (
     all_xwords,
     all_ywords,
     from_leading_blocks,
-    from_trailing_blocks,
     harmonic_words,
     is_xword,
     leading_blocks,
     lyndon_factors,
-    shuffle_pairing,
     shuffle_words,
     trailing_blocks,
     x_run_lengths,
     xdepth,
-    xweight,
-    ydepth,
-    yweight,
 )
 
 
 def test_weights_and_depths() -> None:
-    assert xweight("") == 0
-    assert xweight("0110") == 4
+    assert xdepth("") == 0
     assert xdepth("0110") == 2
-    assert yweight((2, 1, 3)) == 6
-    assert ydepth((2, 1, 3)) == 3
 
 
 def test_all_words_counts() -> None:
@@ -52,7 +45,12 @@ def test_run_lengths_and_blocks() -> None:
     assert trailing_blocks("10") is None
     assert trailing_blocks("") is None
     assert from_leading_blocks((3, 2)) == "10010"
-    assert from_trailing_blocks((3, 2)) == "00101"
+    assert _from_trailing_blocks((3, 2)) == "00101"
+
+
+def _from_trailing_blocks(w: tuple) -> str:
+    """Inverse of trailing_blocks: (k1, ..., kr) -> 0^{k1-1} 1 ... 0^{kr-1} 1."""
+    return "".join("0" * (k - 1) + "1" for k in w)
 
 
 def test_block_round_trips() -> None:
@@ -60,7 +58,7 @@ def test_block_round_trips() -> None:
         for y in all_ywords(k):
             assert leading_blocks(from_leading_blocks(y)) == y
             if y:  # the empty word has no trailing '1' to read
-                assert trailing_blocks(from_trailing_blocks(y)) == y
+                assert trailing_blocks(_from_trailing_blocks(y)) == y
 
 
 def test_shuffle_words_simple() -> None:
@@ -97,14 +95,26 @@ def test_shuffle_counts() -> None:
     assert total == comb(8, 3)
 
 
-def test_shuffle_pairing_matches_expansion() -> None:
-    rng = random.Random(2)
-    for _ in range(20):
-        u = "".join(rng.choice("01") for _ in range(rng.randint(1, 4)))
-        v = "".join(rng.choice("01") for _ in range(rng.randint(1, 4)))
-        terms = {w: rng.randint(-3, 3) for w in all_xwords(len(u) + len(v))}
-        direct = sum(terms[w] * m for w, m in shuffle_words(u, v).items())
-        assert shuffle_pairing(terms, u, v) == direct
+def _interleavings(u: str, v: str):
+    """Each interleaving of u and v, once per choice of positions for u."""
+    n = len(u) + len(v)
+    for positions in combinations(range(n), len(u)):
+        chars = [""] * n
+        for c, i in zip(u, positions):
+            chars[i] = c
+        it = iter(v)
+        for i in range(n):
+            if not chars[i]:
+                chars[i] = next(it)
+        yield "".join(chars)
+
+
+def test_shuffle_words_matches_the_interleaving_enumeration() -> None:
+    for n in range(10):
+        for a in range(n + 1):
+            for u in all_xwords(a):
+                for v in all_xwords(n - a):
+                    assert shuffle_words(u, v) == dict(Counter(_interleavings(u, v)))
 
 
 def _overlapping_shuffle_oracle(u: tuple, v: tuple) -> dict[tuple, int]:
