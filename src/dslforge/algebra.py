@@ -56,12 +56,11 @@ from .words import (
 
 def _term_pairs(a, b):
     """(u, v, <a|u> <b|v>) for the term pairs within the lower bound, in a's
-    order; b's terms are sorted by weight, so the pairs over the bound are
-    never visited.  a and b are series over the same alphabet."""
+    order; b's terms are read sorted by weight, so the pairs over the bound
+    are never visited.  a and b are series over the same alphabet."""
     weight = a._weight
     bound = min(a.weight_bound, b.weight_bound)
-    right = sorted(b.terms.items(), key=lambda t: weight(t[0]))
-    weights = [weight(v) for v, _ in right]
+    right, weights = b._by_weight()
     for u, cu in a.terms.items():
         for v, cv in islice(right, bisect_right(weights, bound - weight(u))):
             yield u, v, cu * cv
@@ -201,13 +200,16 @@ def group_star(phi: XSeries) -> YSeries:
 
 
 def _integral(comp: dict) -> dict:
-    """The component times the lcm of its coefficients' denominators, as
-    {word: int}: a positive multiple, so it meets the same linear conditions."""
+    """The component as {word: int}: unchanged when no coefficient has a
+    denominator above 1, otherwise times the lcm of the denominators, a
+    positive multiple, so it meets the same linear conditions."""
     scale = lcm(*(c.denominator for c in comp.values()))
+    if scale == 1:
+        return comp
     return {w: c.numerator * (scale // c.denominator) for w, c in comp.items()}
 
 
-def _is_lie_component(comp: dict[XWord, Fraction], k: int) -> bool:
+def _is_lie_component(comp: dict[XWord, int | Fraction], k: int) -> bool:
     """True when a homogeneous component of weight k >= 1 is a Lie polynomial,
     by triangular reduction against the Lyndon bracketings in increasing
     order, in integers: each bracketing has integer coefficients, its Lyndon
@@ -215,7 +217,7 @@ def _is_lie_component(comp: dict[XWord, Fraction], k: int) -> bool:
     read at each Lyndon word is final."""
     if not comp:
         return True  # is_primitive visits many empty weights: generate no words
-    rest = _integral(comp)
+    rest = dict(_integral(comp))
     for w in lyndon_words(k):
         c = rest.get(w)
         if c:
@@ -264,7 +266,9 @@ def _shuffle_defects(a: XSeries, k: int):
         yield from _pair_scan(comp, k, all_xwords, shuffle_words)
 
 
-def shuffle_primitivity_defect(a: XSeries, k: int) -> list[tuple[XWord, XWord, Fraction]]:
+def shuffle_primitivity_defect(
+    a: XSeries, k: int
+) -> list[tuple[XWord, XWord, int | Fraction]]:
     """All nonempty pairs (u, v), |u| <= |v|, |u|+|v| = k, with <a | u sh v> != 0.
 
     An empty list at every weight means the series is primitive for the
@@ -287,7 +291,7 @@ def _harmonic_products(m: int):
             yield harmonic_words(head, w[len(head) :])
 
 
-def _products_vanish(comp: dict[YWord, Fraction], k: int) -> bool:
+def _products_vanish(comp: dict[YWord, int | Fraction], k: int) -> bool:
     """True when the weight-k component pairs to 0 with every spanning product
     (_harmonic_products), so with every u * v; decided in integers."""
     comp = _integral(comp)
@@ -303,7 +307,9 @@ def _harmonic_defects(a: YSeries, k: int):
         yield from _pair_scan(comp, k, all_ywords, harmonic_words)
 
 
-def harmonic_primitivity_defect(a: YSeries, k: int) -> list[tuple[YWord, YWord, Fraction]]:
+def harmonic_primitivity_defect(
+    a: YSeries, k: int
+) -> list[tuple[YWord, YWord, int | Fraction]]:
     """All nonempty Y-word pairs (u, v), wt u <= wt v, total weight k, with
     <a | u * v> != 0."""
     return list(_harmonic_defects(a, k))

@@ -105,7 +105,7 @@ def ad_x1_inverse(v: XSeries, check: bool = True) -> XSeries:
             raise NotPrimitive("ad_x1_inverse: input is not primitive")
         if mw is not None and not corner_decompose(v).c00.is_zero():
             raise NotInImage("ad_x1_inverse: nonzero 00-corner")
-    psi: dict[str, Fraction] = {}
+    psi: dict[str, int | Fraction] = {}
     # c*1u adds c at u and at each rotation that moves a leading 1 to the end
     for w, c in v.terms.items():
         if w[:1] != "1" or "0" not in w:
@@ -265,7 +265,7 @@ def fad_decompose(phi: XSeries) -> FadDecomposition:
         depths = range(2, (n - 1) // 2 + 1)
         for r in depths:
             layers[r, n] = XSeries(
-                ((w, c / r) for m in range(2, n - 2 * r + 2)
+                ((w, Fraction(c, r)) for m in range(2, n - 2 * r + 2)
                  for w, c in commutator(lifted[m], layers[r - 1, n - m]).terms.items()),
                 bound,
             )

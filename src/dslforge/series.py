@@ -2,10 +2,14 @@
 
 Every series carries an explicit weight_bound: terms above the bound are
 dropped on construction, and binary operations truncate to the minimum of the
-two bounds.  Coefficients are exact rationals; zero coefficients are never
-stored.  Instances are immutable: attributes cannot be set, no method
-mutates terms, and all operations return new series.  The three classes share
-one body and differ only in their keys.
+two bounds.  Coefficients are exact rationals held in one normal form: a
+plain int when the value is integral, a Fraction only when its denominator
+is above 1, so integer inputs and bases run in native int arithmetic.  Zero
+coefficients are never stored.  coeff() returns a Fraction, for a missing
+word too, so dividing two coefficients stays exact.  Instances are
+immutable: attributes cannot be set, no method mutates terms, and all
+operations return new series.  The three classes share one body and differ
+only in their keys.
 """
 
 from __future__ import annotations
@@ -24,24 +28,29 @@ TWord = tuple  # (t_exp, YWord)
 JSON_FORMAT = "ncseries-v1"
 
 
-def _coeff(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _coeff(value) -> int | Fraction:
+    """An exact coefficient in normal form: an int when integral (a bool
+    counts as 0 or 1), otherwise a Fraction with denominator above 1."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return _coeff(Fraction(value))
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def _json_coeff(value) -> Fraction:
-    """An exact coefficient read from JSON: an integer or a "p"/"p/q" string.
-    Floats are rejected, not converted to their binary value."""
+def _json_coeff(value) -> int | Fraction:
+    """An exact coefficient read from JSON: an integer or a "p"/"p/q" string,
+    in normal form.  Floats are rejected, not converted to their binary
+    value."""
     if type(value) is int:
-        return Fraction(value)
+        return value
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return _coeff(value)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in coefficient {value!r}") from None
     raise ValueError(f"coefficient must be an integer or a string, got {value!r}")
@@ -76,27 +85,31 @@ def _json_terms(data: dict, alphabet: str, key, weight) -> tuple[dict, int]:
     return out, bound
 
 
-def coeff_str(c: Fraction) -> str:
+def coeff_str(c: int | Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def _accumulate(items: Iterable[tuple]) -> dict:
-    """The sum of the (key, exact coefficient) pairs as {key: Fraction},
-    with no zero coefficient stored."""
+    """The sum of the (key, exact coefficient) pairs as {key: coefficient} in
+    normal form (see _coeff), with no zero coefficient stored."""
     out: dict = {}
+    get = out.get
     for w, c in items:
-        c = _coeff(c)
-        if c == 0:
+        if type(c) is not int:
+            c = _coeff(c)
+        if not c:
             continue
-        acc = out.get(w)
+        acc = get(w)
         if acc is None:
             out[w] = c
         else:
-            acc = acc + c
-            if acc == 0:
+            acc += c
+            if not acc:
                 del out[w]
-            else:
+            elif type(acc) is int or acc.denominator != 1:
                 out[w] = acc
+            else:
+                out[w] = acc.numerator
     return out
 
 
@@ -173,10 +186,23 @@ class _SeriesOps:
         return cls(*_json_terms(data, cls._alphabet, cls._read_key, cls._weight))
 
     def coeff(self, key) -> Fraction:
-        return self.terms.get(key, Fraction(0))
+        c = self.terms.get(key, 0)
+        return c if type(c) is Fraction else Fraction(c)
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def _by_weight(self) -> tuple[list, list]:
+        """The (key, coefficient) pairs sorted by weight, and their weights.
+        The terms never change, so they are sorted on the first call only:
+        a product may take the same right operand many times."""
+        memo = self.__dict__.get("_by_weight_memo")
+        if memo is None:
+            weight = self._weight
+            items = sorted(self.terms.items(), key=lambda t: weight(t[0]))
+            memo = items, [weight(w) for w, _ in items]
+            object.__setattr__(self, "_by_weight_memo", memo)
+        return memo
 
     def component(self, k: int):
         """The weight-k homogeneous part, same bound."""

@@ -282,8 +282,9 @@ def compile_on_parent(space: SpaceId, parent: SubspaceBasis) -> ConstraintMatrix
     """An intersection inside its parent's basis: the rows of the conditions
     the space adds, over the parent's primitive integer vectors as columns.
     The parent's rows hold on every combination, and rational_kernel turns
-    the kernel into the canonical basis (see there)."""
-    columns = [{w: c.numerator for w, c in v.terms.items()} for v in parent.vectors]
+    the kernel into the canonical basis (see there).  Integral coefficients
+    are stored as ints, so each vector's terms already are {word: int}."""
+    columns = [v.terms for v in parent.vectors]
     return ConstraintMatrix(
         rows=_condition_rows(space.own_tags(), columns, parent.weight),
         column_labels=list(range(len(columns))),

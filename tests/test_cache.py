@@ -43,17 +43,30 @@ def _tamper(space, k, edit) -> None:
     entry.write_text(json.dumps(data))
 
 
+def _signed(edit):
+    """The edit followed by a valid checksum, so that load_basis reaches the
+    checks after the checksum."""
+
+    def edit_and_sign(data):
+        data.pop("crc32")
+        edit(data)
+        data["crc32"] = cache._checksum(data)
+
+    return edit_and_sign
+
+
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda d: d.update(dimension=d["dimension"] + 1),
-        lambda d: d.update(space="dmr"),
-        lambda d: d.update(weight=d["weight"] - 1),
-        lambda d: d["vectors"][0]["terms"][0].update(word="0"),
-        lambda d: d.update(vectors="oops"),
-        lambda d: d["vectors"][0]["terms"][0].update(coeff=0.5),
-        lambda d: d["vectors"][0]["terms"][0].pop("word"),
-        lambda d: d["vectors"][0].update(weight_bound=-1),
+        _signed(lambda d: d.update(dimension=d["dimension"] + 1)),
+        _signed(lambda d: d.update(space="dmr")),
+        _signed(lambda d: d.update(weight=d["weight"] - 1)),
+        _signed(lambda d: d["vectors"][0]["terms"][0].update(word="0")),
+        _signed(lambda d: d.update(vectors="oops")),
+        _signed(lambda d: d["vectors"][0]["terms"][0].update(coeff=0.5)),
+        _signed(lambda d: d["vectors"][0]["terms"][0].pop("word")),
+        _signed(lambda d: d["vectors"][0].update(weight_bound=-1)),
+        # consistent with its key, so only the checksum can see it
         lambda d: d["vectors"][0]["terms"][0].update(coeff=12345),
     ],
     ids=["dimension", "space", "weight", "term-length", "vectors-type",
@@ -78,13 +91,7 @@ def test_inconsistent_entry_is_a_miss(private_cache, edit) -> None:
 )
 def test_entry_with_a_bad_term_and_a_valid_checksum_is_a_miss(private_cache, edit) -> None:
     basis = get_basis(ADDMR, 5)
-
-    def edit_and_sign(data):
-        data.pop("crc32")
-        edit(data["vectors"][0])
-        data["crc32"] = cache._checksum(data)
-
-    _tamper(ADDMR, 5, edit_and_sign)
+    _tamper(ADDMR, 5, _signed(lambda d: edit(d["vectors"][0])))
     assert load_basis(ADDMR, 5) is None
     assert get_basis(ADDMR, 5) == basis
 

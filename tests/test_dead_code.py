@@ -4,7 +4,9 @@ its own definition, every module-level import is used by the module that
 makes it, every function-level import breaks an import cycle, every
 defaulted parameter is passed by some call, and every public top-level name
 is exported from `dslforge/__init__.py` or used by the package or the
-benchmark, not by the tests alone.
+benchmark, not by the tests alone.  No module divides with `/` except to
+join a path with a name: the quotient of two int coefficients is a float,
+so every exact division is spelled Fraction(p, q).
 
 A use is any name read or attribute in `src/dslforge`, `tests/` or `bench/`,
 an import of the name, or an export from `dslforge/__init__.py`.  Dunder
@@ -237,6 +239,22 @@ def public_names_only_tests_use(package: Path, bench: Path) -> list[str]:
     return found
 
 
+def true_divisions(package: Path) -> list[str]:
+    """Each `/` or `/=` in the package, except a path join in cache.py: a
+    division there whose right operand is a string or an f-string."""
+    found = []
+    for path, tree in _trees(package).items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                right = node.right if isinstance(node, ast.BinOp) else node.value
+                is_name = isinstance(right, ast.JoinedStr) or (
+                    isinstance(right, ast.Constant) and isinstance(right.value, str)
+                )
+                if not (path.name == "cache.py" and is_name):
+                    found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
 def test_every_definition_is_referenced() -> None:
     assert unreferenced_definitions(_PACKAGE, _ROOT / "tests", _ROOT / "bench") == []
 
@@ -255,3 +273,7 @@ def test_every_defaulted_parameter_is_passed_somewhere() -> None:
 
 def test_every_public_name_is_exported_or_used_outside_the_tests() -> None:
     assert public_names_only_tests_use(_PACKAGE, _ROOT / "bench") == []
+
+
+def test_no_true_division_outside_path_joins() -> None:
+    assert true_divisions(_PACKAGE) == []
