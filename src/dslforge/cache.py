@@ -112,7 +112,7 @@ def _resolve_basis(space: SpaceId, k: int, use_cache: bool, resolved: dict) -> S
     if basis is None:
         if space == VSTRPRTY:
             basis = vstrprty_basis(k)
-        elif (parent := space.parent()) is not None:
+        elif (parent := space.parent) is not None:
             parent_basis = _resolve_basis(parent, k, use_cache, resolved)
             basis = rational_kernel(compile_on_parent(space, parent_basis))
         else:

@@ -1,10 +1,14 @@
 """Exact integer nullspace and rational solve routines, on one modular engine.
 
-Rows arrive as integer (or rational) vectors and are scaled to primitive
-integer form.  A vectorized Gauss-Jordan elimination modulo a prime p selects
-a maximal independent row subset and leaves its reduced row echelon form
-(RREF), from which the canonical kernel mod p is read directly: for each free
-column fc, x[fc] = 1 and x[pivot_col(i)] = -R[i][fc].  The same reduction runs
+Rows arrive as integer (or rational) vectors and are used as they are: a
+rational row is multiplied by the lcm of its denominators, and an integer row
+is neither copied nor scaled.  A vectorized Gauss-Jordan elimination modulo a
+prime p selects a maximal independent row subset and leaves its reduced row
+echelon form (RREF), from which the canonical kernel mod p is read directly:
+for each free column fc, x[fc] = 1 and x[pivot_col(i)] = -R[i][fc].  Each
+RREF row keeps its leading entry at its own pivot, so the pivot columns are
+the leading columns of the row space: row order, scaling, repeats and zero
+rows change neither them nor the canonical kernel.  The same reduction runs
 on the selected rows modulo further primes; the residues are combined by the
 Chinese remainder theorem and each entry is recovered as a rational by
 rational reconstruction (Wang, Guy & Davenport, SIGSAM Bull. 1982).  Each
@@ -47,27 +51,12 @@ def _primitive(ints: list[int]) -> list[int]:
 
 
 def _row_to_int(row) -> list[int]:
-    """Scale an integer or rational row to a primitive integer vector (gcd 1,
-    first nonzero entry positive)."""
+    """The row itself when all its entries are ints; otherwise a new integer
+    row, the row times the lcm of its denominators."""
     if set(map(type, row)) - {int}:
         den = lcm(*(c.denominator for c in row))
         row = [c.numerator * (den // c.denominator) for c in row]
-    return _primitive(row)
-
-
-def _dedupe(rows: list[list[int]]) -> list[list[int]]:
-    """The distinct nonzero rows in order.  Rows are bucketed by hash and
-    compared as lists, so no tuple copy of a row is kept."""
-    buckets: dict[int, list] = {}
-    out = []
-    for r in rows:
-        if not any(r):
-            continue
-        bucket = buckets.setdefault(hash(tuple(r)), [])
-        if r not in bucket:
-            bucket.append(r)
-            out.append(r)
-    return out
+    return row
 
 
 def _rref_mod_p(rows: list[list[int]], ncols: int, p: int):
@@ -164,19 +153,19 @@ def _lift(residues: dict, modulus: int, free_cols: list[int], ncols: int):
 def kernel_basis(rows: list[list], ncols: int) -> list[list[int]]:
     """Exact kernel basis of the linear system rows * x = 0.
 
-    Accepts rows of ints or Fractions; returns primitive integer vectors as
-    lists of int (gcd 1, first nonzero entry positive), one per free column
-    in increasing order: the vector with that coordinate 1 and every other
-    free coordinate 0, scaled.  The base prime's RREF selects the rows and
-    fixes the pivot columns; later primes, run on the selected rows only, add
-    residues until the reconstructed basis annihilates every row.  A prime
-    that shows other pivot columns is skipped, unless they prove the base
-    prime unlucky (lexicographically earlier), or the lifted kernel of the
-    selected rows misses some other row: then the next prime becomes the base.
+    Accepts rows of ints or Fractions, in any order, scaled or repeated, zero
+    rows included; integer rows are used as given, not copied.  Returns
+    primitive integer vectors as lists of int (gcd 1, first nonzero entry
+    positive), one per free column in increasing order: the vector with that
+    coordinate 1 and every other free coordinate 0, scaled.  The base prime's
+    RREF selects the rows and fixes the pivot columns; later primes, run on
+    the selected rows only, add residues until the reconstructed basis
+    annihilates every row.  A prime that shows other pivot columns is
+    skipped, unless they prove the base prime unlucky (lexicographically
+    earlier), or the lifted kernel of the selected rows misses some other
+    row: then the next prime becomes the base.
     """
-    int_rows = _dedupe([_row_to_int(r) for r in rows])
-    if not int_rows:
-        return [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    int_rows = [_row_to_int(r) for r in rows]
     primes = chain(_PRIMES, _primes_below(_PRIMES[-1]))
     while True:
         p = next(primes)

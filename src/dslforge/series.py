@@ -38,7 +38,10 @@ def _coeff(value) -> int | Fraction:
     if isinstance(value, int):
         return int(value)
     if isinstance(value, str):
-        return _coeff(Fraction(value))
+        try:
+            return int(value)  # accepts a subset of Fraction's strings, same value
+        except ValueError:
+            return _coeff(Fraction(value))
     raise TypeError(f"not an exact rational: {value!r}")
 
 

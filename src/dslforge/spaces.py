@@ -32,83 +32,56 @@ from .words import all_xwords, leading_blocks, shuffle_words, trailing_blocks, w
 # Bumped when the emitted rows or the pivot rule change; part of cache keys.
 SCHEMA_VERSION = "s1p1"
 
-# name: (minimum weight, parent, the conditions added to the parent's).  An
-# intersection keeps its parent's minimum weight.  `fad-parity` has no parent:
-# `fad` is wide (56 vectors at weight 10, of which 13 are kept).
-_KNOWN = {
-    "dmr": (3, None, ("star-harmonic",)),
-    "addmr": (4, None, ("sharp-harmonic", "sharp-depth-one")),
-    "fad": (3, None, ("corner00",)),
-    "vstrprty": (2, None, ("parity",)),
-    "addmr-fad": (4, "addmr", ("corner00",)),
-    "addmr-fad-parity": (4, "addmr-fad", ("parity",)),
-    "fad-parity": (3, None, ("corner00", "parity")),
-}
-
-
 @dataclass(frozen=True)
 class SpaceId:
-    """Identifier of a defined subspace; intersections carry the union of
-    their factors' condition sets."""
+    """Identifier of a defined subspace: its key (the cache and JSON name),
+    its minimum weight, the space whose basis an intersection is solved on
+    (None without one), and the conditions it adds to the parent's (all of
+    them without a parent).  An intersection keeps its parent's minimum
+    weight."""
 
-    name: str
-    min_weight_arg: int | None = None
+    key: str
+    min_weight: int
+    parent: "SpaceId | None"
+    own_tags: tuple[str, ...]
 
-    @classmethod
-    def parse(cls, text: str) -> "SpaceId":
+    @staticmethod
+    def parse(text: str) -> "SpaceId":
         text = text.strip().lower()
-        if text in _KNOWN:
-            return cls(text)
-        if text == "f2":
-            return cls("f2geq", 1)
+        if text in _BY_KEY:
+            return _BY_KEY[text]
         if text.startswith("f2geq"):
             arg = text[len("f2geq") :].lstrip(":-")
             if arg.isdigit() and int(arg) >= 1:
-                return cls("f2geq", int(arg))
+                return F2GEQ(int(arg))
         raise ValueError(f"unknown space id: {text!r}")
 
-    @property
-    def key(self) -> str:
-        if self.name == "f2geq":
-            return "f2" if self.min_weight_arg == 1 else f"f2geq{self.min_weight_arg}"
-        return self.name
-
-    def min_weight(self) -> int:
-        if self.name == "f2geq":
-            return self.min_weight_arg or 1
-        return _KNOWN[self.name][0]
-
-    def parent(self) -> "SpaceId | None":
-        """The space whose basis this intersection is solved on, if any."""
-        if self.name == "f2geq" or _KNOWN[self.name][1] is None:
-            return None
-        return SpaceId(_KNOWN[self.name][1])
-
-    def own_tags(self) -> tuple[str, ...]:
-        """The conditions added to the parent's (all of them without one)."""
-        if self.name == "f2geq":
-            return ()
-        return _KNOWN[self.name][2]
-
     def condition_tags(self) -> tuple[str, ...]:
-        parent = self.parent()
-        return (parent.condition_tags() if parent else ()) + self.own_tags()
+        return (self.parent.condition_tags() if self.parent else ()) + self.own_tags
 
     def __str__(self) -> str:
         return self.key
 
 
-DMR = SpaceId("dmr")
-ADDMR = SpaceId("addmr")
-FAD = SpaceId("fad")
-VSTRPRTY = SpaceId("vstrprty")
-ADDMR_FAD = SpaceId("addmr-fad")
-ADDMR_FAD_PARITY = SpaceId("addmr-fad-parity")
-FAD_PARITY = SpaceId("fad-parity")
+DMR = SpaceId("dmr", 3, None, ("star-harmonic",))
+ADDMR = SpaceId("addmr", 4, None, ("sharp-harmonic", "sharp-depth-one"))
+FAD = SpaceId("fad", 3, None, ("corner00",))
+VSTRPRTY = SpaceId("vstrprty", 2, None, ("parity",))
+ADDMR_FAD = SpaceId("addmr-fad", 4, ADDMR, ("corner00",))
+ADDMR_FAD_PARITY = SpaceId("addmr-fad-parity", 4, ADDMR_FAD, ("parity",))
+# No parent: `fad` is wide (56 vectors at weight 10, of which 13 are kept).
+FAD_PARITY = SpaceId("fad-parity", 3, None, ("corner00", "parity"))
 
 
 def F2GEQ(m: int) -> SpaceId:
-    return SpaceId("f2geq", m)
+    """Primitive series with no component below weight m; F2GEQ(1) is `f2`."""
+    return SpaceId("f2" if m == 1 else f"f2geq{m}", m, None, ())
+
+
+_BY_KEY = {
+    s.key: s
+    for s in (DMR, ADDMR, FAD, VSTRPRTY, ADDMR_FAD, ADDMR_FAD_PARITY, FAD_PARITY, F2GEQ(1))
+}
 
 
 @dataclass(frozen=True)
@@ -165,9 +138,11 @@ def _word_index(columns: list[dict]) -> dict:
     return index
 
 
-def _harmonic_row(table: dict, n: int, head: tuple, expansion: dict) -> list:
+def _harmonic_row(table: dict, n: int, head: tuple | str, expansion: dict) -> list:
     """The row psi -> sum of mult * <image of psi | head + w> over the
-    expansion, where table maps Y-words to [(column, coeff)] of the images."""
+    expansion {w: mult}, where table maps words (Y-word tuples, or X-words
+    with head "") to [(column, coeff)] of the images.  Every builder's rows
+    come from here."""
     row = [0] * n
     for w, mult in expansion.items():
         for j, c in table.get(head + w, ()):
@@ -201,39 +176,25 @@ def _sharp_depth_one_rows(index: dict, n: int, k: int) -> list:
     """The explicit depth-one tail row: <psi | x1 x0^{k-2} x1> = 0."""
     if k < 2:
         return []
-    row = [0] * n
-    for j, c in index.get("1" + "0" * (k - 2) + "1", ()):
-        row[j] = c
-    return [row]
+    return [_harmonic_row(index, n, "", {"1" + "0" * (k - 2) + "1": 1})]
 
 
 def _corner00_rows(index: dict, n: int, k: int) -> list:
     """One row per word x0*w*x0 appearing in some column."""
-    rows = []
-    for w in sorted(w for w in index if len(w) >= 2 and w[0] == "0" and w[-1] == "0"):
-        row = [0] * n
-        for j, c in index[w]:
-            row[j] = c
-        rows.append(row)
-    return rows
+    corners = sorted(w for w in index if len(w) >= 2 and w[0] == "0" and w[-1] == "0")
+    return [_harmonic_row(index, n, "", {w: 1}) for w in corners]
 
 
 def _parity_rows(index: dict, n: int, k: int) -> list:
     """One row per middle w of a column word not of the form x0 w x0 (over raw
     word columns, every w of weight k-2): <.|x1 w x1> + <.|x1 w x0> + <.|x0 w x1>."""
-    if k < 2:
-        return []
     middles = sorted(
         {w[1:-1] for w in index if len(w) >= 2 and (w[0], w[-1]) != ("0", "0")}
     )
-    rows = []
-    for w in middles:
-        row = [0] * n
-        for corner in ("1" + w + "1", "1" + w + "0", "0" + w + "1"):
-            for j, c in index.get(corner, ()):
-                row[j] += c
-        rows.append(row)
-    return rows
+    return [
+        _harmonic_row(index, n, "", {"1" + w + "1": 1, "1" + w + "0": 1, "0" + w + "1": 1})
+        for w in middles
+    ]
 
 
 _ROW_BUILDERS = {
@@ -265,7 +226,7 @@ def compile_constraints(space: SpaceId, k: int) -> ConstraintMatrix:
     labels = lyndon_words(k)
     columns = [bracketing(w) for w in labels]
     n = len(columns)
-    if k < space.min_weight():
+    if k < space.min_weight:
         rows = [[int(i == j) for j in range(n)] for i in range(n)]
     else:
         rows = _condition_rows(space.condition_tags(), columns, k)
@@ -286,7 +247,7 @@ def compile_on_parent(space: SpaceId, parent: SubspaceBasis) -> ConstraintMatrix
     are stored as ints, so each vector's terms already are {word: int}."""
     columns = [v.terms for v in parent.vectors]
     return ConstraintMatrix(
-        rows=_condition_rows(space.own_tags(), columns, parent.weight),
+        rows=_condition_rows(space.own_tags, columns, parent.weight),
         column_labels=list(range(len(columns))),
         column_series=columns,
         space=space,
@@ -355,7 +316,7 @@ def vstrprty_basis(k: int) -> SubspaceBasis:
     """
     if k < 1:
         raise ValueError("weight must be >= 1")
-    words = sorted(all_xwords(k)) if k >= VSTRPRTY.min_weight() else []
+    words = sorted(all_xwords(k)) if k >= VSTRPRTY.min_weight else []
     vectors = []
     for w in words:
         if w[0] == "1":
@@ -397,7 +358,7 @@ _MAX_VIOLATIONS = 10
 def _violations(space: SpaceId, s: XSeries, weights: list):
     """Yield (weight, condition, detail) for each violated defining condition
     of the space, in report order; each scan runs only as far as it is read."""
-    min_wt = space.min_weight()
+    min_wt = space.min_weight
     for k in weights:
         if k < min_wt:
             yield k, "min-weight", f"nonzero component below weight {min_wt}"

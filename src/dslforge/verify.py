@@ -195,8 +195,8 @@ def verify_ad_embedding(k: int, use_cache: bool = True) -> VerificationReport:
         if not rep.passed:
             witnesses.append({"i": i, "violations": rep.violations})
     if images:
-        words = sorted(all_xwords(k + 1))
-        rows = [[img.coeff(w) for img in images] for w in words]
+        words = set().union(*(img.terms for img in images))
+        rows = [[img.terms.get(w, 0) for img in images] for w in words]
         rank = len(images) - len(kernel_basis(rows, len(images)))
         if rank != len(images):
             witnesses.append({"reason": "images linearly dependent", "rank": rank})

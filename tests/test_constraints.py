@@ -13,6 +13,7 @@ from dslforge.spaces import (
     DMR,
     F2GEQ,
     FAD,
+    FAD_PARITY,
     VSTRPRTY,
     ConstraintMatrix,
     SpaceId,
@@ -41,9 +42,19 @@ def test_space_id_parse() -> None:
         SpaceId.parse("f2geq0")
 
 
+@pytest.mark.parametrize(
+    "space",
+    [DMR, ADDMR, FAD, VSTRPRTY, ADDMR_FAD, ADDMR_FAD_PARITY, FAD_PARITY]
+    + [F2GEQ(m) for m in range(1, 6)],
+    ids=str,
+)
+def test_space_id_parse_reads_back_its_key(space) -> None:
+    assert SpaceId.parse(space.key) == space
+
+
 def test_zero_space_below_threshold() -> None:
     for space in (DMR, ADDMR, FAD):
-        for k in range(1, space.min_weight()):
+        for k in range(1, space.min_weight):
             assert rational_kernel(compile_constraints(space, k)).dimension == 0
     assert rational_kernel(compile_constraints(F2GEQ(4), 3)).dimension == 0
     assert rational_kernel(compile_constraints(F2GEQ(4), 4)).dimension == witt_number(4)
@@ -85,7 +96,7 @@ def _raw_parity_kernel(k: int) -> SubspaceBasis:
     labels = sorted(all_xwords(k))
     columns = [{w: 1} for w in labels]
     n = len(labels)
-    if k < VSTRPRTY.min_weight():
+    if k < VSTRPRTY.min_weight:
         rows = [[int(i == j) for j in range(n)] for i in range(n)]
     else:
         rows = _parity_rows(_word_index(columns), n, k)

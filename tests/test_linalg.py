@@ -3,7 +3,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from dslforge.linalg import kernel_basis, solve_exact
+from dslforge.spaces import DMR, SpaceId, compile_constraints
 
 
 def _naive_kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
@@ -49,7 +52,7 @@ def test_kernel_examples() -> None:
     assert kernel_basis([[1, -2]], 2) == [[Fraction(2), Fraction(1)]]
 
 
-def test_kernel_accepts_fractions_and_dedupes() -> None:
+def test_kernel_accepts_fractions_and_repeated_rows() -> None:
     rows = [
         [Fraction(1, 2), Fraction(-1)],
         [Fraction(1), Fraction(-2)],  # same row up to scaling
@@ -57,12 +60,6 @@ def test_kernel_accepts_fractions_and_dedupes() -> None:
     ]
     basis = kernel_basis(rows, 2)
     assert basis == [[Fraction(2), Fraction(1)]]
-
-
-def test_dedupe_keeps_distinct_rows_with_equal_hashes() -> None:
-    # hash(-1) == hash(-2) in CPython, so these distinct rows share a hash.
-    assert hash((1, -1)) == hash((1, -2))
-    assert kernel_basis([[1, -1], [1, -2]], 2) == []
 
 
 def test_kernel_against_naive_oracle() -> None:
@@ -127,9 +124,41 @@ def test_kernel_vectors_are_plain_ints() -> None:
     assert kernel_basis(rows, 3) == [[4, 2, 1]]
 
 
-def test_mod_p_selection_refuses_int64_overflow() -> None:
-    import pytest
+@pytest.mark.parametrize("name", ["dmr", "addmr", "fad-parity"])
+def test_kernel_ignores_row_order_scaling_repeats_and_zero_rows(name) -> None:
+    """The pivot columns are the leading columns of the row space, so the
+    canonical kernel of the compiled rows survives any change that keeps
+    that space."""
+    space = SpaceId.parse(name)
+    rng = random.Random(83)
+    for k in range(space.min_weight, 10):
+        matrix = compile_constraints(space, k)
+        ncols, n = len(matrix.column_labels), len(matrix.rows)
+        rows = matrix.rows + rng.sample(matrix.rows, n // 4) + [[0] * ncols] * 3
+        rows += [[-c for c in r] for r in rng.sample(matrix.rows, n // 3)]
+        rows += [[7 * c for c in r] for r in rng.sample(matrix.rows, n // 4)]
+        rng.shuffle(rows)
+        assert kernel_basis(rows, ncols) == kernel_basis(matrix.rows, ncols), k
 
+
+def test_kernel_reduces_the_callers_own_integer_rows(monkeypatch) -> None:
+    from dslforge import linalg
+
+    seen = []
+
+    def spy(rows, ncols, p):
+        seen.append(rows)
+        return rref(rows, ncols, p)
+
+    rref = linalg._rref_mod_p
+    monkeypatch.setattr(linalg, "_rref_mod_p", spy)
+    rows = compile_constraints(DMR, 7).rows
+    kernel_basis(rows, len(rows[0]))
+    assert len(seen[0]) == len(rows)
+    assert all(a is b for a, b in zip(seen[0], rows))
+
+
+def test_mod_p_selection_refuses_int64_overflow() -> None:
     from dslforge.linalg import _rref_mod_p
 
     # rank * (p - 1)**2 < 2**63 holds for two pivots and fails for the third

@@ -183,3 +183,22 @@ def test_json_accepts_integer_and_string_coefficients() -> None:
     data["terms"][0]["coeff"] = "1/0"
     with pytest.raises(ValueError):
         XSeries.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [" 3 ", "+3", "-0", "1_0", "٣", "00012", "-7", "3.0", "1e2", "4/2", "-3/2", " 1/2 "],
+)
+def test_string_coefficients_read_as_fraction_reads_them(text) -> None:
+    from dslforge.series import _coeff
+
+    c = _coeff(text)
+    assert c == Fraction(text)
+    assert type(c) is (int if Fraction(text).denominator == 1 else Fraction)
+
+
+def test_hexadecimal_string_coefficient_is_rejected() -> None:
+    from dslforge.series import _coeff
+
+    with pytest.raises(ValueError):
+        _coeff("0x1")
