@@ -22,8 +22,13 @@ Lyndon words, not the number of interleavings.
 Harmonic primitivity is decided the same way.  The quasi-shuffle algebra
 over Q is the polynomial algebra on the Lyndon Y-words (Hoffman, J.
 Algebraic Combin. 11, 2000), so the products l1 * (l2 ... ln), one per
-non-Lyndon Y-word l1 l2 ... ln, span every product u * v.  A component
-cleared of denominators is paired with these products in integers.
+non-Lyndon Y-word l1 l2 ... ln, span every product u * v.  They are
+expanded once per weight and process into one table of flat integer arrays
+(product starts, word codes, multiplicities), shared with the constraint
+compiler.  The code of a Y-word is its X-word 1 0^{k1-1} 1 0^{k2-1} ... read
+in binary, so the star_word and q_sharp images are read as codes straight
+off the X-words of a series.  A component cleared of denominators is paired
+with every product in integers by one running sum over the table.
 
 On both alphabets one pair scan over all (u, v) lists the defects, and it
 runs only on a component that the decision above rejects.
@@ -31,10 +36,13 @@ runs only on a component that the decision above rejects.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import islice
+from functools import lru_cache
+from itertools import accumulate, islice
 from math import factorial, lcm
+from operator import mul
 
 from .errors import NonUnitConstant
 from .lyndon import bracketing, lyndon_words
@@ -277,25 +285,103 @@ def shuffle_primitivity_defect(
     return list(_shuffle_defects(a, k))
 
 
-def _harmonic_products(m: int):
-    """The expansion of l1 * (l2 ... ln) for each Y-word w = l1 l2 ... ln of
-    weight m with n >= 2 nonincreasing Lyndon factors, in all_ywords order.
-    The quasi-shuffle algebra over Q is the polynomial algebra on the Lyndon
-    words (Hoffman, J. Algebraic Combin. 11, 2000; for the shuffle algebra,
-    Radford, J. Algebra 58, 1979), so these products, one per non-Lyndon
-    word, span every product u * v of nonempty Y-words of weight m."""
-    for w in all_ywords(m):
+@lru_cache(maxsize=None)
+def _harmonic_products(m: int) -> tuple[array, array, array]:
+    """The spanning products of weight m >= 1 as flat arrays (starts, codes,
+    mults): product i has the terms codes[j] with multiplicity mults[j] for
+    starts[i] <= j < starts[i + 1].  Product i expands l1 * (l2 ... ln) for
+    the i-th Y-word w = l1 l2 ... ln of weight m, in all_ywords order, with
+    n >= 2 nonincreasing Lyndon factors.  The quasi-shuffle algebra over Q is
+    the polynomial algebra on the Lyndon words (Hoffman, J. Algebraic
+    Combin. 11, 2000; for the shuffle algebra, Radford, J. Algebra 58, 1979),
+    so these products, one per non-Lyndon word, span every product u * v of
+    nonempty Y-words of weight m.  A term's word is stored as its code
+    (_ycode), converted by one lookup table per weight; the 4-byte entries
+    hold every code and multiplicity up to weight 31, and a larger one
+    raises OverflowError.  Each weight is expanded once per process;
+    cache_clear empties the table."""
+    code = {w: _ycode(w) for w in all_ywords(m)}
+    starts, codes, mults = array("i", [0]), array("i"), array("i")
+    for w in code:
         factors = lyndon_factors(w)
         if len(factors) > 1:
             head = factors[0]
-            yield harmonic_words(head, w[len(head) :])
+            product = harmonic_words(head, w[len(head) :])
+            codes.extend(map(code.__getitem__, product))
+            mults.extend(product.values())
+            starts.append(len(codes))
+    return starts, codes, mults
 
 
-def _products_vanish(comp: dict[YWord, int | Fraction], k: int) -> bool:
-    """True when the weight-k component pairs to 0 with every spanning product
-    (_harmonic_products), so with every u * v; decided in integers."""
-    comp = _integral(comp)
-    return not comp or not any(_pairing(comp, p) for p in _harmonic_products(k))
+def _ycode(w: YWord) -> int:
+    """The code of a Y-word: its p_embed X-word 1 0^{k1-1} 1 0^{k2-1} ...
+    read in binary, so a weight-m word has m bits and a leading 1."""
+    return int(from_leading_blocks(w), 2)
+
+
+def _codes_vanish(comp: dict[int, int | Fraction], m: int) -> bool:
+    """True when the weight-m component {code: coefficient} pairs to 0 with
+    every spanning product (_harmonic_products), so with every u * v;
+    decided in integers.  One running sum runs over the whole table: it is 0
+    at the end of every product exactly when every product pairs to 0."""
+    if not comp:
+        return True
+    vec = [0] * (1 << m)
+    for code, c in _integral(comp).items():
+        vec[code] = c
+    starts, codes, mults = _harmonic_products(m)
+    sums = list(accumulate(map(mul, mults, map(vec.__getitem__, codes)), initial=0))
+    return not any(map(sums.__getitem__, starts))
+
+
+def _star_terms(words, k: int):
+    """(w, code, factor) for each weight-k word w that enters k *
+    star_word(psi), for k >= 2, as factor * psi(w) at the code of a Y-word:
+    q_left keeps the bits of a word that starts with 1, at factor k, and the
+    tail word 0^{k-1} 1 gives psi(w) y1^k / k, so factor 1 at 2^k - 1, the
+    code of y1^k.  The factor k clears that 1/k, the only denominator."""
+    tail = "0" * (k - 1) + "1"
+    for w in words:
+        if w.startswith("1"):
+            yield w, int(w, 2), k
+        elif w == tail:
+            yield w, (1 << k) - 1, 1
+
+
+def _sharp_terms(words):
+    """(w, m, code) for each word w = 0^t 1 v ending in 1, which q_sharp
+    makes the term T^t y: y = trailing_blocks(v) has weight m = len(v) and
+    code int("1" + v[:-1], 2), since its p_embed word moves each block's 1
+    to the front of the block."""
+    for w in words:
+        if w.endswith("1"):
+            t = w.index("1")
+            yield w, len(w) - t - 1, int("1" + w[t + 1 : -1], 2)
+
+
+def _star_codes(comp: dict[XWord, int | Fraction], k: int) -> dict:
+    """k * star_word(psi) at weight k as {code: coefficient}, read off the
+    weight-k component of psi (_star_terms)."""
+    out: dict = {}
+    for w, code, factor in _star_terms(comp, k):
+        out[code] = out.get(code, 0) + factor * comp[w]
+    return out
+
+
+def _sharp_codes(comp: dict[XWord, int | Fraction]) -> dict:
+    """The T^t layers of q_sharp(psi) read off a component of psi
+    (_sharp_terms), as {m: {code: coefficient}} keyed by the weight m of the
+    Y-words; distinct words give distinct (m, code), so nothing is summed."""
+    out: dict = {}
+    for w, m, code in _sharp_terms(comp):
+        out.setdefault(m, {})[code] = comp[w]
+    return out
+
+
+def _harmonic_scan(a: YSeries, k: int):
+    """The pair scan of the weight-k component of a Y-series over every
+    nonempty pair (u, v)."""
+    return _pair_scan(_weight_component(a, k), k, all_ywords, harmonic_words)
 
 
 def _harmonic_defects(a: YSeries, k: int):
@@ -303,7 +389,7 @@ def _harmonic_defects(a: YSeries, k: int):
     component on which every spanning product vanishes yields none without
     pairing any (u, v)."""
     comp = _weight_component(a, k)
-    if not _products_vanish(comp, k):
+    if k >= 2 and not _codes_vanish({_ycode(w): c for w, c in comp.items()}, k):
         yield from _pair_scan(comp, k, all_ywords, harmonic_words)
 
 

@@ -50,8 +50,8 @@ def _checksum(payload: dict) -> int:
 
 def load_basis(space: SpaceId, k: int) -> SubspaceBasis | None:
     """The cached basis, or None (a miss) when the entry is absent, of another
-    schema, unreadable, fails its checksum, or is structurally inconsistent
-    with its key."""
+    schema, unreadable or nested too deeply to parse, fails its checksum, or
+    is structurally inconsistent with its key."""
     path = _entry_path(space, k)
     if not path.is_file():
         return None
@@ -65,8 +65,8 @@ def load_basis(space: SpaceId, k: int) -> SubspaceBasis | None:
         basis = SubspaceBasis.from_json_dict(data)
         if data.get("dimension") != basis.dimension:
             return None
-    except (ValueError, KeyError, TypeError, AttributeError):
-        return None
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError):
+        return None  # json.load raises RecursionError on too deep nesting
     if basis.space != space or basis.weight != k:
         return None
     if any(len(w) != k for v in basis.vectors for w in v.terms):

@@ -434,9 +434,13 @@ def corner_decompose(a: XSeries) -> CornerDecomposition:
 
 
 def load_series(path) -> XSeries | YSeries | TYSeries:
-    """Load a series of any of the three alphabets from a JSON file."""
+    """Load a series of any of the three alphabets from a JSON file; JSON
+    nested too deeply to parse is a ValueError like any malformed file."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: a series file holds one JSON object")
     alphabet = data.get("alphabet")

@@ -7,8 +7,15 @@ integer bracketing table.  Stage 2 emits one integer row per residual linear
 condition, a positive multiple of the condition's rational row; a harmonic
 condition gets one row per non-Lyndon Y-word, whose products span every
 product u * v (Hoffman 2000; Radford 1979), and a sharp row pairs a product
-of weight m only with y_{k-m}.  Kernels are computed exactly as integer
-vectors and re-expanded into series through the chosen coordinates.
+of weight m only with y_{k-m}.  The products come from the table that
+membership certificates also decide on, keyed by the binary codes of the
+Y-words, which the harmonic rows read off the column words.  Kernels are
+computed exactly as integer vectors and re-expanded into series through the
+chosen coordinates.
+
+Membership certificates never read the compiled rows: each star weight and
+each sharp T^t layer is decided on the codes read off the series, and only a
+failing one builds the star_word or q_sharp image and scans its pairs.
 
 An intersection can also be solved on its parent's basis: only the conditions
 it adds become rows, over the parent's vectors as columns, so `addmr-fad`
@@ -19,15 +26,17 @@ primitive; its basis is written in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, pairwise
 from math import gcd
 
-from .algebra import _harmonic_defects, _harmonic_products, _shuffle_defects
+from .algebra import _codes_vanish, _harmonic_products, _harmonic_scan, _sharp_codes
+from .algebra import _sharp_terms, _shuffle_defects, _star_codes, _star_terms
+from .algebra import _weight_component
 from .algebra import q_sharp, star_word
 from .linalg import kernel_basis
 from .lyndon import bracketing, lyndon_words
 from .series import XSeries, corner_decompose
-from .words import all_xwords, leading_blocks, shuffle_words, trailing_blocks, word_pairs
+from .words import all_xwords, shuffle_words, word_pairs
 
 # Bumped when the emitted rows or the pivot rule change; part of cache keys.
 SCHEMA_VERSION = "s1p1"
@@ -138,51 +147,58 @@ def _word_index(columns: list[dict]) -> dict:
     return index
 
 
-def _harmonic_row(table: dict, n: int, head: tuple | str, expansion: dict) -> list:
-    """The row psi -> sum of mult * <image of psi | head + w> over the
-    expansion {w: mult}, where table maps words (Y-word tuples, or X-words
-    with head "") to [(column, coeff)] of the images.  Every builder's rows
-    come from here."""
+def _harmonic_row(table: dict, n: int, terms) -> list:
+    """The row psi -> sum of mult * <image of psi | key> over the terms
+    (key, mult), where table maps keys (X-words, or the codes of Y-words) to
+    [(column, coeff)] of the images.  Every builder's rows come from here."""
     row = [0] * n
-    for w, mult in expansion.items():
-        for j, c in table.get(head + w, ()):
+    for key, mult in terms:
+        for j, c in table.get(key, ()):
             row[j] += mult * c
     return row
 
 
+def _product_rows(table: dict, n: int, m: int) -> list:
+    """One row per spanning product of weight m (_harmonic_products), over a
+    table keyed by the codes of Y-words."""
+    starts, codes, mults = _harmonic_products(m)
+    return [_harmonic_row(table, n, zip(codes[a:b], mults[a:b]))
+            for a, b in pairwise(starts)]
+
+
 def _star_harmonic_rows(index: dict, n: int, k: int) -> list:
-    """One row per non-Lyndon Y-word of weight k, for its product u * v
-    (_harmonic_products): the functional psi -> <k * star_word(psi) | u * v>.
-    At weight k the image is k * q_left(psi) plus <psi | 0^{k-1} 1> y1^k, so
-    the factor k clears the 1/k of the depth-one tail term, the only
-    non-integral one."""
-    star = {y: [(j, k * c) for j, c in cols]
-            for w, cols in index.items() if (y := leading_blocks(w)) is not None}
-    star[(1,) * k] = star.get((1,) * k, []) + index.get("0" * (k - 1) + "1", [])
-    return [_harmonic_row(star, n, (), expansion) for expansion in _harmonic_products(k)]
+    """One row per non-Lyndon Y-word of weight k, for its product u * v: the
+    functional psi -> <k * star_word(psi) | u * v>, with the image read off
+    the column words by _star_terms; the factor k makes it integral."""
+    star: dict = {}
+    for w, code, factor in _star_terms(index, k):
+        star.setdefault(code, []).extend((j, factor * c) for j, c in index[w])
+    return _product_rows(star, n, k)
 
 
 def _sharp_harmonic_rows(index: dict, n: int, k: int) -> list:
     """One row per non-Lyndon Y-word of weight m, 2 <= m < k, for its product
-    u * v (_harmonic_products): the functional psi -> <q_right(psi) |
-    y_{k-m} (u * v)>.  A weight-k column meets y_l (u * v) only at l = k - m."""
-    sharp = {y: cols for w, cols in index.items()
-             if (y := trailing_blocks(w)) is not None}
-    return [_harmonic_row(sharp, n, (k - m,), expansion)
-            for m in range(2, k) for expansion in _harmonic_products(m)]
+    u * v: the functional psi -> <q_right(psi) | y_{k-m} (u * v)>.  A
+    weight-k word meets y_l (u * v) only at l = k - m, as the term T^{k-m-1} y
+    of q_sharp with y of weight m, so the rows of weight m read the layer m
+    of the codes that _sharp_terms reads off the column words."""
+    layers: dict = {}
+    for w, m, code in _sharp_terms(index):
+        layers.setdefault(m, {})[code] = index[w]
+    return [row for m in range(2, k) for row in _product_rows(layers.get(m, {}), n, m)]
 
 
 def _sharp_depth_one_rows(index: dict, n: int, k: int) -> list:
     """The explicit depth-one tail row: <psi | x1 x0^{k-2} x1> = 0."""
     if k < 2:
         return []
-    return [_harmonic_row(index, n, "", {"1" + "0" * (k - 2) + "1": 1})]
+    return [_harmonic_row(index, n, (("1" + "0" * (k - 2) + "1", 1),))]
 
 
 def _corner00_rows(index: dict, n: int, k: int) -> list:
     """One row per word x0*w*x0 appearing in some column."""
     corners = sorted(w for w in index if len(w) >= 2 and w[0] == "0" and w[-1] == "0")
-    return [_harmonic_row(index, n, "", {w: 1}) for w in corners]
+    return [_harmonic_row(index, n, ((w, 1),)) for w in corners]
 
 
 def _parity_rows(index: dict, n: int, k: int) -> list:
@@ -192,7 +208,7 @@ def _parity_rows(index: dict, n: int, k: int) -> list:
         {w[1:-1] for w in index if len(w) >= 2 and (w[0], w[-1]) != ("0", "0")}
     )
     return [
-        _harmonic_row(index, n, "", {"1" + w + "1": 1, "1" + w + "0": 1, "0" + w + "1": 1})
+        _harmonic_row(index, n, (("1" + w + "1", 1), ("1" + w + "0", 1), ("0" + w + "1", 1)))
         for w in middles
     ]
 
@@ -332,8 +348,9 @@ class MembershipReport:
 
     Built from direct defect recomputation, never from the compiled matrix.
     Each weight is decided first: primitivity by the Lie test, the harmonic
-    conditions by pairing the star_word and q_sharp images in integers with
-    the spanning products, one per non-Lyndon Y-word.  Only a failing weight
+    conditions by pairing the codes of the star_word and q_sharp images,
+    read off the series' words, in integers with the spanning products, one
+    per non-Lyndon Y-word.  Only a failing weight
     is scanned over every pair (u, v), and violations list at most the first
     10 offending conditions in scan order.
     """
@@ -370,17 +387,24 @@ def _violations(space: SpaceId, s: XSeries, weights: list):
                 yield k, "primitive", {"u": u, "v": v, "value": str(val)}
 
     if "star-harmonic" in tags:
-        star = star_word(s)
+        star = None
         for k in weights:
-            for u, v, val in _harmonic_defects(star, k):
+            if _codes_vanish(_star_codes(_weight_component(s, k), k), k):
+                continue
+            star = star_word(s) if star is None else star
+            for u, v, val in _harmonic_scan(star, k):
                 yield k, "star-harmonic", {"u": list(u), "v": list(v), "value": str(val)}
 
     if "sharp-harmonic" in tags:
-        sharp = q_sharp(s)
+        sharp = None
         for k in weights:
+            layers = _sharp_codes(_weight_component(s, k))
             # the T^t layer pairs y_{t+1} (u * v) with wt u + wt v = k - t - 1
             for t in range(k - 3, -1, -1):
-                for u, v, val in _harmonic_defects(sharp.t_layer(t), k - t - 1):
+                if _codes_vanish(layers.get(k - t - 1, {}), k - t - 1):
+                    continue
+                sharp = q_sharp(s) if sharp is None else sharp
+                for u, v, val in _harmonic_scan(sharp.t_layer(t), k - t - 1):
                     yield k, "sharp-harmonic", {
                         "t_exp": t, "u": list(u), "v": list(v), "value": str(val)}
 

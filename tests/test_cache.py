@@ -36,6 +36,15 @@ def test_emptied_entry_is_recomputed(private_cache, capsys) -> None:
     assert len(json.loads(entry.read_text())["vectors"]) == 3
 
 
+def test_deeply_nested_entry_is_recomputed(private_cache, capsys) -> None:
+    private_cache.mkdir()
+    entry = private_cache / "dmr-5-s1p1.json"
+    entry.write_text("[" * 200_000 + "]" * 200_000)
+    assert main(["dims", "--space", "dmr", "--kmax", "5"]) == 0
+    assert _dims_row(capsys) == [0, 0, 1, 0, 1]
+    assert json.loads(entry.read_text())["dimension"] == 1
+
+
 def _tamper(space, k, edit) -> None:
     entry = cache._entry_path(space, k)
     data = json.loads(entry.read_text())

@@ -76,6 +76,14 @@ def test_member_parse_error(cli_cache, capsys, tmp_path) -> None:
     assert main(["member", "--space", "f2", "--in", str(path)]) == 2
 
 
+def test_member_deeply_nested_json_exits_2(cli_cache, capsys, tmp_path) -> None:
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert main(["member", "--space", "dmr", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nested too deeply" in err
+
+
 def test_bracket_command(cli_cache, capsys, tmp_path) -> None:
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

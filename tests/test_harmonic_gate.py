@@ -31,30 +31,49 @@ def _lyndon_perturbation(rng, k) -> XSeries:
     return XSeries(bracketing(rng.choice(lyndon_words(k))), k).scale(rng.choice(_COEFFS))
 
 
-def _harmonic_images(s: XSeries, k: int):
-    """(image, weight) of the star component and of every sharp T-layer."""
-    yield star_word(s), k
+def _decisions(s: XSeries, k: int):
+    """(code decision, image, weight) for the star component of weight k and
+    for every sharp T^t layer of the weight-k component of s."""
+    comp = algebra._weight_component(s, k)
+    yield algebra._codes_vanish(algebra._star_codes(comp, k), k), star_word(s), k
+    layers = algebra._sharp_codes(comp)
     sharp = q_sharp(s)
     for t in range(k - 3, -1, -1):
-        yield sharp.t_layer(t), k - t - 1
+        m = k - t - 1
+        yield algebra._codes_vanish(layers.get(m, {}), m), sharp.t_layer(t), m
+
+
+def _cases(rng, k):
+    """(series, its weights to decide): members of `dmr` and `addmr` with
+    Fraction coefficients, their Lyndon perturbations, both again with a
+    coefficient above 2^63, and a series of weights k - 1 and k."""
+    for space in (DMR, ADDMR):
+        vectors = get_basis(space, k).vectors
+        if not vectors:
+            continue
+        member = _combination(rng, vectors, k)
+        perturbed = member + _lyndon_perturbation(rng, k)
+        big = member + XSeries.word(rng.choice(list(member.terms)), 2**64 + 3, k)
+        for s in (member, perturbed, member.scale(2**64 + 1), big):
+            yield s, (k,)
+        below = get_basis(space, k - 1).vectors
+        if below:
+            lower = _combination(rng, below, k - 1) + _lyndon_perturbation(rng, k - 1)
+            yield member + lower.with_bound(k), (k - 1, k)
 
 
 @pytest.mark.parametrize("k", range(3, 11))
 def test_products_vanish_exactly_when_the_pair_scan_is_empty(k) -> None:
     rng = random.Random(k)
     decided = set()
-    for space in (DMR, ADDMR):
-        vectors = get_basis(space, k).vectors
-        if not vectors:
-            continue
-        member = _combination(rng, vectors, k)
-        for s in (member, member + _lyndon_perturbation(rng, k)):
-            for image, m in _harmonic_images(s, k):
-                vanish = algebra._products_vanish(algebra._weight_component(image, m), m)
+    for s, weights in _cases(rng, k):
+        for wt in weights:
+            for vanish, image, m in _decisions(s, wt):
                 comp = algebra._weight_component(image, m)
                 scan = algebra._pair_scan(comp, m, all_ywords, harmonic_words)
-                scan_empty = next(scan, None) is None
-                assert vanish == scan_empty, (space.key, k, m)
+                assert vanish == (next(scan, None) is None), (k, wt, m)
+                ycodes = {algebra._ycode(w): c for w, c in comp.items()}
+                assert algebra._codes_vanish(ycodes, m) == vanish, (k, wt, m)
                 decided.add(vanish)
     if k >= 4:
         assert decided == {True, False}
@@ -62,10 +81,10 @@ def test_products_vanish_exactly_when_the_pair_scan_is_empty(k) -> None:
 
 def _pair_scan_only(monkeypatch, space, s):
     """The report of a membership check whose every weight is decided by the
-    pair scans alone."""
+    pair scans alone: the harmonic code decision always falls through to
+    them."""
     with monkeypatch.context() as m:
-        m.setattr(spaces, "_harmonic_defects", lambda a, k: algebra._pair_scan(
-            algebra._weight_component(a, k), k, all_ywords, harmonic_words))
+        m.setattr(spaces, "_codes_vanish", lambda comp, k: False)
         m.setattr(spaces, "_shuffle_defects", lambda a, k: algebra._pair_scan(
             algebra._weight_component(a, k), k, all_xwords, shuffle_words))
         return membership_check(space, s)

@@ -226,10 +226,23 @@ def _ywords_kernel(products, k: int) -> list:
     return kernel_basis(rows, len(pos))
 
 
+def _decoded_products(k: int):
+    """The table of spanning products of weight k as {Y-word: multiplicity},
+    each code decoded by reading its binary digits as blocks 1 0^{j-1}."""
+    starts, codes, mults = _harmonic_products(k)
+    for a, b in zip(starts, starts[1:]):
+        yield {leading_blocks(format(c, "b")): m for c, m in zip(codes[a:b], mults[a:b])}
+
+
 @pytest.mark.parametrize("k", range(2, 11))
 def test_factor_pair_products_span_all_pair_products(k) -> None:
     pairs = (harmonic_words(u, v) for u, v in word_pairs(k, all_ywords))
-    assert _ywords_kernel(_harmonic_products(k), k) == _ywords_kernel(pairs, k)
+    assert _ywords_kernel(_decoded_products(k), k) == _ywords_kernel(pairs, k)
+
+
+def test_product_table_stays_compact() -> None:
+    size = sum(a.itemsize * len(a) for m in range(2, 12) for a in _harmonic_products(m))
+    assert size < 500_000
 
 
 def _pair_star_harmonic_rows(index: dict, n: int, k: int) -> list:
@@ -237,7 +250,7 @@ def _pair_star_harmonic_rows(index: dict, n: int, k: int) -> list:
     star = {y: [(j, k * c) for j, c in cols]
             for w, cols in index.items() if (y := leading_blocks(w)) is not None}
     star[(1,) * k] = star.get((1,) * k, []) + index.get("0" * (k - 1) + "1", [])
-    return [_harmonic_row(star, n, (), harmonic_words(u, v))
+    return [_harmonic_row(star, n, harmonic_words(u, v).items())
             for u, v in word_pairs(k, all_ywords)]
 
 
@@ -251,8 +264,9 @@ def _pair_sharp_harmonic_rows(index: dict, n: int, k: int) -> list:
         for u, v in word_pairs(m, all_ywords):
             expansion = harmonic_words(u, v)
             for l in range(1, k - m + 1):
-                if any((l,) + w in sharp for w in expansion):
-                    rows.append(_harmonic_row(sharp, n, (l,), expansion))
+                terms = [((l,) + w, mult) for w, mult in expansion.items()]
+                if any(y in sharp for y, _ in terms):
+                    rows.append(_harmonic_row(sharp, n, terms))
     return rows
 
 
