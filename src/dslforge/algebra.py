@@ -181,15 +181,30 @@ def star_word(psi: XSeries) -> YSeries:
     return q_left(psi) + _y1_tail(psi)
 
 
-def _power_series(x, product, exponential: bool):
-    """1 + sum over n >= 1 of x^n (divided by n! when exponential) under the
-    product; x has zero constant term, so its powers vanish past the bound."""
-    result = power = type(x).unit(x.weight_bound)
-    n = 0
-    while not (power := product(power, x)).is_zero():
-        n += 1
-        result = result + (power.scale(Fraction(1, factorial(n))) if exponential else power)
-    return result
+def _power_series(x, coefficient):
+    """The sum over n >= 0 of coefficient(n) x^n under concatenation, built in
+    one constructor that keeps only the current power alive; x has zero
+    constant term, so its powers vanish past the bound."""
+
+    def terms():
+        power = type(x).unit(x.weight_bound)
+        n = 0
+        while not power.is_zero():
+            c = coefficient(n)
+            yield from ((w, c * v) for w, v in power.terms.items())
+            n += 1
+            power = concat_product(power, x)
+
+    return type(x)(terms(), x.weight_bound)
+
+
+def _scaled_exp(x) -> tuple:
+    """N and N exp(x) under concatenation, with N = n_max! for the highest
+    power n_max of x that survives the bound.  Every coefficient N/n! is an
+    integer, so the result is integral when x is."""
+    mw = x.min_weight()
+    big = factorial(x.weight_bound // mw if mw else 0)
+    return big, _power_series(x, lambda n: big // factorial(n))
 
 
 def group_star(phi: XSeries) -> YSeries:
@@ -202,7 +217,7 @@ def group_star(phi: XSeries) -> YSeries:
     """
     if phi.coeff("") != 1:
         raise NonUnitConstant("group_star needs constant term 1")
-    gamma = _power_series(_y1_tail(phi), concat_product, exponential=True)
+    gamma = concat_exp(_y1_tail(phi))
     base = q_right(phi) + YSeries.unit(phi.weight_bound)
     return concat_product(gamma, base)
 
@@ -417,11 +432,13 @@ def concat_inverse(a: XSeries) -> XSeries:
     geometric series in (1 - a) truncated at the bound."""
     if a.coeff("") != 1:
         raise NonUnitConstant("concatenation inverse needs constant term 1")
-    return _power_series(XSeries.unit(a.weight_bound) - a, concat_product, exponential=False)
+    return _power_series(XSeries.unit(a.weight_bound) - a, lambda n: 1)
 
 
-def concat_exp(s: XSeries) -> XSeries:
-    """Concatenation exponential of a series with zero constant term."""
-    if s.coeff("") != 0:
+def concat_exp(s):
+    """Concatenation exponential of an X- or Y-series with zero constant term:
+    the scaled exponential divided by its scale once."""
+    if s.min_weight() == 0:
         raise ValueError("concat_exp needs zero constant term")
-    return _power_series(s, concat_product, exponential=True)
+    big, scaled = _scaled_exp(s)
+    return scaled.scale(Fraction(1, big))

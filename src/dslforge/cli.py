@@ -103,7 +103,13 @@ def cmd_bracket(args) -> int:
 def cmd_decompose(args) -> int:
     phi = _load_xseries(args.infile)
     if args.bound is not None:
-        phi = phi.with_bound(args.bound)
+        if args.bound > phi.weight_bound:
+            # the file says nothing above its bound: those terms are unknown, not zero
+            raise ValueError(
+                f"--bound {args.bound} is above the weight_bound {phi.weight_bound} "
+                f"of {args.infile}"
+            )
+        phi = phi.truncate(args.bound)
     dec = fad_decompose(phi)
     payload = {
         "is_member": dec.is_member,

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import factorial
 
 from .algebra import (
+    _scaled_exp,
     commutator,
-    concat_exp,
     concat_inverse,
     concat_product,
     is_primitive,
@@ -200,16 +202,17 @@ def exp_ihara1(psi: XSeries) -> XSeries:
         raise NotInTm1("exp_ihara1: lowest weight must be >= 2")
     _check_tm1(psi, "exp_ihara1")
     bound = psi.weight_bound
-    term = XSeries.word("1", 1, bound)
-    acc = term
-    n = 0
-    while True:
-        n += 1
-        term = derive_d(psi, term).scale(Fraction(1, n))
-        if term.is_zero():
-            break
-        acc = acc + term
-    return acc
+
+    def terms():
+        term = XSeries.word("1", 1, bound)  # d_psi^n(x1), not yet divided by n!
+        n = 0
+        while not term.is_zero():
+            scale = factorial(n)
+            yield from ((w, Fraction(c, scale)) for w, c in term.terms.items())
+            n += 1
+            term = derive_d(psi, term)
+
+    return XSeries(terms(), bound)
 
 
 @dataclass(frozen=True)
@@ -237,14 +240,19 @@ def fad_decompose(phi: XSeries) -> FadDecomposition:
 
     phi = exp(-psi) x1 exp(psi) = sum over r of (-1)^r ad(psi)^r(x1) / r!.
     With psi = psi_2 + psi_3 + ..., layers[r, w] holds the weight-w part of
-    ad(psi)^r(x1) / r!, which is (1/r) sum over m of [psi_m, layers[r-1, w-m]].
-    At weight n the layers with r >= 2 use only psi_m with m <= n - 3, and
-    the r = 1 layer is [psi_{n-1}, x1] = -[x1, psi_{n-1}].  So the part of
-    phi not explained by the deeper layers must be a bracket with x1, which
-    happens exactly when its 00-corner vanishes.  On the first nonzero
-    residual the recursion stops (later steps depend on the missing
-    generator) and is_member is False.  On success the reconstruction
-    exp(-psi) x1 exp(psi) is checked against phi up to the bound.
+    ad(psi)^r(x1), which is sum over m of [psi_m, layers[r-1, w-m]]: no
+    division, so the layers are integral when psi is.  At weight n the
+    layers with r >= 2 use only psi_m with m <= n - 3; their signed sum u_n
+    is formed in integers over the deepest r! and divided by it once per
+    term.  The r = 1 layer is [psi_{n-1}, x1] = -[x1, psi_{n-1}].  So the
+    part of phi not explained by the deeper layers must be a bracket with
+    x1, which happens exactly when its 00-corner vanishes.  On the first
+    nonzero residual the recursion stops (later steps depend on the missing
+    generator) and is_member is False.  On success the reconstruction is
+    certified up to the bound from concatenation products, independently
+    of the layers: E = N exp(psi), with N the factorial of the highest power
+    of psi that survives the bound, is a unit of the truncated algebra, so
+    E phi = x1 E holds exactly when phi = E^{-1} x1 E = exp(-psi) x1 exp(psi).
     """
     bound = phi.weight_bound
     x1 = XSeries.word("1", 1, bound)
@@ -265,15 +273,22 @@ def fad_decompose(phi: XSeries) -> FadDecomposition:
         depths = range(2, (n - 1) // 2 + 1)
         for r in depths:
             layers[r, n] = XSeries(
-                ((w, Fraction(c, r)) for m in range(2, n - 2 * r + 2)
-                 for w, c in commutator(lifted[m], layers[r - 1, n - m]).terms.items()),
+                (t for m in range(2, n - 2 * r + 2)
+                 for t in commutator(lifted[m], layers[r - 1, n - m]).terms.items()),
                 bound,
             )
-        u_n = XSeries(
-            ((w, -c if r % 2 else c) for r in depths for w, c in layers[r, n].terms.items()),
+        # top * u_n in integers, with top the r! of the deepest layer
+        top = factorial(depths[-1]) if depths else 1
+        factor = {r: (-1) ** r * (top // factorial(r)) for r in depths}
+        scaled = XSeries(
+            ((w, c * factor[r]) for r in depths for w, c in layers[r, n].terms.items()),
             bound,
         )
-        target = diff.component(n) - u_n
+        target = XSeries(
+            chain(((w, c) for w, c in diff.terms.items() if len(w) == n),
+                  ((w, -Fraction(c, top)) for w, c in scaled.terms.items())),
+            bound,
+        )
         c00 = corner_decompose(target).c00
         if not c00.is_zero():
             x0 = XSeries.word("0", 1, bound)
@@ -288,10 +303,7 @@ def fad_decompose(phi: XSeries) -> FadDecomposition:
     psi_parts = {m: p for m, p in psi_parts.items() if not p.is_zero()}
     out = FadDecomposition(psi_parts=psi_parts, residuals=residuals, is_member=member)
     if member:
-        psi = out.psi(bound)
-        rebuilt = concat_product(
-            concat_product(concat_exp(-psi), x1), concat_exp(psi)
-        )
-        if rebuilt != phi.truncate(bound):
+        _, e = _scaled_exp(out.psi(bound))  # E = N exp(psi)
+        if concat_product(e, phi) != concat_product(x1, e):
             raise AssertionError("fad_decompose: reconstruction mismatch")
     return out

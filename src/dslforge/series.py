@@ -135,11 +135,16 @@ class _SeriesOps:
             raise ValueError(f"weight_bound must be nonnegative, got {weight_bound}")
         weight = self._weight
         terms = _accumulate((w, c) for w, c in items if weight(w) <= weight_bound)
-        for key in terms:
-            if not self._is_key(key):
-                raise ValueError(f"not {self._noun}: {key!r}")
+        self._check_keys(terms)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "weight_bound", weight_bound)
+
+    @classmethod
+    def _check_keys(cls, keys) -> None:
+        """Raise ValueError naming the first key that fails _is_key."""
+        for key in keys:
+            if not cls._is_key(key):
+                raise ValueError(f"not {cls._noun}: {key!r}")
 
     def __init_subclass__(cls):
         # Each class holds its own reader, so that it can be rebound on one
@@ -265,6 +270,13 @@ class XSeries(_SeriesOps):
     _is_key = staticmethod(is_xword)
     _noun = "an X-word"
     _alphabet = "x01"
+
+    @classmethod
+    def _check_keys(cls, keys) -> None:
+        # one type test and one scan of all the letters; the per-key loop
+        # runs only to name the first bad key
+        if not (set(map(type, keys)) <= {str} and not "".join(keys).strip("01")):
+            super()._check_keys(keys)
 
     @staticmethod
     def _key_json(w: XWord) -> dict:

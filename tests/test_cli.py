@@ -115,6 +115,24 @@ def test_decompose_command(cli_cache, capsys, tmp_path) -> None:
     assert main(["decompose", "--in", str(path)]) == 1
 
 
+def test_decompose_bound_above_the_file_exits_2(cli_cache, capsys, tmp_path) -> None:
+    # the terms above the file's bound are unknown, so they must not be read as zeros
+    from dslforge.algebra import concat_exp, concat_product
+
+    psi = XSeries([("01", 1), ("10", -1)], 5)
+    x1 = XSeries.word("1", 1, 5)
+    path = tmp_path / "phi.json"
+    phi = concat_product(concat_product(concat_exp(-psi), x1), concat_exp(psi))
+    path.write_text(phi.to_json())
+    assert main(["decompose", "--in", str(path), "--bound", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --bound 9 is above the weight_bound 5")
+    for bound in ("5", "4"):
+        assert main(["decompose", "--in", str(path), "--bound", bound]) == 0
+        assert json.loads(capsys.readouterr().out)["is_member"] is True
+
+
 def test_verify_commands(cli_cache, capsys) -> None:
     assert main(["verify", "--check", "ad-embedding", "--k", "3", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from dslforge.algebra import (
+    _scaled_exp,
+    _y1_tail,
     antipode,
     concat_exp,
     concat_inverse,
@@ -265,3 +268,39 @@ def test_concat_inverse_and_exp() -> None:
     e = concat_exp(s)
     assert e.coeff("") == 1
     assert concat_product(concat_exp(-s), e) == XSeries.unit(6)
+
+
+def _loop_power_series(x, exponential: bool):
+    """The incremental power series loop the library used before it summed
+    all powers in one constructor: 1 + sum over n >= 1 of x^n (over n! when
+    exponential), one running sum rebuilt per power."""
+    result = power = type(x).unit(x.weight_bound)
+    n = 0
+    while not (power := concat_product(power, x)).is_zero():
+        n += 1
+        result = result + (power.scale(Fraction(1, factorial(n))) if exponential else power)
+    return result
+
+
+def _no_constant(s):
+    return type(s)(((w, c) for w, c in s.terms.items() if w), s.weight_bound)
+
+
+def test_power_series_match_the_incremental_loop() -> None:
+    rng = random.Random(101)
+    for bound in range(0, 8):
+        for density in (0.2, 0.6):
+            x = _no_constant(_random_xseries(rng, bound, density))
+            rational = x.scale(Fraction(rng.choice((1, 2, 5)), rng.choice((1, 3, 4))))
+            y = _no_constant(_random_yseries(rng, bound, density))
+            for s in (x, rational, y, -x, XSeries.zero(bound)):
+                e = concat_exp(s)
+                assert e == _loop_power_series(s, exponential=True)
+                big, scaled = _scaled_exp(s)
+                assert scaled == e.scale(big)
+                assert all(type(c) is int for c in scaled.terms.values()) or s is rational
+            a = XSeries.unit(bound) - x
+            assert concat_inverse(a) == _loop_power_series(x, exponential=False)
+            phi = XSeries.unit(bound) + rational
+            gamma = _loop_power_series(_y1_tail(phi), exponential=True)
+            assert group_star(phi) == concat_product(gamma, q_right(phi) + YSeries.unit(bound))

@@ -7,7 +7,14 @@ from math import factorial
 
 import pytest
 
-from dslforge.algebra import concat_exp, concat_product, harmonic_product, is_primitive
+from dslforge import lie
+from dslforge.algebra import (
+    commutator,
+    concat_exp,
+    concat_product,
+    harmonic_product,
+    is_primitive,
+)
 from dslforge.cache import get_basis
 from dslforge.errors import (
     NonzeroConstant,
@@ -388,6 +395,27 @@ def test_exp_ihara1_inverse_relation() -> None:
         assert ihara1_product(e, exp_ihara1(-psi)) == x1
 
 
+def _loop_exp_ihara1(psi: XSeries) -> XSeries:
+    """exp_ihara1 as one running sum rebuilt per power, each power scaled by
+    1/n from the last: the loop the library used before one constructor."""
+    term = acc = XSeries.word("1", 1, psi.weight_bound)
+    n = 0
+    while not (term := derive_d(psi, term).scale(Fraction(1, n := n + 1))).is_zero():
+        acc = acc + term
+    return acc
+
+
+def test_exp_ihara1_matches_the_running_sum() -> None:
+    rng = random.Random(67)
+    for bound in range(2, 8):
+        for _ in range(2):
+            psi = XSeries.zero(bound)
+            for k in range(2, bound + 1):
+                psi = psi + random_tm1_element(rng, k, bound)
+            for s in (psi, psi.scale(Fraction(rng.choice((1, 3)), rng.choice((2, 5))))):
+                assert exp_ihara1(s) == _loop_exp_ihara1(s)
+
+
 def test_fad_decompose_conjugation_round_trip() -> None:
     bound = 6
     psi2 = XSeries([("01", 1), ("10", -1)], bound)
@@ -516,3 +544,90 @@ def test_fad_decompose_random_round_trips() -> None:
         dec = fad_decompose(phi)
         assert dec.is_member
         assert dec.psi(bound) == psi
+
+
+def _fraction_layer_decompose(phi: XSeries) -> FadDecomposition:
+    """fad_decompose with layers[r, w] the weight-w part of ad(psi)^r(x1)/r!,
+    (1/r) sum over m of [psi_m, layers[r-1, w-m]], one Fraction per
+    commutator term, certified by exp(-psi) x1 exp(psi) == phi: the form the
+    library used before its integer layers and one-exponential certificate."""
+    bound = phi.weight_bound
+    x1 = XSeries.word("1", 1, bound)
+    diff = phi - x1
+    psi_parts: dict = {}
+    residuals: dict = {}
+    member = True
+    lifted: dict = {}
+    layers: dict = {}
+    for n in range(3, bound + 1):
+        depths = range(2, (n - 1) // 2 + 1)
+        for r in depths:
+            layers[r, n] = XSeries(
+                ((w, Fraction(c, r)) for m in range(2, n - 2 * r + 2)
+                 for w, c in commutator(lifted[m], layers[r - 1, n - m]).terms.items()),
+                bound,
+            )
+        u_n = XSeries(
+            ((w, -c if r % 2 else c) for r in depths for w, c in layers[r, n].terms.items()),
+            bound,
+        )
+        target = diff.component(n) - u_n
+        c00 = corner_decompose(target).c00
+        if not c00.is_zero():
+            x0 = XSeries.word("0", 1, bound)
+            residuals[n] = concat_product(concat_product(x0, c00.with_bound(bound)), x0)
+            member = False
+            break
+        residuals[n] = XSeries.zero(bound)
+        psi_parts[n - 1] = ad_x1_inverse(target.truncate(n), check=False)
+        lifted[n - 1] = psi_parts[n - 1].with_bound(bound)
+        layers[1, n] = commutator(lifted[n - 1], x1)
+    psi_parts = {m: p for m, p in psi_parts.items() if not p.is_zero()}
+    out = FadDecomposition(psi_parts=psi_parts, residuals=residuals, is_member=member)
+    if member:
+        psi = out.psi(bound)
+        rebuilt = concat_product(concat_product(concat_exp(-psi), x1), concat_exp(psi))
+        assert rebuilt == phi
+    return out
+
+
+def test_fad_decompose_matches_the_fraction_layers() -> None:
+    rng = random.Random(71)
+    rejected = 0
+    for bound in range(3, 11):
+        x1 = XSeries.word("1", 1, bound)
+        for scale in (1, Fraction(rng.choice((1, 2, 3)), rng.choice((2, 3, 5)))):
+            psi = XSeries.zero(bound)
+            for k in range(2, bound):
+                psi = psi + _random_primitive(rng, k, bound).scale(scale)
+            phi = concat_product(concat_product(concat_exp(-psi), x1), concat_exp(psi))
+            dec = fad_decompose(phi)
+            assert dec.is_member and dec.psi(bound) == psi
+            assert dec == _fraction_layer_decompose(phi)
+            for n in range(3, bound + 1, 2 if bound < 9 else 3):
+                bumped = phi + _random_primitive(rng, n, bound)
+                dec = fad_decompose(bumped)
+                assert dec == _fraction_layer_decompose(bumped)
+                rejected += not dec.is_member
+    assert rejected >= 15
+
+
+def test_reconstruction_certificate_catches_a_wrong_generator(monkeypatch) -> None:
+    # a primitive but wrong top part leaves every residual zero, so only
+    # the final certificate can tell
+    bound = 7
+    rng = random.Random(73)
+    x1 = XSeries.word("1", 1, bound)
+    psi = _random_primitive(rng, 2, bound) + _random_primitive(rng, 3, bound)
+    phi = concat_product(concat_product(concat_exp(-psi), x1), concat_exp(psi))
+    assert fad_decompose(phi).is_member
+    extra = lyndon_primitive_basis(bound - 1)[0].expansion.with_bound(bound - 1)
+    right = lie.ad_x1_inverse
+
+    def wrong(v: XSeries, check: bool = True) -> XSeries:
+        part = right(v, check)
+        return part + extra if v.weight_bound == bound else part
+
+    monkeypatch.setattr(lie, "ad_x1_inverse", wrong)
+    with pytest.raises(AssertionError, match="fad_decompose: reconstruction mismatch"):
+        fad_decompose(phi)
