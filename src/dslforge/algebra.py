@@ -101,12 +101,17 @@ def concat_product(a, b):
     )
 
 
+def _commutator_terms(a: XSeries, b: XSeries):
+    """The terms (word, coeff) of ab - ba within the lower bound, not yet
+    summed, so that a sum of commutators is summed once."""
+    for u, v, c in _term_pairs(a, b):
+        yield u + v, c
+        yield v + u, -c
+
+
 def commutator(a: XSeries, b: XSeries) -> XSeries:
     """ab - ba under concatenation, truncated to the lower bound."""
-    return XSeries(
-        (t for u, v, c in _term_pairs(a, b) for t in ((u + v, c), (v + u, -c))),
-        min(a.weight_bound, b.weight_bound),
-    )
+    return XSeries(_commutator_terms(a, b), min(a.weight_bound, b.weight_bound))
 
 
 def antipode(a: XSeries) -> XSeries:

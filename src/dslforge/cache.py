@@ -1,9 +1,11 @@
 """On-disk cache of computed kernel bases.
 
-Files are named <space>-<weight>-<schema_version>.json and store a
-SubspaceBasis with the CRC-32 of its canonical JSON; bumping the schema
-version (which also encodes the pivot rule) invalidates old entries.  The
-directory defaults to ~/.cache/dslforge and is overridden by DSLFORGE_CACHE_DIR.
+Only spaces solved on a parent are cached: a root's closed form is cheaper
+to build than to read and check.  Files are named
+<space>-<weight>-<schema_version>.json and store a SubspaceBasis with the
+CRC-32 of its canonical JSON; bumping the schema version (which also encodes
+the pivot rule) invalidates old entries.  The directory defaults to
+~/.cache/dslforge and is overridden by DSLFORGE_CACHE_DIR.
 """
 
 from __future__ import annotations
@@ -17,13 +19,11 @@ from pathlib import Path
 
 from .spaces import (
     SCHEMA_VERSION,
-    VSTRPRTY,
     SpaceId,
     SubspaceBasis,
-    compile_constraints,
     compile_on_parent,
     rational_kernel,
-    vstrprty_basis,
+    root_basis,
 )
 
 ENV_VAR = "DSLFORGE_CACHE_DIR"
@@ -95,10 +95,10 @@ def store_basis(basis: SubspaceBasis) -> Path:
 
 
 def get_basis(space: SpaceId, k: int, use_cache: bool = True) -> SubspaceBasis:
-    """Load the basis from cache, or compute and store it: the strong parity
-    space in closed form, an intersection on its parent's basis (read through
-    this function, so the parent is cached too), any other space from its
-    full rows."""
+    """A root's basis in closed form, never cached: it is cheaper to build
+    than to read and check.  Any other space is loaded from the cache, or
+    solved on its parent's basis (read through this function, so the parent
+    is cached too unless it is a root) and stored."""
     return _resolve_basis(space, k, use_cache, {})
 
 
@@ -107,18 +107,15 @@ def _resolve_basis(space: SpaceId, k: int, use_cache: bool, resolved: dict) -> S
     to their bases and gains every basis this call resolves, the parents
     included, so that a parent is computed once even without the cache."""
     basis = resolved.get(space)
-    if basis is None and use_cache:
-        basis = load_basis(space, k)
-    if basis is None:
-        if space == VSTRPRTY:
-            basis = vstrprty_basis(k)
-        elif (parent := space.parent) is not None:
-            parent_basis = _resolve_basis(parent, k, use_cache, resolved)
-            basis = rational_kernel(compile_on_parent(space, parent_basis))
-        else:
-            basis = rational_kernel(compile_constraints(space, k))
-        if use_cache:
-            store_basis(basis)
+    if basis is None and space.parent is None:
+        basis = root_basis(space, k)
+    elif basis is None:
+        basis = load_basis(space, k) if use_cache else None
+        if basis is None:
+            parent = _resolve_basis(space.parent, k, use_cache, resolved)
+            basis = rational_kernel(compile_on_parent(space, parent))
+            if use_cache:
+                store_basis(basis)
     resolved[space] = basis
     return basis
 

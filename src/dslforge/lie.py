@@ -16,6 +16,7 @@ from itertools import chain
 from math import factorial
 
 from .algebra import (
+    _commutator_terms,
     _scaled_exp,
     commutator,
     concat_inverse,
@@ -274,7 +275,7 @@ def fad_decompose(phi: XSeries) -> FadDecomposition:
         for r in depths:
             layers[r, n] = XSeries(
                 (t for m in range(2, n - 2 * r + 2)
-                 for t in commutator(lifted[m], layers[r - 1, n - m]).terms.items()),
+                 for t in _commutator_terms(lifted[m], layers[r - 1, n - m])),
                 bound,
             )
         # top * u_n in integers, with top the r! of the deepest layer

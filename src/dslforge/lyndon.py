@@ -2,8 +2,8 @@
 of the primitive subspace they span.
 
 The bracketings have integer coefficients (Reutenauer, Free Lie Algebras,
-ch. 5), so they are expanded once into an integer table, {word: int}; the
-XSeries view is built from that table."""
+ch. 5).  Each is expanded once, into the XSeries the basis hands out, and
+its terms {word: int} are the integer table that bracketing reads."""
 
 from __future__ import annotations
 
@@ -72,12 +72,12 @@ def standard_factorization(w: XWord) -> tuple[XWord, XWord]:
 
 
 @lru_cache(maxsize=None)
-def bracketing(w: XWord) -> dict[XWord, int]:
-    """The standard bracketing of a Lyndon word expanded into words, as
-    {word: int}: [P_u, P_v] = P_u P_v - P_v P_u over the standard
-    factorization w = uv.  Memoized and shared, so never mutate the result."""
+def _expand(w: XWord) -> XSeries:
+    """The standard bracketing of a Lyndon word expanded into words, as a
+    series of weight bound len(w): [P_u, P_v] = P_u P_v - P_v P_u over the
+    standard factorization w = uv."""
     if len(w) == 1:
-        return {w: 1}
+        return XSeries({w: 1}, 1)
     u, v = standard_factorization(w)
     out: dict[XWord, int] = {}
     for a, ca in bracketing(u).items():
@@ -85,13 +85,13 @@ def bracketing(w: XWord) -> dict[XWord, int]:
             c = ca * cb
             out[a + b] = out.get(a + b, 0) + c
             out[b + a] = out.get(b + a, 0) - c
-    return {x: c for x, c in out.items() if c}
+    return XSeries(out, len(w))
 
 
-@lru_cache(maxsize=None)
-def _expand(w: XWord) -> XSeries:
-    """The bracketing of w as a series of weight bound len(w)."""
-    return XSeries(bracketing(w), len(w))
+def bracketing(w: XWord) -> dict[XWord, int]:
+    """The terms {word: int} of the memoized expansion of w.  Shared with
+    lyndon_primitive_basis, so never mutate the result."""
+    return _expand(w).terms
 
 
 @dataclass(frozen=True)

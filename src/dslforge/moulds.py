@@ -161,15 +161,32 @@ class MultiPoly:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MultiPoly":
-        """Coefficients must be exact, an integer or a "p"/"p/q" string: a
-        float or a term without one raises ValueError."""
-        terms = []
-        for t in data["terms"]:
+        """Read {"vars": n, "terms": [{"exp": [...], "coeff": ...}]}.  As in
+        a series file, nothing is coerced or summed: vars is a nonnegative
+        integer, each exponent vector a list of n nonnegative integers and
+        listed once, and each coefficient exact, an integer or a "p"/"p/q"
+        string.  Anything else raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"polynomial JSON must be an object, got {data!r}")
+        nvars, terms = data.get("vars"), data.get("terms")
+        if type(nvars) is not int or nvars < 0:
+            raise ValueError(f"vars must be a nonnegative integer, got {nvars!r}")
+        if not isinstance(terms, list):
+            raise ValueError("polynomial JSON needs a list of terms")
+        out = {}
+        for t in terms:
             try:
-                terms.append((tuple(t["exp"]), _json_coeff(t["coeff"])))
+                exp, c = t["exp"], _json_coeff(t["coeff"])
             except (KeyError, TypeError):
                 raise ValueError(f"malformed term: {t!r}") from None
-        return cls(int(data["vars"]), terms)
+            if not isinstance(exp, list) or len(exp) != nvars or any(
+                type(e) is not int or e < 0 for e in exp
+            ):
+                raise ValueError(f"malformed exponent vector: {t!r}")
+            if tuple(exp) in out:
+                raise ValueError(f"repeated exponent vector: {t!r}")
+            out[tuple(exp)] = c
+        return cls(nvars, out)
 
     def __repr__(self):
         if not self.terms:
@@ -286,16 +303,15 @@ def check_corner_identity(s: XSeries, depth: int) -> VerificationReport:
     )
 
 
-def check_parity_identity(
-    s: XSeries, depth: int, primitive: bool | None = None
-) -> VerificationReport:
+def check_parity_identity(s: XSeries, depth: int) -> VerificationReport:
     """Check the strong-parity generating identity in denominator-cleared form.
 
     Base form (any series, middle variables x_1..x_r):
       x_1*x_r*v(0,x_1..x_r,0) + x_1*[v(0,x_1..x_r) - v(0,x_1..x_{r-1},0)]
                               + x_r*[v(x_1..x_r,0) - v(0,x_2..x_r,0)] = 0.
-    For primitive inputs, additionally the shifted form with an extra
-    variable y and denominators cleared by (x_1 - y)(x_r - y).
+    For primitive inputs (decided here by is_primitive), additionally the
+    shifted form with an extra variable y and denominators cleared by
+    (x_1 - y)(x_r - y).
 
     The base identity at depth r is equivalent to the strong-parity rows on
     middle words of depth r-1.
@@ -326,8 +342,7 @@ def check_parity_identity(
     if not base.is_zero():
         witnesses.append({"variant": "base", "difference_terms": len(base.terms)})
 
-    if primitive is None:
-        primitive = is_primitive(s)
+    primitive = is_primitive(s)
     if primitive:
         y = MultiPoly.variable(nv, r)
         yi = r + 1  # 1-based index of y for eval_at via xs()

@@ -1,26 +1,25 @@
 """Compile graded subspace definitions into exact linear systems.
 
-Stage 1 picks the coordinates: spaces that include primitivity are
-parametrized by the Lyndon-bracketing basis of the primitive subspace (186
-coordinates at weight 11 instead of 2048 raw word coordinates), read from the
-integer bracketing table.  Stage 2 emits one integer row per residual linear
-condition, a positive multiple of the condition's rational row; a harmonic
-condition gets one row per non-Lyndon Y-word, whose products span every
-product u * v (Hoffman 2000; Radford 1979), and a sharp row pairs a product
-of weight m only with y_{k-m}.  The products come from the table that
+Every space descends from a root whose basis is written in closed form.  The
+primitive roots F2GEQ(m) take the Lyndon-bracketing basis of the free Lie
+algebra at each weight k >= m (186 vectors at weight 11 instead of 2048 raw
+words) and nothing below m, so a minimum weight is stated once, on the root.
+The strong parity space `vstrprty` is not primitive; it is a root too.
+
+Every other space is solved on its parent's basis: one integer row per
+condition the space adds, a positive multiple of the condition's rational
+row, over the parent's integer vectors as columns.  A harmonic condition
+gets one row per non-Lyndon Y-word, whose products span every product
+u * v (Hoffman 2000; Radford 1979), and a sharp row pairs a product of
+weight m only with y_{k-m}.  The products come from the table that
 membership certificates also decide on, keyed by the binary codes of the
 Y-words, which the harmonic rows read off the column words.  Kernels are
 computed exactly as integer vectors and re-expanded into series through the
-chosen coordinates.
+columns, so `addmr-fad` solves 7 columns at weight 11.
 
 Membership certificates never read the compiled rows: each star weight and
 each sharp T^t layer is decided on the codes read off the series, and only a
 failing one builds the star_word or q_sharp image and scans its pairs.
-
-An intersection can also be solved on its parent's basis: only the conditions
-it adds become rows, over the parent's vectors as columns, so `addmr-fad`
-solves 7 columns at weight 11 instead of 186.  The strong parity space is not
-primitive; its basis is written in closed form.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .algebra import _sharp_terms, _shuffle_defects, _star_codes, _star_terms
 from .algebra import _weight_component
 from .algebra import q_sharp, star_word
 from .linalg import kernel_basis
-from .lyndon import bracketing, lyndon_words
+from .lyndon import lyndon_primitive_basis
 from .series import XSeries, corner_decompose
 from .words import all_xwords, shuffle_words, word_pairs
 
@@ -44,15 +43,14 @@ SCHEMA_VERSION = "s1p1"
 @dataclass(frozen=True)
 class SpaceId:
     """Identifier of a defined subspace: its key (the cache and JSON name),
-    its minimum weight, the space whose basis an intersection is solved on
-    (None without one), and the conditions it adds to the parent's (all of
-    them without a parent).  An intersection keeps its parent's minimum
-    weight."""
+    the space whose basis it is solved on (None for a root, whose basis is
+    written in closed form), the conditions it adds to the parent's, and,
+    on a root only, its minimum weight, which every descendant inherits."""
 
     key: str
-    min_weight: int
     parent: "SpaceId | None"
     own_tags: tuple[str, ...]
+    root_weight: int | None = None
 
     @staticmethod
     def parse(text: str) -> "SpaceId":
@@ -65,6 +63,10 @@ class SpaceId:
                 return F2GEQ(int(arg))
         raise ValueError(f"unknown space id: {text!r}")
 
+    @property
+    def min_weight(self) -> int:
+        return self.parent.min_weight if self.parent else self.root_weight
+
     def condition_tags(self) -> tuple[str, ...]:
         return (self.parent.condition_tags() if self.parent else ()) + self.own_tags
 
@@ -72,20 +74,20 @@ class SpaceId:
         return self.key
 
 
-DMR = SpaceId("dmr", 3, None, ("star-harmonic",))
-ADDMR = SpaceId("addmr", 4, None, ("sharp-harmonic", "sharp-depth-one"))
-FAD = SpaceId("fad", 3, None, ("corner00",))
-VSTRPRTY = SpaceId("vstrprty", 2, None, ("parity",))
-ADDMR_FAD = SpaceId("addmr-fad", 4, ADDMR, ("corner00",))
-ADDMR_FAD_PARITY = SpaceId("addmr-fad-parity", 4, ADDMR_FAD, ("parity",))
-# No parent: `fad` is wide (56 vectors at weight 10, of which 13 are kept).
-FAD_PARITY = SpaceId("fad-parity", 3, None, ("corner00", "parity"))
-
-
 def F2GEQ(m: int) -> SpaceId:
     """Primitive series with no component below weight m; F2GEQ(1) is `f2`."""
-    return SpaceId("f2" if m == 1 else f"f2geq{m}", m, None, ())
+    return SpaceId("f2" if m == 1 else f"f2geq{m}", None, (), m)
 
+
+VSTRPRTY = SpaceId("vstrprty", None, ("parity",), 2)
+DMR = SpaceId("dmr", F2GEQ(3), ("star-harmonic",))
+ADDMR = SpaceId("addmr", F2GEQ(4), ("sharp-harmonic", "sharp-depth-one"))
+FAD = SpaceId("fad", F2GEQ(3), ("corner00",))
+ADDMR_FAD = SpaceId("addmr-fad", ADDMR, ("corner00",))
+ADDMR_FAD_PARITY = SpaceId("addmr-fad-parity", ADDMR_FAD, ("parity",))
+# On the free Lie basis, not on `fad`: `fad` is wide (56 vectors at weight
+# 10, of which 13 are kept).
+FAD_PARITY = SpaceId("fad-parity", F2GEQ(3), ("corner00", "parity"))
 
 _BY_KEY = {
     s.key: s
@@ -98,8 +100,8 @@ class ConstraintMatrix:
     """Exact system whose kernel is the weight-k piece of the space.
 
     column_series holds each column's expansion into words as {word: int};
-    column_labels names the columns: Lyndon words, raw words, or the indices
-    of a parent's basis vectors.
+    column_labels names the columns: the indices of the basis vectors they
+    are, or raw words (compile_primitivity_raw).
     """
 
     rows: list
@@ -222,33 +224,16 @@ _ROW_BUILDERS = {
 }
 
 
-def _condition_rows(tags: tuple, columns: list[dict], k: int) -> list:
-    """The rows of the conditions over the integer columns {word: int}; every
-    builder reads one word -> [(column, coeff)] index over them."""
-    index = _word_index(columns)
-    return [row for tag in tags for row in _ROW_BUILDERS[tag](index, len(columns), k)]
-
-
-def compile_constraints(space: SpaceId, k: int) -> ConstraintMatrix:
-    """Two-stage compilation of the weight-k piece of a primitive space over
-    the integer bracketings of the Lyndon words of length k, with every row
-    of every condition.  Below the space's weight threshold the result has
-    full-rank rows and an empty kernel.
-    """
-    if k < 1:
-        raise ValueError("weight must be >= 1")
-    if space == VSTRPRTY:
-        raise ValueError("vstrprty is not primitive: its basis is vstrprty_basis(k)")
-    labels = lyndon_words(k)
-    columns = [bracketing(w) for w in labels]
-    n = len(columns)
-    if k < space.min_weight:
-        rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    else:
-        rows = _condition_rows(space.condition_tags(), columns, k)
+def _compile(space: SpaceId, tags: tuple, basis: SubspaceBasis) -> ConstraintMatrix:
+    """The rows of the conditions over the basis vectors as columns; every
+    builder reads one word -> [(column, coeff)] index over them.  Integral
+    coefficients are stored as ints, so each vector's terms already are
+    {word: int}."""
+    columns = [v.terms for v in basis.vectors]
+    index, n, k = _word_index(columns), len(columns), basis.weight
     return ConstraintMatrix(
-        rows=rows,
-        column_labels=labels,
+        rows=[row for tag in tags for row in _ROW_BUILDERS[tag](index, n, k)],
+        column_labels=list(range(n)),
         column_series=columns,
         space=space,
         weight=k,
@@ -256,19 +241,24 @@ def compile_constraints(space: SpaceId, k: int) -> ConstraintMatrix:
 
 
 def compile_on_parent(space: SpaceId, parent: SubspaceBasis) -> ConstraintMatrix:
-    """An intersection inside its parent's basis: the rows of the conditions
-    the space adds, over the parent's primitive integer vectors as columns.
-    The parent's rows hold on every combination, and rational_kernel turns
-    the kernel into the canonical basis (see there).  Integral coefficients
-    are stored as ints, so each vector's terms already are {word: int}."""
-    columns = [v.terms for v in parent.vectors]
-    return ConstraintMatrix(
-        rows=_condition_rows(space.own_tags, columns, parent.weight),
-        column_labels=list(range(len(columns))),
-        column_series=columns,
-        space=space,
-        weight=parent.weight,
-    )
+    """The library's compiler: the rows of the conditions the space adds,
+    over its parent's canonical basis vectors as columns.  The parent's rows
+    hold on every combination, and rational_kernel turns the kernel into the
+    canonical basis (see there).  Below the root's minimum weight the parent
+    has no vectors, so the system has no columns and its kernel is empty."""
+    return _compile(space, space.own_tags, parent)
+
+
+def compile_constraints(space: SpaceId, k: int) -> ConstraintMatrix:
+    """The full-rows reference for compile_on_parent: every condition of the
+    space, over its root's closed-form basis at weight k.  The strong parity
+    space is a root that is not primitive, so it has nothing to compile."""
+    root = space
+    while root.parent is not None:
+        root = root.parent
+    if root == VSTRPRTY:
+        raise ValueError("vstrprty is not primitive: its basis is root_basis(VSTRPRTY, k)")
+    return _compile(space, space.condition_tags(), root_basis(root, k))
 
 
 def compile_primitivity_raw(k: int) -> ConstraintMatrix:
@@ -298,13 +288,15 @@ def rational_kernel(matrix: ConstraintMatrix) -> SubspaceBasis:
     the gcd of its word coefficients and signed so that its smallest word
     has a positive coefficient.
 
-    This changes no canonical basis over raw words or Lyndon bracketings:
-    each bracketing has its Lyndon word as smallest word, with coefficient 1
-    (Reutenauer, Free Lie Algebras, ch. 5), so the gcd and the first
-    coordinate's sign read the same off the words.  Over a parent's
-    canonical basis it gives the canonical basis of the intersection: each
-    parent vector's last nonzero Lyndon coordinate is its own free column, so
-    the kernel's free columns are the intersection's Lyndon free columns.
+    Over a parent's canonical basis this gives the child's canonical basis,
+    for every space.  On a free Lie root the columns are the Lyndon
+    bracketings, and each has its Lyndon word as smallest word, with
+    coefficient 1 (Reutenauer, Free Lie Algebras, ch. 5), so the gcd and the
+    first coordinate's sign read the same off the words as off the
+    coordinates.  Further down, each parent vector's last nonzero Lyndon
+    coordinate is its own free column, so the kernel's free columns are the
+    child's Lyndon free columns.  Over raw words the columns are unit
+    vectors and nothing changes.
     """
     vectors = []
     for coords in kernel_basis(matrix.rows, len(matrix.column_labels)):
@@ -321,25 +313,31 @@ def rational_kernel(matrix: ConstraintMatrix) -> SubspaceBasis:
     return SubspaceBasis(space=matrix.space, weight=matrix.weight, vectors=vectors)
 
 
-def vstrprty_basis(k: int) -> SubspaceBasis:
-    """The canonical basis of the strong parity space in closed form.
+def root_basis(space: SpaceId, k: int) -> SubspaceBasis:
+    """The canonical basis of a root in closed form; empty below its minimum
+    weight.
 
-    Its row for each middle w, <x1 w x1> + <x1 w x0> + <x0 w x1> = 0, touches
-    a triple of words that no other row touches, with x0 w x1 as pivot, and
-    every x0 w x0 is free.  So, in sorted order of the free words, the basis
-    is the unit vector at each x0 w x0 and x0 w x1 - x1 w a at each x1 w a:
-    3 * 2^(k-2) vectors, none below weight 2.
+    F2GEQ(m) is spanned by the standard bracketings of the Lyndon words of
+    length k, in increasing order: each is its own canonical vector (see
+    rational_kernel).  The strong parity space has one row per middle w,
+    <x1 w x1> + <x1 w x0> + <x0 w x1> = 0, which touches a triple of words
+    that no other row touches, with x0 w x1 as pivot, and every x0 w x0 is
+    free.  So, in sorted order of the free words, its basis is the unit
+    vector at each x0 w x0 and x0 w x1 - x1 w a at each x1 w a: 3 * 2^(k-2)
+    vectors.
     """
     if k < 1:
         raise ValueError("weight must be >= 1")
-    words = sorted(all_xwords(k)) if k >= VSTRPRTY.min_weight else []
-    vectors = []
-    for w in words:
-        if w[0] == "1":
-            vectors.append(XSeries({"0" + w[1:-1] + "1": 1, w: -1}, k))
-        elif w[-1] == "0":
-            vectors.append(XSeries({w: 1}, k))
-    return SubspaceBasis(space=VSTRPRTY, weight=k, vectors=vectors)
+    if k < space.min_weight:
+        vectors = []
+    elif space != VSTRPRTY:
+        vectors = [e.expansion for e in lyndon_primitive_basis(k)]
+    else:
+        vectors = [
+            XSeries({"0" + w[1:-1] + "1": 1, w: -1} if w[0] == "1" else {w: 1}, k)
+            for w in sorted(all_xwords(k)) if w[0] == "1" or w[-1] == "0"
+        ]
+    return SubspaceBasis(space=space, weight=k, vectors=vectors)
 
 
 @dataclass(frozen=True)

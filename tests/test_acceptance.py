@@ -220,7 +220,7 @@ def test_criterion_7_mould_identity_suite() -> None:
             primitive = is_primitive(v)  # recomputed, not assumed
             assert primitive
             for depth in range(1, k):
-                rep = check_parity_identity(v, depth, primitive=primitive)
+                rep = check_parity_identity(v, depth)
                 ok = ok and rep.passed
                 assert rep.passed, (k, depth, rep.witnesses)
 

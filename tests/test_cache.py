@@ -9,7 +9,15 @@ import pytest
 from dslforge import cache
 from dslforge.cache import get_basis, list_entries, load_basis, store_basis
 from dslforge.cli import main
-from dslforge.spaces import ADDMR, ADDMR_FAD, ADDMR_FAD_PARITY, DMR, dimension_table
+from dslforge.spaces import (
+    ADDMR,
+    ADDMR_FAD,
+    ADDMR_FAD_PARITY,
+    DMR,
+    F2GEQ,
+    VSTRPRTY,
+    dimension_table,
+)
 
 
 @pytest.fixture()
@@ -124,6 +132,18 @@ def test_intersection_stores_its_parents(private_cache) -> None:
     assert list_entries() == [
         "addmr-6-s1p1.json", "addmr-fad-6-s1p1.json", "addmr-fad-parity-6-s1p1.json"
     ]
+
+
+def test_closed_form_roots_are_never_cached(private_cache) -> None:
+    for space in (VSTRPRTY, F2GEQ(1), F2GEQ(4)):
+        for k in range(1, 7):
+            assert (get_basis(space, k).dimension > 0) == (k >= space.min_weight)
+    assert list_entries() == []
+
+
+def test_cold_table_stores_only_the_space_itself(private_cache) -> None:
+    assert dimension_table([DMR], 6) == {"dmr": [0, 0, 1, 0, 1, 0]}
+    assert list_entries() == sorted(f"dmr-{k}-s1p1.json" for k in range(1, 7))
 
 
 def test_parent_with_a_bad_checksum_is_recomputed(private_cache) -> None:

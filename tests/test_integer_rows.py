@@ -120,8 +120,8 @@ def _sha256(basis) -> str:
 
 @pytest.mark.parametrize("name", sorted(_PINNED))
 def test_bases_match_pinned_hashes(name) -> None:
-    """Through get_basis (closed form, parent basis or full rows) and, for
-    every space that compiles, through the full rows."""
+    """Through get_basis (closed form or parent basis) and, for every space
+    that compiles, through the full rows."""
     space = SpaceId.parse(name)
     got = [_sha256(get_basis(space, k, use_cache=False)) for k in range(1, 9)]
     assert got == _PINNED[name]

@@ -92,3 +92,10 @@ def test_integer_bracketing_matches_the_series_commutator() -> None:
             assert all(type(c) is int and c for c in table.values())
             assert table == oracle.terms
             assert e.expansion == oracle
+
+
+def test_bracketing_is_the_terms_of_the_basis_expansion() -> None:
+    # one memo: the integer table is the series the basis hands out
+    for k in range(1, 9):
+        for e in lyndon_primitive_basis(k):
+            assert bracketing(e.lyndon_word) is e.expansion.terms

@@ -69,6 +69,27 @@ def test_multipoly_json_rejects_inexact_or_missing_coefficients() -> None:
             MultiPoly.from_json_dict({"vars": 1, "terms": [term]})
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        # repeated exponents would sum to the zero polynomial
+        {"vars": 1, "terms": [{"exp": [1], "coeff": "1"}, {"exp": [1], "coeff": "-1"}]},
+        {"vars": 2.9, "terms": [{"exp": [1, 0], "coeff": 1}]},
+        {"vars": "2", "terms": [{"exp": [1, 0], "coeff": 1}]},
+        {"vars": 1, "terms": [{"exp": [-1], "coeff": 1}]},
+        {"vars": 1, "terms": [{"exp": [True], "coeff": 1}]},
+        {"vars": 1, "terms": [{"exp": ["5"], "coeff": 1}]},
+        [{"exp": [1], "coeff": 1}],
+        {"vars": 1, "terms": 5},
+    ],
+    ids=["repeated-exp", "vars-float", "vars-str", "exp-negative", "exp-bool",
+         "exp-str", "list-not-object", "terms-int"],
+)
+def test_multipoly_json_rejects_malformed_files(data) -> None:
+    with pytest.raises(ValueError):
+        MultiPoly.from_json_dict(data)
+
+
 def test_multipoly_rejects_inexact_coefficients() -> None:
     with pytest.raises(TypeError):
         MultiPoly(1, [((1,), 0.1)])
@@ -187,6 +208,6 @@ def test_parity_identity_matches_corner_condition() -> None:
         dec = corner_decompose(s)
         parity = dec.c11 + dec.c10 + dec.c01
         for depth in range(1, 5):
-            rep = check_parity_identity(s, depth, primitive=False)
+            rep = check_parity_identity(s, depth)
             expected = all(xdepth(w) != depth - 1 for w in parity.terms)
             assert rep.passed == expected
