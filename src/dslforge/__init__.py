@@ -51,11 +51,8 @@ from .spaces import (
     FAD,
     FAD_PARITY,
     VSTRPRTY,
-    ConstraintMatrix,
     SpaceId,
     SubspaceBasis,
-    compile_constraints,
-    compile_primitivity_raw,
     dimension_table,
     membership_check,
     rational_kernel,

@@ -167,10 +167,11 @@ def q_sharp_pairing_tables(s: XSeries) -> dict:
 
 
 def _y1_tail(psi: XSeries) -> YSeries:
-    """The y1-power series sum over n >= 2 of (1/n) <psi | 0^{n-1} 1> y1^n."""
+    """The y1-power series sum over n >= 2 of (1/n) <psi | 0^{n-1} 1> y1^n,
+    read off the terms of psi."""
     return YSeries(
-        (((1,) * n, Fraction(psi.coeff("0" * (n - 1) + "1"), n))
-         for n in range(2, psi.weight_bound + 1)),
+        (((1,) * len(w), Fraction(c, len(w))) for w, c in psi.terms.items()
+         if len(w) >= 2 and w == "0" * (len(w) - 1) + "1"),
         psi.weight_bound,
     )
 

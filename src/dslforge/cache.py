@@ -113,7 +113,7 @@ def _resolve_basis(space: SpaceId, k: int, use_cache: bool, resolved: dict) -> S
         basis = load_basis(space, k) if use_cache else None
         if basis is None:
             parent = _resolve_basis(space.parent, k, use_cache, resolved)
-            basis = rational_kernel(compile_on_parent(space, parent))
+            basis = rational_kernel(space, parent, compile_on_parent(space, parent))
             if use_cache:
                 store_basis(basis)
     resolved[space] = basis

@@ -201,16 +201,10 @@ class _SeriesOps:
         return not self.terms
 
     def _by_weight(self) -> tuple[list, list]:
-        """The (key, coefficient) pairs sorted by weight, and their weights.
-        The terms never change, so they are sorted on the first call only:
-        a product may take the same right operand many times."""
-        memo = self.__dict__.get("_by_weight_memo")
-        if memo is None:
-            weight = self._weight
-            items = sorted(self.terms.items(), key=lambda t: weight(t[0]))
-            memo = items, [weight(w) for w, _ in items]
-            object.__setattr__(self, "_by_weight_memo", memo)
-        return memo
+        """The (key, coefficient) pairs sorted by weight, and their weights."""
+        weight = self._weight
+        items = sorted(self.terms.items(), key=lambda t: weight(t[0]))
+        return items, [weight(w) for w, _ in items]
 
     def component(self, k: int):
         """The weight-k homogeneous part, same bound."""

@@ -35,7 +35,7 @@ from .algebra import q_sharp, star_word
 from .linalg import kernel_basis
 from .lyndon import lyndon_primitive_basis
 from .series import XSeries, corner_decompose
-from .words import all_xwords, shuffle_words, word_pairs
+from .words import all_xwords
 
 # Bumped when the emitted rows or the pivot rule change; part of cache keys.
 SCHEMA_VERSION = "s1p1"
@@ -64,8 +64,12 @@ class SpaceId:
         raise ValueError(f"unknown space id: {text!r}")
 
     @property
+    def root(self) -> "SpaceId":
+        return self.parent.root if self.parent else self
+
+    @property
     def min_weight(self) -> int:
-        return self.parent.min_weight if self.parent else self.root_weight
+        return self.root.root_weight
 
     def condition_tags(self) -> tuple[str, ...]:
         return (self.parent.condition_tags() if self.parent else ()) + self.own_tags
@@ -93,22 +97,6 @@ _BY_KEY = {
     s.key: s
     for s in (DMR, ADDMR, FAD, VSTRPRTY, ADDMR_FAD, ADDMR_FAD_PARITY, FAD_PARITY, F2GEQ(1))
 }
-
-
-@dataclass(frozen=True)
-class ConstraintMatrix:
-    """Exact system whose kernel is the weight-k piece of the space.
-
-    column_series holds each column's expansion into words as {word: int};
-    column_labels names the columns: the indices of the basis vectors they
-    are, or raw words (compile_primitivity_raw).
-    """
-
-    rows: list
-    column_labels: list
-    column_series: list
-    space: SpaceId
-    weight: int
 
 
 @dataclass(frozen=True)
@@ -192,8 +180,6 @@ def _sharp_harmonic_rows(index: dict, n: int, k: int) -> list:
 
 def _sharp_depth_one_rows(index: dict, n: int, k: int) -> list:
     """The explicit depth-one tail row: <psi | x1 x0^{k-2} x1> = 0."""
-    if k < 2:
-        return []
     return [_harmonic_row(index, n, (("1" + "0" * (k - 2) + "1", 1),))]
 
 
@@ -224,69 +210,40 @@ _ROW_BUILDERS = {
 }
 
 
-def _compile(space: SpaceId, tags: tuple, basis: SubspaceBasis) -> ConstraintMatrix:
-    """The rows of the conditions over the basis vectors as columns; every
-    builder reads one word -> [(column, coeff)] index over them.  Integral
-    coefficients are stored as ints, so each vector's terms already are
-    {word: int}."""
-    columns = [v.terms for v in basis.vectors]
-    index, n, k = _word_index(columns), len(columns), basis.weight
-    return ConstraintMatrix(
-        rows=[row for tag in tags for row in _ROW_BUILDERS[tag](index, n, k)],
-        column_labels=list(range(n)),
-        column_series=columns,
-        space=space,
-        weight=k,
-    )
+def _compile(tags: tuple, basis: SubspaceBasis) -> list:
+    """The integer rows of the conditions over the basis vectors as columns;
+    every builder reads one word -> [(column, coeff)] index over them.
+    Integral coefficients are stored as ints, so each vector's terms already
+    are {word: int}."""
+    index = _word_index([v.terms for v in basis.vectors])
+    return [row for tag in tags
+            for row in _ROW_BUILDERS[tag](index, basis.dimension, basis.weight)]
 
 
-def compile_on_parent(space: SpaceId, parent: SubspaceBasis) -> ConstraintMatrix:
+def compile_on_parent(space: SpaceId, parent: SubspaceBasis) -> list:
     """The library's compiler: the rows of the conditions the space adds,
     over its parent's canonical basis vectors as columns.  The parent's rows
     hold on every combination, and rational_kernel turns the kernel into the
     canonical basis (see there).  Below the root's minimum weight the parent
     has no vectors, so the system has no columns and its kernel is empty."""
-    return _compile(space, space.own_tags, parent)
+    return _compile(space.own_tags, parent)
 
 
-def compile_constraints(space: SpaceId, k: int) -> ConstraintMatrix:
-    """The full-rows reference for compile_on_parent: every condition of the
-    space, over its root's closed-form basis at weight k.  The strong parity
-    space is a root that is not primitive, so it has nothing to compile."""
-    root = space
-    while root.parent is not None:
-        root = root.parent
-    if root == VSTRPRTY:
+def compile_constraints(space: SpaceId, k: int) -> list:
+    """The full-rows reference for compile_on_parent: the rows of every
+    condition of the space, over its root's closed-form basis at weight k.
+    The strong parity space is a root that is not primitive, so it has
+    nothing to compile."""
+    if space.root == VSTRPRTY:
         raise ValueError("vstrprty is not primitive: its basis is root_basis(VSTRPRTY, k)")
-    return _compile(space, space.condition_tags(), root_basis(root, k))
+    return _compile(space.condition_tags(), root_basis(space.root, k))
 
 
-def compile_primitivity_raw(k: int) -> ConstraintMatrix:
-    """Primitivity over raw word coordinates: one row per nonempty pair
-    (u, v), |u| <= |v|, |u|+|v| = k, with entries the interleaving
-    multiplicities.  Oracle for the Lyndon parametrization."""
-    labels = sorted(all_xwords(k))
-    pos = {w: i for i, w in enumerate(labels)}
-    rows = []
-    for u, v in word_pairs(k, all_xwords):
-        row = [0] * len(labels)
-        for w, m in shuffle_words(u, v).items():
-            row[pos[w]] += m
-        rows.append(row)
-    return ConstraintMatrix(
-        rows=rows,
-        column_labels=labels,
-        column_series=[{w: 1} for w in labels],
-        space=F2GEQ(1),
-        weight=k,
-    )
-
-
-def rational_kernel(matrix: ConstraintMatrix) -> SubspaceBasis:
-    """Exact nullspace of the compiled system, re-expanded into series in
-    integer arithmetic through the integer columns, each vector divided by
-    the gcd of its word coefficients and signed so that its smallest word
-    has a positive coefficient.
+def rational_kernel(space: SpaceId, parent: SubspaceBasis, rows: list) -> SubspaceBasis:
+    """The space's basis: the exact nullspace of the rows over the parent's
+    vectors as columns, re-expanded into series in integer arithmetic, each
+    vector divided by the gcd of its word coefficients and signed so that
+    its smallest word has a positive coefficient.
 
     Over a parent's canonical basis this gives the child's canonical basis,
     for every space.  On a free Lie root the columns are the Lyndon
@@ -295,22 +252,22 @@ def rational_kernel(matrix: ConstraintMatrix) -> SubspaceBasis:
     first coordinate's sign read the same off the words as off the
     coordinates.  Further down, each parent vector's last nonzero Lyndon
     coordinate is its own free column, so the kernel's free columns are the
-    child's Lyndon free columns.  Over raw words the columns are unit
-    vectors and nothing changes.
+    child's Lyndon free columns.  Over a basis of unit words the columns
+    are the words themselves, and nothing changes.
     """
     vectors = []
-    for coords in kernel_basis(matrix.rows, len(matrix.column_labels)):
+    for coords in kernel_basis(rows, parent.dimension):
         terms: dict = {}
-        for c, col in zip(coords, matrix.column_series):
+        for c, col in zip(coords, parent.vectors):
             if not c:
                 continue
-            for w, cw in col.items():
+            for w, cw in col.terms.items():
                 terms[w] = terms.get(w, 0) + c * cw
         g = gcd(*terms.values())
         if terms[min(w for w, c in terms.items() if c)] < 0:
             g = -g
-        vectors.append(XSeries({w: c // g for w, c in terms.items()}, matrix.weight))
-    return SubspaceBasis(space=matrix.space, weight=matrix.weight, vectors=vectors)
+        vectors.append(XSeries({w: c // g for w, c in terms.items()}, parent.weight))
+    return SubspaceBasis(space=space, weight=parent.weight, vectors=vectors)
 
 
 def root_basis(space: SpaceId, k: int) -> SubspaceBasis:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 
 from conftest import record_acceptance
+from reference_systems import compile_primitivity_raw, full_rows_kernel, raw_kernel
 
 from dslforge.algebra import concat_exp, concat_product, is_primitive
 from dslforge.cache import get_basis
@@ -24,11 +25,8 @@ from dslforge.spaces import (
     ADDMR_FAD_PARITY,
     DMR,
     F2GEQ,
-    compile_constraints,
-    compile_primitivity_raw,
     dimension_table,
     membership_check,
-    rational_kernel,
 )
 from dslforge.verify import (
     verify_bracket_closure,
@@ -231,8 +229,8 @@ def test_criterion_7_mould_identity_suite() -> None:
 def test_criterion_8_oracle_cross_checks() -> None:
     ok = True
     for k in range(1, 8):
-        raw = rational_kernel(compile_primitivity_raw(k))
-        lyn = rational_kernel(compile_constraints(F2GEQ(1), k))
+        raw = raw_kernel(F2GEQ(1), k, compile_primitivity_raw(k))
+        lyn = full_rows_kernel(F2GEQ(1), k)
         good = raw.dimension == lyn.dimension == witt_number(k)
         for v in raw.vectors:
             good = good and membership_check(F2GEQ(1), v).passed
@@ -241,7 +239,7 @@ def test_criterion_8_oracle_cross_checks() -> None:
         ok = ok and good
         assert good, k
     for k in range(1, 10):
-        dim = rational_kernel(compile_primitivity_raw(k)).dimension
+        dim = raw_kernel(F2GEQ(1), k, compile_primitivity_raw(k)).dimension
         good = dim == witt_number(k)
         ok = ok and good
         assert good, k

@@ -167,7 +167,8 @@ def test_no_cache_table_solves_each_addmr_kernel_once(private_cache, monkeypatch
     spaces_solved = []
     real = cache.rational_kernel
     monkeypatch.setattr(
-        cache, "rational_kernel", lambda m: spaces_solved.append(m.space) or real(m)
+        cache, "rational_kernel",
+        lambda space, parent, rows: spaces_solved.append(space) or real(space, parent, rows),
     )
     table = dimension_table([ADDMR, ADDMR_FAD, ADDMR_FAD_PARITY], 7, use_cache=False)
     assert table["addmr"] == [0, 0, 0, 2, 2, 3, 3]

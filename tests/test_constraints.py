@@ -15,19 +15,19 @@ from dslforge.spaces import (
     FAD,
     FAD_PARITY,
     VSTRPRTY,
-    ConstraintMatrix,
     SpaceId,
     SubspaceBasis,
     _parity_rows,
     _word_index,
     compile_constraints,
     compile_on_parent,
-    compile_primitivity_raw,
     dimension_table,
     membership_check,
     rational_kernel,
 )
 from dslforge.words import all_xwords, all_ywords, word_pairs
+
+from reference_systems import compile_primitivity_raw, full_rows_kernel, raw_kernel
 
 
 def test_space_id_parse() -> None:
@@ -55,18 +55,17 @@ def test_space_id_parse_reads_back_its_key(space) -> None:
 def test_zero_space_below_threshold() -> None:
     for space in (DMR, ADDMR, FAD):
         for k in range(1, space.min_weight):
-            assert rational_kernel(compile_constraints(space, k)).dimension == 0
-    assert rational_kernel(compile_constraints(F2GEQ(4), 3)).dimension == 0
-    assert rational_kernel(compile_constraints(F2GEQ(4), 4)).dimension == witt_number(4)
+            assert full_rows_kernel(space, k).dimension == 0
+    assert full_rows_kernel(F2GEQ(4), 3).dimension == 0
+    assert full_rows_kernel(F2GEQ(4), 4).dimension == witt_number(4)
 
 
 def test_fad_weight3() -> None:
     # [x0,[x0,x1]] has 00-corner word 010 with coefficient -2, so only the
     # other weight-3 bracket survives; this matches the image of bracketing
     # x1 against the one-dimensional weight-2 primitive space.
-    m = compile_constraints(FAD, 3)
-    assert len(m.column_labels) == 2
-    basis = rational_kernel(m)
+    assert {len(row) for row in compile_constraints(FAD, 3)} == {2}
+    basis = full_rows_kernel(FAD, 3)
     assert basis.dimension == 1
     assert basis.vectors[0] == XSeries([("011", 1), ("101", -2), ("110", 1)], 3)
     from dslforge.lie import ad_x1
@@ -93,14 +92,13 @@ def test_dimension_rows_up_to_7() -> None:
 def _raw_parity_kernel(k: int) -> SubspaceBasis:
     """The reference for the closed form: the kernel of the parity rows over
     raw word coordinates, on the dense modular engine."""
-    labels = sorted(all_xwords(k))
-    columns = [{w: 1} for w in labels]
-    n = len(labels)
+    words = sorted(all_xwords(k))
+    n = len(words)
     if k < VSTRPRTY.min_weight:
         rows = [[int(i == j) for j in range(n)] for i in range(n)]
     else:
-        rows = _parity_rows(_word_index(columns), n, k)
-    return rational_kernel(ConstraintMatrix(rows, labels, columns, VSTRPRTY, k))
+        rows = _parity_rows(_word_index([{w: 1} for w in words]), n, k)
+    return raw_kernel(VSTRPRTY, k, rows)
 
 
 def test_vstrprty_raw_compile() -> None:
@@ -128,7 +126,7 @@ def test_membership_examples() -> None:
 def test_every_basis_vector_passes_membership() -> None:
     for space in (DMR, ADDMR, FAD, ADDMR_FAD, ADDMR_FAD_PARITY):
         for k in range(1, 8):
-            basis = rational_kernel(compile_constraints(space, k))
+            basis = full_rows_kernel(space, k)
             for v in basis.vectors:
                 assert membership_check(space, v).passed, (space.key, k)
 
@@ -147,14 +145,14 @@ def test_basis_vectors_linearly_independent() -> None:
 
 def test_dmr_weight_11_computed() -> None:
     # not tabulated in the acceptance data; the artifact computes it
-    assert rational_kernel(compile_constraints(DMR, 11)).dimension == 2
+    assert full_rows_kernel(DMR, 11).dimension == 2
 
 
 def test_monotone_dimensions() -> None:
     for k in range(1, 8):
-        d_fp = rational_kernel(compile_constraints(ADDMR_FAD_PARITY, k)).dimension
-        d_f = rational_kernel(compile_constraints(ADDMR_FAD, k)).dimension
-        d = rational_kernel(compile_constraints(ADDMR, k)).dimension
+        d_fp = full_rows_kernel(ADDMR_FAD_PARITY, k).dimension
+        d_f = full_rows_kernel(ADDMR_FAD, k).dimension
+        d = full_rows_kernel(ADDMR, k).dimension
         assert d_fp <= d_f <= d
 
 
@@ -163,7 +161,7 @@ def test_parity_rows_vanish_on_addmr_fad() -> None:
     # rows are all zero for k <= 12, so addmr-fad-parity = addmr-fad
     for k in range(1, 13):
         basis = get_basis(ADDMR_FAD, k)
-        rows = compile_on_parent(ADDMR_FAD_PARITY, basis).rows
+        rows = compile_on_parent(ADDMR_FAD_PARITY, basis)
         assert bool(rows) == bool(basis.vectors) and not any(map(any, rows)), k
         assert get_basis(ADDMR_FAD_PARITY, k).vectors == basis.vectors
 
@@ -171,15 +169,16 @@ def test_parity_rows_vanish_on_addmr_fad() -> None:
 def test_kernel_vectors_are_normalised_on_their_words() -> None:
     # a + b = 0 over these columns gives a - b = 2*x1x0 - 2*x0x1, which the
     # kernel's own scaling leaves with a common factor and the wrong sign
-    columns = [{"00": 1, "10": 2}, {"00": 1, "01": 2}]
-    matrix = ConstraintMatrix([[1, 1]], [0, 1], columns, ADDMR_FAD, 2)
-    assert rational_kernel(matrix).vectors == [XSeries({"01": 1, "10": -1}, 2)]
+    columns = [XSeries({"00": 1, "10": 2}, 2), XSeries({"00": 1, "01": 2}, 2)]
+    parent = SubspaceBasis(ADDMR, 2, columns)
+    basis = rational_kernel(ADDMR_FAD, parent, [[1, 1]])
+    assert basis.vectors == [XSeries({"01": 1, "10": -1}, 2)]
 
 
 def test_raw_vs_lyndon_oracle_equivalence() -> None:
     for k in range(1, 8):
-        raw = rational_kernel(compile_primitivity_raw(k))
-        lyn = rational_kernel(compile_constraints(F2GEQ(1), k))
+        raw = raw_kernel(F2GEQ(1), k, compile_primitivity_raw(k))
+        lyn = full_rows_kernel(F2GEQ(1), k)
         assert raw.dimension == lyn.dimension == witt_number(k)
         for v in raw.vectors:
             assert membership_check(F2GEQ(1), v).passed
@@ -202,10 +201,10 @@ def test_composite_spaces_raw_oracle() -> None:
         labels = sorted(all_xwords(k))
         index = _word_index([{w: 1} for w in labels])
         n = len(labels)
-        prim = compile_primitivity_raw(k).rows
+        prim = compile_primitivity_raw(k)
         dmr_rows = prim + _star_harmonic_rows(index, n, k)
         dim = len(kernel_basis(dmr_rows, n))
-        assert dim == rational_kernel(compile_constraints(DMR, k)).dimension
+        assert dim == full_rows_kernel(DMR, k).dimension
 
         if k >= 4:
             addmr_rows = (
@@ -214,7 +213,7 @@ def test_composite_spaces_raw_oracle() -> None:
                 + _sharp_depth_one_rows(index, n, k)
             )
             dim = len(kernel_basis(addmr_rows, n))
-            assert dim == rational_kernel(compile_constraints(ADDMR, k)).dimension
+            assert dim == full_rows_kernel(ADDMR, k).dimension
 
             afp_rows = (
                 addmr_rows
@@ -222,10 +221,7 @@ def test_composite_spaces_raw_oracle() -> None:
                 + _parity_rows(index, n, k)
             )
             dim = len(kernel_basis(afp_rows, n))
-            assert (
-                dim
-                == rational_kernel(compile_constraints(ADDMR_FAD_PARITY, k)).dimension
-            )
+            assert dim == full_rows_kernel(ADDMR_FAD_PARITY, k).dimension
 
 
 def test_cache_round_trip(tmp_path, monkeypatch) -> None:
@@ -258,7 +254,7 @@ def test_cache_schema_mismatch_ignored(tmp_path, monkeypatch) -> None:
 
 
 def test_basis_json_round_trip() -> None:
-    basis = rational_kernel(compile_constraints(ADDMR, 4))
+    basis = full_rows_kernel(ADDMR, 4)
     data = basis.to_json_dict()
     assert data["format"] == "basis-v1"
     back = SubspaceBasis.from_json_dict(data)

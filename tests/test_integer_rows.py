@@ -27,7 +27,6 @@ from dslforge.spaces import (
     _star_harmonic_rows,
     _word_index,
     compile_constraints,
-    rational_kernel,
 )
 from dslforge.words import (
     all_xwords,
@@ -38,6 +37,8 @@ from dslforge.words import (
     trailing_blocks,
     word_pairs,
 )
+
+from reference_systems import full_rows_kernel
 
 # sha256 of json.dumps(basis.to_json_dict(), sort_keys=True) for k = 1..8
 _PINNED = {
@@ -126,7 +127,7 @@ def test_bases_match_pinned_hashes(name) -> None:
     got = [_sha256(get_basis(space, k, use_cache=False)) for k in range(1, 9)]
     assert got == _PINNED[name]
     if space != VSTRPRTY:
-        full = [_sha256(rational_kernel(compile_constraints(space, k))) for k in range(1, 9)]
+        full = [_sha256(full_rows_kernel(space, k)) for k in range(1, 9)]
         assert full == _PINNED[name]
 
 
@@ -134,14 +135,14 @@ def test_bases_match_pinned_hashes(name) -> None:
 def test_parent_route_equals_the_full_rows(name) -> None:
     space = SpaceId.parse(name)
     for k in range(9, 13):
-        assert get_basis(space, k) == rational_kernel(compile_constraints(space, k)), k
+        assert get_basis(space, k) == full_rows_kernel(space, k), k
 
 
 @pytest.mark.parametrize("name", sorted(set(_PINNED) - {"vstrprty"}) + ["f2geq4"])
 def test_compiled_rows_are_plain_ints(name) -> None:
     space = SpaceId.parse(name)
     for k in range(1, 8):
-        rows = compile_constraints(space, k).rows
+        rows = compile_constraints(space, k)
         assert all(type(c) is int for row in rows for c in row), (name, k)
 
 
@@ -273,10 +274,10 @@ def _pair_sharp_harmonic_rows(index: dict, n: int, k: int) -> list:
 @pytest.mark.parametrize("name", ["dmr", "addmr", "addmr-fad", "addmr-fad-parity"])
 def test_kernels_match_the_pair_rows(name, monkeypatch) -> None:
     space = SpaceId.parse(name)
-    compiled = [rational_kernel(compile_constraints(space, k)) for k in range(1, 10)]
+    compiled = [full_rows_kernel(space, k) for k in range(1, 10)]
     monkeypatch.setitem(spaces._ROW_BUILDERS, "star-harmonic", _pair_star_harmonic_rows)
     monkeypatch.setitem(spaces._ROW_BUILDERS, "sharp-harmonic", _pair_sharp_harmonic_rows)
-    pairs = [rational_kernel(compile_constraints(space, k)) for k in range(1, 10)]
+    pairs = [full_rows_kernel(space, k) for k in range(1, 10)]
     assert compiled == pairs
 
 

@@ -14,6 +14,7 @@ from dslforge.algebra import (
     concat_product,
     harmonic_product,
     is_primitive,
+    star_word,
 )
 from dslforge.cache import get_basis
 from dslforge.errors import (
@@ -38,10 +39,10 @@ from dslforge.lie import (
     kappa_substitute,
     tm1_inverse,
 )
-from dslforge.linalg import solve_exact
+from dslforge.linalg import kernel_basis
 from dslforge.lyndon import lyndon_primitive_basis
 from dslforge.series import XSeries, YSeries, corner_decompose
-from dslforge.spaces import ADDMR, membership_check
+from dslforge.spaces import ADDMR, DMR, membership_check
 from dslforge.verify import random_group_shaped, random_tm1_element, random_unit_series
 from dslforge.words import all_xwords, harmonic_words
 
@@ -77,6 +78,22 @@ def test_bracket1_examples() -> None:
         bracket1(XSeries.word("1", 1, 2), a.truncate(2))
     with pytest.raises(NotInTm1):
         bracket1(XSeries.word("00", 1, 2), a.truncate(2))
+
+
+def test_checks_and_tails_read_the_terms_not_every_weight_up_to_the_bound() -> None:
+    # at bound 10**6, reading one word per weight up to the bound would take
+    # time quadratic in it; the results equal those of a small bound
+    big = 10**6
+    a = XSeries({"01": 1, "001": 2, "0101": -1}, 8)
+    b = XSeries({"011": 3, "0001": 1}, 8)
+    assert bracket1(a.with_bound(big), b.with_bound(big)) == bracket1(a, b).with_bound(big)
+    assert star_word(a.with_bound(big)) == star_word(a).with_bound(big)
+    small, large = (membership_check(DMR, s).to_json_dict() for s in (a, a.with_bound(big)))
+    assert small == large
+    bad = a + XSeries({"00000": 1, "000": 2}, 8)
+    for s in (bad, bad.with_bound(big)):
+        with pytest.raises(NotInTm1, match=r"^bracket1: coefficient of x0\^3 must vanish$"):
+            bracket1(s, b.with_bound(s.weight_bound))
 
 
 def test_bracket_racinet_basics() -> None:
@@ -134,10 +151,11 @@ def test_ad_x1_inverse_round_trips() -> None:
 def test_ad_x1_inverse_exhaustive_on_corner_free_space() -> None:
     # for weights 3..7: every primitive with zero 00-corner has a preimage,
     # computed over the compiled corner-free kernel, and round-trips exactly
-    from dslforge.spaces import FAD, compile_constraints, rational_kernel
+    from dslforge.spaces import FAD
+    from reference_systems import full_rows_kernel
 
     for k in range(3, 8):
-        basis = rational_kernel(compile_constraints(FAD, k))
+        basis = full_rows_kernel(FAD, k)
         for v in basis.vectors:
             psi = ad_x1_inverse(v)
             assert ad_x1(psi.with_bound(k)) == v
@@ -154,7 +172,10 @@ def test_ad_x1_inverse_rejects_nonimage() -> None:
 def _lyndon_solve_inverse(v: XSeries, check: bool = True) -> XSeries:
     """Reference inverse of bracketing with x1: at each weight n of v, an
     exact linear solve for v over the images [x1, e] of the Lyndon primitive
-    basis of weight n - 1 (without x1 itself)."""
+    basis of weight n - 1 (without x1 itself).  The images are independent,
+    so the system images * x = v is read off the canonical kernel of
+    [images | -v]: it is consistent exactly when that kernel's last vector
+    has a nonzero last coordinate, which is then the common denominator."""
     if check:
         mw = v.min_weight()
         if mw is not None and mw < 3:
@@ -169,12 +190,14 @@ def _lyndon_solve_inverse(v: XSeries, check: bool = True) -> XSeries:
         basis = [e for e in lyndon_primitive_basis(n - 1) if e.lyndon_word != "1"]
         images = [ad_x1(e.expansion.with_bound(n)) for e in basis]
         words = sorted(all_xwords(n))
-        rows = [[img.coeff(w) for img in images] for w in words]
-        sol = solve_exact(rows, [comp.coeff(w) for w in words])
-        if sol is None:
+        rows = [[img.coeff(w) for img in images] + [-comp.coeff(w)] for w in words]
+        kernel = kernel_basis(rows, len(images) + 1)
+        if not kernel or not kernel[-1][-1]:
             raise NotInImage(f"ad_x1_inverse: no primitive preimage at weight {n}")
+        *sol, den = kernel[-1]
         for c, e in zip(sol, basis):
-            result = result + e.expansion.with_bound(result.weight_bound).scale(c)
+            term = e.expansion.with_bound(result.weight_bound)
+            result = result + term.scale(Fraction(c, den))
     return result
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dslforge.linalg import kernel_basis, solve_exact
-from dslforge.spaces import DMR, SpaceId, compile_constraints
+from dslforge.spaces import DMR, SpaceId, compile_constraints, root_basis
 
 
 def _naive_kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
@@ -132,13 +132,13 @@ def test_kernel_ignores_row_order_scaling_repeats_and_zero_rows(name) -> None:
     space = SpaceId.parse(name)
     rng = random.Random(83)
     for k in range(space.min_weight, 10):
-        matrix = compile_constraints(space, k)
-        ncols, n = len(matrix.column_labels), len(matrix.rows)
-        rows = matrix.rows + rng.sample(matrix.rows, n // 4) + [[0] * ncols] * 3
-        rows += [[-c for c in r] for r in rng.sample(matrix.rows, n // 3)]
-        rows += [[7 * c for c in r] for r in rng.sample(matrix.rows, n // 4)]
+        compiled = compile_constraints(space, k)
+        ncols, n = root_basis(space.root, k).dimension, len(compiled)
+        rows = compiled + rng.sample(compiled, n // 4) + [[0] * ncols] * 3
+        rows += [[-c for c in r] for r in rng.sample(compiled, n // 3)]
+        rows += [[7 * c for c in r] for r in rng.sample(compiled, n // 4)]
         rng.shuffle(rows)
-        assert kernel_basis(rows, ncols) == kernel_basis(matrix.rows, ncols), k
+        assert kernel_basis(rows, ncols) == kernel_basis(compiled, ncols), k
 
 
 def test_kernel_reduces_the_callers_own_integer_rows(monkeypatch) -> None:
@@ -152,7 +152,7 @@ def test_kernel_reduces_the_callers_own_integer_rows(monkeypatch) -> None:
 
     rref = linalg._rref_mod_p
     monkeypatch.setattr(linalg, "_rref_mod_p", spy)
-    rows = compile_constraints(DMR, 7).rows
+    rows = compile_constraints(DMR, 7)
     kernel_basis(rows, len(rows[0]))
     assert len(seen[0]) == len(rows)
     assert all(a is b for a, b in zip(seen[0], rows))

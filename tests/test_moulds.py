@@ -188,9 +188,10 @@ def test_corner_identity_both_directions_random() -> None:
 
 
 def test_parity_identity_examples() -> None:
-    from dslforge.spaces import ADDMR_FAD_PARITY, compile_constraints, rational_kernel
+    from dslforge.spaces import ADDMR_FAD_PARITY
+    from reference_systems import full_rows_kernel
 
-    gen4 = rational_kernel(compile_constraints(ADDMR_FAD_PARITY, 4)).vectors[0]
+    gen4 = full_rows_kernel(ADDMR_FAD_PARITY, 4).vectors[0]
     for depth in (1, 2, 3):
         rep = check_parity_identity(gen4, depth)
         assert rep.passed, rep.witnesses
