@@ -66,9 +66,13 @@ def _term_pairs(a, b):
     """(u, v, <a|u> <b|v>) for the term pairs within the lower bound, in a's
     order; b's terms are read sorted by weight, so the pairs over the bound
     are never visited.  a and b are series over the same alphabet."""
+    return _pairs_by_weight(a, *b._by_weight(), min(a.weight_bound, b.weight_bound))
+
+
+def _pairs_by_weight(a, right: list, weights: list, bound: int):
+    """_term_pairs with the right factor given as its _by_weight() pairs and
+    weights, so that a factor used many times is sorted once."""
     weight = a._weight
-    bound = min(a.weight_bound, b.weight_bound)
-    right, weights = b._by_weight()
     for u, cu in a.terms.items():
         for v, cv in islice(right, bisect_right(weights, bound - weight(u))):
             yield u, v, cu * cv
@@ -245,7 +249,7 @@ def _is_lie_component(comp: dict[XWord, int | Fraction], k: int) -> bool:
     word at coefficient 1 and otherwise only larger words, so the coefficient
     read at each Lyndon word is final."""
     if not comp:
-        return True  # is_primitive visits many empty weights: generate no words
+        return True  # a defect scan may pass an empty weight: generate no words
     rest = dict(_integral(comp))
     for w in lyndon_words(k):
         c = rest.get(w)
@@ -424,13 +428,15 @@ def harmonic_primitivity_defect(
 
 def is_primitive(a: XSeries) -> bool:
     """True when the constant term is 0 and every weight component from 2 up to
-    the bound is a Lie polynomial, so has empty shuffle defect."""
+    the bound is a Lie polynomial, so has empty shuffle defect.  A weight with
+    no terms has the zero component, so only the weights that occur are
+    tested, each on its component sorted out in one pass over the terms."""
     if a.coeff("") != 0:
         return False
-    for k in range(2, a.weight_bound + 1):
-        if not _is_lie_component(_weight_component(a, k), k):
-            return False
-    return True
+    comps: dict[int, dict] = {}
+    for w, c in a.terms.items():
+        comps.setdefault(len(w), {})[w] = c
+    return all(_is_lie_component(comps[k], k) for k in sorted(comps) if k >= 2)
 
 
 def concat_inverse(a: XSeries) -> XSeries:

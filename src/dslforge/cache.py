@@ -69,7 +69,7 @@ def load_basis(space: SpaceId, k: int) -> SubspaceBasis | None:
         return None  # json.load raises RecursionError on too deep nesting
     if basis.space != space or basis.weight != k:
         return None
-    if any(len(w) != k for v in basis.vectors for w in v.terms):
+    if any(set(map(len, v.terms)) - {k} for v in basis.vectors):
         return None
     return basis
 

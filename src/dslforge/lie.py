@@ -17,6 +17,7 @@ from math import factorial
 
 from .algebra import (
     _commutator_terms,
+    _pairs_by_weight,
     _scaled_exp,
     commutator,
     concat_inverse,
@@ -134,16 +135,21 @@ def kappa_substitute(f: XSeries, target: XSeries) -> XSeries:
     if f.coeff("") != 0:
         raise NonzeroConstant("kappa substitution needs <f | 1> = 0")
     bound = min(f.weight_bound, target.weight_bound)
-    # f x0^a for each length a < bound of an x0-run after an x1
+    # f x0^a for each length a < bound of an x0-run after an x1, sorted by
+    # weight once for all the products it ends
     tails = [
-        concat_product(f, XSeries.word("0" * a, 1, bound)) for a in range(bound)
+        concat_product(f, XSeries.word("0" * a, 1, bound))._by_weight()
+        for a in range(bound)
     ]
 
     def substituted(w: str) -> XSeries:
         first, *rest = w.split("1")  # the x0-runs around the x1 letters
         out = XSeries.word(first, 1, bound)
         for run in rest:
-            out = concat_product(out, tails[len(run)])
+            out = XSeries(
+                ((u + v, c) for u, v, c in _pairs_by_weight(out, *tails[len(run)], bound)),
+                bound,
+            )
         return out
 
     # f has no constant term, so no word gets shorter under the substitution

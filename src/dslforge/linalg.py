@@ -4,11 +4,15 @@ Rows arrive as integer (or rational) vectors and are used as they are: a
 rational row is multiplied by the lcm of its denominators, and an integer row
 is neither copied nor scaled.  A vectorized Gauss-Jordan elimination modulo a
 prime p selects a maximal independent row subset and leaves its reduced row
-echelon form (RREF), from which the canonical kernel mod p is read directly:
-for each free column fc, x[fc] = 1 and x[pivot_col(i)] = -R[i][fc].  Each
-RREF row keeps its leading entry at its own pivot, so the pivot columns are
-the leading columns of the row space: row order, scaling, repeats and zero
-rows change neither them nor the canonical kernel.  The same reduction runs
+echelon form (RREF).  It reads the rows in chunks, each converted to int64
+and cleaned against the RREF with one matrix product, so the rows that add
+no pivot, most of them in a narrow system, cost no Python per row; the
+survivors become pivots in row order, as a row-by-row scan takes them.  The
+canonical kernel mod p is read directly off the RREF: for each free column
+fc, x[fc] = 1 and x[pivot_col(i)] = -R[i][fc].  Each RREF row keeps its
+leading entry at its own pivot, so the pivot columns are the leading columns
+of the row space: row order, scaling, repeats and zero rows change neither
+them nor the canonical kernel.  The same reduction runs
 on the selected rows modulo further primes; the residues are combined by the
 Chinese remainder theorem and each entry is recovered as a rational by
 rational reconstruction (Wang, Guy & Davenport, SIGSAM Bull. 1982).  Each
@@ -39,6 +43,12 @@ def _primes_below(n: int):
 # few are found once; a kernel whose entries need more draws them on demand.
 _PRIMES = tuple(islice(_primes_below(2**25 + 1), 8))
 
+# The most rows _rref_mod_p converts and cleans at once.  64 rows of 186
+# columns (weight 11) are 95 KB of int64, so a chunk and its few temporaries
+# leave the peak memory of a weight-11 table as it was (256 rows added 1 MB),
+# and narrow systems scan as fast as with larger chunks.
+_CHUNK_ROWS = 64
+
 
 def _primitive(ints: list[int]) -> list[int]:
     """Divide by the gcd and make the first nonzero entry positive."""
@@ -67,10 +77,16 @@ def _rref_mod_p(rows: list[list[int]], ncols: int, p: int):
     their span mod p as a dict {(free column fc, pivot column): -R[i][fc] mod
     p} of its nonzero entries.  R is the reduced row echelon form (RREF);
     since its pivot columns hold the identity, only its free columns are
-    kept, packed to the front of the buffer F.  Each incoming row is cleaned
-    with one matrix product, which sums one term below p**2 per pivot, so a
-    pivot that would take rank * (p - 1)**2 to 2**63 raises ArithmeticError
-    instead of letting int64 wrap.
+    kept, packed to the front of the buffer F.
+
+    The rows are read in chunks.  Each chunk is converted to int64 once and
+    cleaned against R with one matrix product, which sums one term below
+    p**2 per pivot, so a pivot that would take rank * (p - 1)**2 to 2**63
+    raises ArithmeticError instead of letting int64 wrap.  Rows that vanish
+    are dropped together; the first survivor is the next pivot and the rest
+    are cleaned of it, in row order, so the selection, the pivots and R are
+    those of a row-by-row scan.  A chunk without a pivot doubles the next
+    chunk, up to _CHUNK_ROWS rows, and a chunk with pivots halves it.
     """
     import numpy as np  # imported on first use, so `import dslforge` does not load it
 
@@ -78,36 +94,45 @@ def _rref_mod_p(rows: list[list[int]], ncols: int, p: int):
     perm = np.arange(ncols)  # free columns, then pivot columns newest first
     nfree = ncols
     selected: list[int] = []
-    for idx, row in enumerate(rows):
-        rank = ncols - nfree
+    start, size = 0, 1
+    while start < len(rows) and nfree:
+        chunk = rows[start : start + size]
         try:
-            v = np.array(row, dtype=np.int64)[perm] % p
+            V = np.array(chunk, dtype=np.int64)
         except OverflowError:  # an entry beyond int64
-            v = np.array([row[c] % p for c in perm], dtype=np.int64)
-        w = v[:nfree]
-        factors = v[nfree:][::-1]
-        if factors.any():
-            w = (w - factors @ F[:rank, :nfree]) % p
-        nz = np.flatnonzero(w)
-        if nz.size == 0:
-            continue
-        j = int(nz[perm[nz].argmin()])  # the leading column
-        if (rank + 1) * (p - 1) ** 2 >= 2**63:
-            raise ArithmeticError(
-                f"mod-{p} row selection would overflow int64 at rank {rank + 1}: "
-                "rank * (p - 1)**2 must stay below 2**63"
-            )
-        w = (w * pow(int(w[j]), p - 2, p)) % p
-        above = np.flatnonzero(F[:rank, j])
-        if above.size:
-            F[above, :nfree] = (F[above, :nfree] - np.outer(F[above, j], w)) % p
-        F[rank, :nfree] = w
-        nfree -= 1  # column j turns pivot: swap it to the end of the free ones
-        F[: rank + 1, j] = F[: rank + 1, nfree]
-        perm[j], perm[nfree] = perm[nfree], perm[j]
-        selected.append(idx)
-        if nfree == 0:
-            break
+            V = np.array([[c % p for c in row] for row in chunk], dtype=np.int64)
+        V = V[:, perm] % p
+        W = V[:, :nfree]
+        if nfree < ncols:
+            W = (W - V[:, nfree:][:, ::-1] @ F[: ncols - nfree, :nfree]) % p
+        found = len(selected)
+        while nfree and len(W) and (live := np.flatnonzero(W.any(axis=1))).size:
+            i = int(live[0])
+            w = W[i]
+            nz = np.flatnonzero(w)
+            j = int(nz[perm[nz].argmin()])  # the leading column
+            rank = ncols - nfree
+            if (rank + 1) * (p - 1) ** 2 >= 2**63:
+                raise ArithmeticError(
+                    f"mod-{p} row selection would overflow int64 at rank {rank + 1}: "
+                    "rank * (p - 1)**2 must stay below 2**63"
+                )
+            w = (w * pow(int(w[j]), p - 2, p)) % p
+            above = np.flatnonzero(F[:rank, j])
+            if above.size:
+                F[above, :nfree] = (F[above, :nfree] - np.outer(F[above, j], w)) % p
+            F[rank, :nfree] = w
+            selected.append(start + i)
+            start, W = start + i + 1, W[i + 1 :]
+            nfree -= 1  # column j turns pivot: swap it to the end of the free ones
+            F[: rank + 1, j] = F[: rank + 1, nfree]
+            perm[j], perm[nfree] = perm[nfree], perm[j]
+            if len(W):  # clean the rows below of the new pivot
+                W = (W - np.outer(W[:, j], w)) % p
+                W[:, j] = W[:, nfree]
+                W = W[:, :nfree]
+        start += len(W)
+        size = max(size // 2, 1) if len(selected) > found else min(2 * size, _CHUNK_ROWS)
     pivot_cols = perm[nfree:][::-1].tolist()
     free = perm[:nfree].tolist()
     i, j = np.nonzero(F[: len(selected), :nfree])

@@ -85,7 +85,7 @@ def _expand(w: XWord) -> XSeries:
             c = ca * cb
             out[a + b] = out.get(a + b, 0) + c
             out[b + a] = out.get(b + a, 0) - c
-    return XSeries(out, len(w))
+    return XSeries({u: c for u, c in out.items() if c}, len(w))
 
 
 def bracketing(w: XWord) -> dict[XWord, int]:

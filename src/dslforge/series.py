@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import NonzeroLowWeight
@@ -59,11 +60,13 @@ def _json_coeff(value) -> int | Fraction:
     raise ValueError(f"coefficient must be an integer or a string, got {value!r}")
 
 
-def _json_terms(data: dict, alphabet: str, key, weight) -> tuple[dict, int]:
+def _json_terms(data: dict, alphabet: str, key, weight, read_all) -> tuple[dict, int]:
     """The {key: coeff} terms and the weight bound of a series JSON object,
     checked for format, alphabet, well-formed, distinct terms within the
-    bound and exact coefficients; key(term) reads and checks the word of one
-    term.  A file is not truncated or summed, so no listed term is lost."""
+    bound and exact coefficients.  read_all(terms, bound) reads the whole
+    list at once, or returns None, and then key(term) reads and checks the
+    word of each term in turn.  A file is not truncated or summed, so no
+    listed term is lost."""
     if data.get("format") != JSON_FORMAT:
         raise ValueError(f"unknown series format: {data.get('format')!r}")
     if data.get("alphabet") != alphabet:
@@ -74,6 +77,9 @@ def _json_terms(data: dict, alphabet: str, key, weight) -> tuple[dict, int]:
     terms = data.get("terms")
     if not isinstance(terms, list):
         raise ValueError("series JSON needs a list of terms")
+    out = read_all(terms, bound)
+    if out is not None:
+        return out, bound
     out = {}
     for t in terms:
         try:
@@ -86,6 +92,29 @@ def _json_terms(data: dict, alphabet: str, key, weight) -> tuple[dict, int]:
             raise ValueError(f"term above weight_bound {bound}: {t!r}")
         out[w] = c
     return out, bound
+
+
+def _read_word_terms(terms: list, bound: int) -> dict | None:
+    """The terms {word: int} of an X-series term list, checked in a few
+    passes over the whole list: every term has a word and a coefficient,
+    every word is a '0'/'1' string within the bound, no word repeats, and
+    every coefficient is a JSON integer (never a bool) or a string that int()
+    reads, which gives the value the per-term reader gives.  None otherwise,
+    so the per-term reader decides, with its messages, and reads fractions."""
+    try:
+        words = list(map(itemgetter("word"), terms))
+        coeffs = list(map(itemgetter("coeff"), terms))
+    except (KeyError, TypeError):
+        return None
+    if not (set(map(type, words)) <= {str} and set(map(type, coeffs)) <= {int, str}):
+        return None
+    if "".join(words).strip("01") or max(map(len, words), default=0) > bound:
+        return None
+    try:
+        out = dict(zip(words, map(int, coeffs)))
+    except ValueError:
+        return None
+    return out if len(out) == len(words) else None
 
 
 def coeff_str(c: int | Fraction) -> str:
@@ -121,20 +150,34 @@ class _SeriesOps:
 
     A subclass declares only its keys: _weight(key), the key test _is_key
     and its noun for the error message, the JSON alphabet, the JSON fields
-    of one key (_key_json) and their reader (_read_key), and how a key is
-    shown in the repr (_show).
+    of one key (_key_json) and their readers (_read_key for one term,
+    _read_terms for a whole list, or None), and how a key is shown in the
+    repr (_show).
+
+    The constructor sums its (key, coefficient) pairs.  A mapping whose
+    values are all nonzero plain ints and whose keys are all within the
+    bound is already in normal form: it is checked with a few whole-mapping
+    passes and copied, not summed again.
     """
 
     terms: dict
     weight_bound: int
 
     def __init__(self, items=(), weight_bound: int = 0):
-        if isinstance(items, Mapping):
-            items = items.items()
         if weight_bound < 0:
             raise ValueError(f"weight_bound must be nonnegative, got {weight_bound}")
         weight = self._weight
-        terms = _accumulate((w, c) for w, c in items if weight(w) <= weight_bound)
+        if (
+            isinstance(items, Mapping)
+            and set(map(type, items.values())) <= {int}
+            and all(items.values())
+            and max(map(weight, items), default=0) <= weight_bound
+        ):
+            terms = dict(items)
+        else:
+            if isinstance(items, Mapping):
+                items = items.items()
+            terms = _accumulate((w, c) for w, c in items if weight(w) <= weight_bound)
         self._check_keys(terms)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "weight_bound", weight_bound)
@@ -189,9 +232,13 @@ class _SeriesOps:
             ],
         }
 
+    @staticmethod
+    def _read_terms(terms: list, bound: int) -> None:
+        return None  # read term by term
+
     @classmethod
     def from_json_dict(cls, data: dict):
-        return cls(*_json_terms(data, cls._alphabet, cls._read_key, cls._weight))
+        return cls(*_json_terms(data, cls._alphabet, cls._read_key, cls._weight, cls._read_terms))
 
     def coeff(self, key) -> Fraction:
         c = self.terms.get(key, 0)
@@ -272,6 +319,8 @@ class XSeries(_SeriesOps):
         if not (set(map(type, keys)) <= {str} and not "".join(keys).strip("01")):
             super()._check_keys(keys)
 
+    _read_terms = staticmethod(_read_word_terms)
+
     @staticmethod
     def _key_json(w: XWord) -> dict:
         return {"word": w}
@@ -282,6 +331,11 @@ class XSeries(_SeriesOps):
         if not is_xword(w):
             raise ValueError(f"not an X-word: {w!r}")
         return w
+
+    def _sorted_items(self) -> list:
+        # by length, then by word: two sorts keyed in C
+        terms = self.terms
+        return [(w, terms[w]) for w in sorted(sorted(terms), key=len)]
 
     @staticmethod
     def _show(w: XWord) -> str:

@@ -263,8 +263,9 @@ def rational_kernel(space: SpaceId, parent: SubspaceBasis, rows: list) -> Subspa
                 continue
             for w, cw in col.terms.items():
                 terms[w] = terms.get(w, 0) + c * cw
+        terms = {w: c for w, c in terms.items() if c}
         g = gcd(*terms.values())
-        if terms[min(w for w, c in terms.items() if c)] < 0:
+        if terms[min(terms)] < 0:
             g = -g
         vectors.append(XSeries({w: c // g for w, c in terms.items()}, parent.weight))
     return SubspaceBasis(space=space, weight=parent.weight, vectors=vectors)

@@ -113,6 +113,34 @@ def test_entry_with_a_bad_term_and_a_valid_checksum_is_a_miss(private_cache, edi
     assert get_basis(ADDMR, 5) == basis
 
 
+def _last_term(edit):
+    return lambda v: edit(v["terms"][-1])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _last_term(lambda t: t.update(coeff=True)),
+        _last_term(lambda t: t.update(coeff=None)),
+        _last_term(lambda t: t.update(coeff="1/0")),
+        _last_term(lambda t: t.update(coeff="five")),
+        _last_term(lambda t: t.update(word="2" * len(t["word"]))),
+        _last_term(lambda t: t.update(word=int(t["word"]))),
+        _last_term(lambda t: t.update(word=t["word"] + "1")),
+        _last_term(lambda t: t.clear()),
+        lambda v: v["terms"].append(["011011", "1"]),
+    ],
+    ids=["true-coeff", "null-coeff", "zero-denominator", "word-coeff", "letter-2",
+         "int-word", "above-bound", "empty-term", "list-term"],
+)
+def test_entry_with_a_rejected_term_and_a_valid_checksum_is_a_miss(private_cache, edit) -> None:
+    """Each term the series reader rejects, in an entry signed after the edit."""
+    basis = get_basis(ADDMR, 6)
+    _tamper(ADDMR, 6, _signed(lambda d: edit(d["vectors"][0])))
+    assert load_basis(ADDMR, 6) is None
+    assert get_basis(ADDMR, 6) == basis
+
+
 def test_store_leaves_no_temporary_files(private_cache, monkeypatch) -> None:
     basis = get_basis(DMR, 5, use_cache=False)
     path = store_basis(basis)

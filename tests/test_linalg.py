@@ -5,8 +5,21 @@ from fractions import Fraction
 
 import pytest
 
+from dslforge import linalg
+from dslforge.cache import _resolve_basis
 from dslforge.linalg import kernel_basis, solve_exact
-from dslforge.spaces import DMR, SpaceId, compile_constraints, root_basis
+from dslforge.spaces import (
+    ADDMR,
+    ADDMR_FAD,
+    ADDMR_FAD_PARITY,
+    DMR,
+    FAD_PARITY,
+    SpaceId,
+    compile_constraints,
+    compile_on_parent,
+    root_basis,
+)
+from reference_systems import rref_mod_p_by_rows
 
 
 def _naive_kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
@@ -167,6 +180,77 @@ def test_mod_p_selection_refuses_int64_overflow() -> None:
     assert _rref_mod_p(rows[:2], 4, p)[0] == [0, 1]
     with pytest.raises(ArithmeticError, match="int64"):
         _rref_mod_p(rows, 4, p)
+
+
+def test_chunked_scan_matches_the_row_scan_on_compiled_systems() -> None:
+    """Same (selected, pivot_cols, kernel) as the row-by-row reference on
+    every system the library compiles for these spaces up to weight 10."""
+    spaces = (DMR, ADDMR, ADDMR_FAD, ADDMR_FAD_PARITY, FAD_PARITY)
+    for k in range(1, 11):
+        resolved: dict = {}
+        for space in spaces:
+            _resolve_basis(space, k, False, resolved)
+            parent = resolved[space.parent]
+            rows = compile_on_parent(space, parent)
+            for p in linalg._PRIMES[:2]:
+                want = rref_mod_p_by_rows(rows, parent.dimension, p)
+                assert linalg._rref_mod_p(rows, parent.dimension, p) == want, (space, k, p)
+
+
+def _random_systems():
+    """Seeded systems in the shapes the chunked scan treats differently:
+    narrow with hundreds of rows, zero rows and repeats, rank-deficient,
+    and a pivot that only arrives after hundreds of dependent rows."""
+    rng = random.Random(22)
+    for _ in range(12):
+        ncols = rng.randint(1, 8)
+        rank = rng.randint(0, ncols)
+        base = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(rank)]
+        rows = []
+        for _ in range(rng.randint(100, 600)):
+            roll = rng.random()
+            if roll < 0.2 or not base:
+                rows.append([0] * ncols)
+            elif roll < 0.4 and rows:
+                rows.append(list(rng.choice(rows)))
+            else:
+                coeffs = [rng.randint(-3, 3) for _ in base]
+                rows.append([sum(c * b[j] for c, b in zip(coeffs, base)) for j in range(ncols)])
+        if rng.random() < 0.5:  # one more independent row, late
+            extra = [rng.randint(-9, 9) for _ in range(ncols)]
+            rows.insert(rng.randint(len(rows) // 2, len(rows)), extra)
+        yield rows, ncols
+    for _ in range(6):  # wide and nearly square, zero rows included
+        ncols = rng.randint(10, 40)
+        rows = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(ncols)]
+                for _ in range(rng.randint(5, 60))]
+        yield rows, ncols
+
+
+@pytest.mark.parametrize("case", range(18))
+def test_chunked_scan_matches_the_row_scan_on_random_systems(case) -> None:
+    rows, ncols = list(_random_systems())[case]
+    for p in linalg._PRIMES[:2]:
+        assert linalg._rref_mod_p(rows, ncols, p) == rref_mod_p_by_rows(rows, ncols, p)
+
+
+def test_chunked_scan_reduces_entries_beyond_int64() -> None:
+    """Chunks holding entries >= 2**63 are reduced mod p entry by entry.  The
+    rows span ncols - 1 dimensions, so every row is scanned and the kernel
+    reads the residues of the large entries."""
+    rng = random.Random(63)
+    p = linalg._PRIMES[0]
+    for ncols in (2, 4, 7):
+        base = [[rng.choice((-3, -1, 1, 2, 5)) for _ in range(ncols)] for _ in range(ncols - 1)]
+        base[0][rng.randrange(ncols)] = rng.choice((1, -1)) * (2**63 + rng.randint(0, 2**70))
+        rows = list(base)
+        for _ in range(40):
+            coeffs = [rng.randint(-2, 2) for _ in base]
+            rows.append([sum(c * b[j] for c, b in zip(coeffs, base)) for j in range(ncols)])
+        rows += [[0] * ncols] * 300 + [[(2**64 * p + 1) * c for c in base[-1]]]
+        want = rref_mod_p_by_rows(rows, ncols, p)
+        assert want[2]
+        assert linalg._rref_mod_p(rows, ncols, p) == want
 
 
 def _naive_solve(rows: list[list], rhs: list) -> list[Fraction] | None:

@@ -172,6 +172,46 @@ def test_is_primitive_generates_lyndon_words_only_for_nonempty_weights(monkeypat
     assert seen == [4]
 
 
+def test_is_primitive_reads_only_the_weights_of_its_terms(monkeypatch) -> None:
+    """A 6-term weight-3 Lie element at bound 4 * 10**5: the Lie test runs on
+    weight 3 alone, not once for every weight up to the bound."""
+    seen = []
+    real = algebra._is_lie_component
+    monkeypatch.setattr(algebra, "_is_lie_component", lambda c, k: seen.append(k) or real(c, k))
+    lie = XSeries(bracketing("001"), 400_000) + XSeries(bracketing("011"), 400_000)
+    assert len(lie.terms) == 6
+    assert is_primitive(lie)
+    assert not is_primitive(lie + XSeries.word("0110", 1, 400_000))
+    assert seen == [3, 3, 4]
+
+
+def _is_primitive_per_weight(a: XSeries) -> bool:
+    """The definition: constant term 0 and a Lie component at every weight
+    from 2 up to the bound."""
+    return a.coeff("") == 0 and all(
+        algebra._is_lie_component(algebra._weight_component(a, k), k)
+        for k in range(2, a.weight_bound + 1)
+    )
+
+
+def test_is_primitive_agrees_with_the_per_weight_definition() -> None:
+    rng = random.Random(29)
+    for _ in range(60):
+        bound = rng.randint(1, 8)
+        terms: dict = {}
+        for k in rng.sample(range(1, bound + 1), rng.randint(0, bound)):
+            for w in rng.sample(lyndon_words(k), min(2, len(lyndon_words(k)))):
+                c = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                for u, cu in bracketing(w).items():
+                    terms[u] = terms.get(u, 0) + c * cu
+        if rng.random() < 0.5:  # a word that is not Lie, or a constant term
+            k = rng.randint(0, bound)
+            w = "".join(rng.choice("01") for _ in range(k))
+            terms[w] = terms.get(w, 0) + rng.choice((-1, 1))
+        a = XSeries(list(terms.items()), bound)
+        assert is_primitive(a) == _is_primitive_per_weight(a), a
+
+
 def _interleaving_pairing_scan(comp: dict, k: int):
     """The shuffle pair scan that pairs comp with each interleaving in turn,
     without expanding the product."""

@@ -202,3 +202,75 @@ def test_hexadecimal_string_coefficient_is_rejected() -> None:
 
     with pytest.raises(ValueError):
         _coeff("0x1")
+
+
+def _read_term_by_term(data: dict):
+    """The per-term reference: every term read and checked in turn, then
+    summed by the constructor from its (word, coefficient) pairs."""
+    from dslforge.series import _json_terms
+
+    terms, bound = _json_terms(data, "x01", XSeries._read_key, len, lambda terms, bound: None)
+    return XSeries(list(terms.items()), bound)
+
+
+def _outcome(read, data):
+    try:
+        s = read(data)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return s.terms, {w: type(c) for w, c in s.terms.items()}, s.weight_bound
+
+
+_GOOD = XSeries({"011": 2, "01": -1, "1": 3}, 4).to_json_dict()
+
+
+def _with_term(**fields):
+    return dict(_GOOD, terms=[dict(_GOOD["terms"][0], **fields)] + _GOOD["terms"][1:])
+
+
+READER_CASES = {
+    "valid": _GOOD,
+    "int-coeff": _with_term(coeff=7),
+    "true-coeff": _with_term(coeff=True),
+    "float-coeff": _with_term(coeff=1.0),
+    "null-coeff": _with_term(coeff=None),
+    "plus-coeff": _with_term(coeff="+5"),
+    "space-coeff": _with_term(coeff=" 5"),
+    "fraction-coeff": _with_term(coeff="1/2"),
+    "zero-denominator": _with_term(coeff="1/0"),
+    "zero-coeff": _with_term(coeff="0"),
+    "word-coeff": _with_term(coeff="five"),
+    "repeated-word": dict(_GOOD, terms=_GOOD["terms"] + [_GOOD["terms"][0]]),
+    "above-bound": _with_term(word="01101"),
+    "letter-2": _with_term(word="2"),
+    "int-word": _with_term(word=11),
+    "list-term": dict(_GOOD, terms=_GOOD["terms"] + [["011", "1"]]),
+    "missing-coeff": dict(_GOOD, terms=_GOOD["terms"] + [{"word": "00"}]),
+    "empty": dict(_GOOD, terms=[]),
+}
+
+
+@pytest.mark.parametrize("data", READER_CASES.values(), ids=READER_CASES.keys())
+def test_reader_gives_the_per_term_result_or_error(data) -> None:
+    assert _outcome(XSeries.from_json_dict, data) == _outcome(_read_term_by_term, data)
+
+
+def test_constructor_normalises_mappings_as_it_sums_pairs() -> None:
+    cases = [
+        {"01": True, "1": 2},
+        {"01": Fraction(2, 1)},
+        {"01": 0, "1": 1},
+        {"011": 1, "1": 1},
+        {"01": Fraction(1, 2), "10": -1},
+        {"01": 3, "10": -4},
+    ]
+    for mapping in cases:
+        s = XSeries(mapping, 2)
+        assert s == XSeries(list(mapping.items()), 2)
+        assert all(type(c) is int or c.denominator > 1 for c in s.terms.values())
+    source = {"01": 3, "10": -4}
+    s = XSeries(source, 2)
+    source["01"] = 5
+    assert s.terms == {"01": 3, "10": -4}
+    with pytest.raises(ValueError, match="not an X-word: '2'"):
+        XSeries({"01": 1, "2": 1}, 2)
