@@ -31,7 +31,8 @@ off the X-words of a series.  A component cleared of denominators is paired
 with every product in integers by one running sum over the table.
 
 On both alphabets one pair scan over all (u, v) lists the defects, and it
-runs only on a component that the decision above rejects.
+runs only on a component that the decision above rejects.  On Y-words it
+runs on the codes the component was decided on, each decoded once.
 """
 
 from __future__ import annotations
@@ -291,10 +292,19 @@ def _weight_component(a, k: int) -> dict:
     return {w: c for w, c in a.terms.items() if weight(w) == k}
 
 
-def _shuffle_defects(a: XSeries, k: int):
-    """Yield, in scan order, the pairs shuffle_primitivity_defect lists; a
-    component that passes the Lie test yields none without enumerating any."""
-    comp = _weight_component(a, k)
+def _components(a) -> dict[int, dict]:
+    """The terms of an X-series sorted into {weight: {word: coefficient}} in
+    one pass; a weight with no terms has no entry."""
+    comps: dict[int, dict] = {}
+    for w, c in a.terms.items():
+        comps.setdefault(len(w), {})[w] = c
+    return comps
+
+
+def _shuffle_defects(comp: dict[XWord, int | Fraction], k: int):
+    """Yield, in scan order, the pairs shuffle_primitivity_defect lists for
+    the weight-k component comp; a component that passes the Lie test yields
+    none without enumerating any."""
     if k >= 2 and not _is_lie_component(comp, k):
         yield from _pair_scan(comp, k, all_xwords, shuffle_words)
 
@@ -307,7 +317,7 @@ def shuffle_primitivity_defect(
     An empty list at every weight means the series is primitive for the
     coproduct dual to the interleaving product.
     """
-    return list(_shuffle_defects(a, k))
+    return list(_shuffle_defects(_weight_component(a, k), k))
 
 
 @lru_cache(maxsize=None)
@@ -403,19 +413,14 @@ def _sharp_codes(comp: dict[XWord, int | Fraction]) -> dict:
     return out
 
 
-def _harmonic_scan(a: YSeries, k: int):
-    """The pair scan of the weight-k component of a Y-series over every
-    nonempty pair (u, v)."""
-    return _pair_scan(_weight_component(a, k), k, all_ywords, harmonic_words)
-
-
-def _harmonic_defects(a: YSeries, k: int):
-    """Yield, in scan order, the pairs harmonic_primitivity_defect lists; a
-    component on which every spanning product vanishes yields none without
-    pairing any (u, v)."""
-    comp = _weight_component(a, k)
-    if k >= 2 and not _codes_vanish({_ycode(w): c for w, c in comp.items()}, k):
-        yield from _pair_scan(comp, k, all_ywords, harmonic_words)
+def _code_defects(codes: dict[int, int | Fraction], m: int):
+    """Yield, in scan order, each pair (u, v) of total weight m with
+    <comp | u * v> != 0, where comp is the weight-m Y-component given as
+    {code: coefficient}; a component on which every spanning product
+    vanishes yields none without decoding a code or pairing any (u, v)."""
+    if m >= 2 and not _codes_vanish(codes, m):
+        comp = {leading_blocks(format(code, "b")): c for code, c in codes.items()}
+        yield from _pair_scan(comp, m, all_ywords, harmonic_words)
 
 
 def harmonic_primitivity_defect(
@@ -423,7 +428,8 @@ def harmonic_primitivity_defect(
 ) -> list[tuple[YWord, YWord, int | Fraction]]:
     """All nonempty Y-word pairs (u, v), wt u <= wt v, total weight k, with
     <a | u * v> != 0."""
-    return list(_harmonic_defects(a, k))
+    return list(_code_defects(
+        {_ycode(w): c for w, c in _weight_component(a, k).items()}, k))
 
 
 def is_primitive(a: XSeries) -> bool:
@@ -433,9 +439,7 @@ def is_primitive(a: XSeries) -> bool:
     tested, each on its component sorted out in one pass over the terms."""
     if a.coeff("") != 0:
         return False
-    comps: dict[int, dict] = {}
-    for w, c in a.terms.items():
-        comps.setdefault(len(w), {})[w] = c
+    comps = _components(a)
     return all(_is_lie_component(comps[k], k) for k in sorted(comps) if k >= 2)
 
 

@@ -51,7 +51,9 @@ def _checksum(payload: dict) -> int:
 def load_basis(space: SpaceId, k: int) -> SubspaceBasis | None:
     """The cached basis, or None (a miss) when the entry is absent, of another
     schema, unreadable or nested too deeply to parse, fails its checksum, or
-    is structurally inconsistent with its key."""
+    is structurally inconsistent with its key.  The header is read as
+    stored: the space must be the key's name exactly, and the weight and
+    dimension must be ints, not floats, strings or booleans."""
     path = _entry_path(space, k)
     if not path.is_file():
         return None
@@ -60,15 +62,16 @@ def load_basis(space: SpaceId, k: int) -> SubspaceBasis | None:
             data = json.load(fh)
         if data.pop("crc32", None) != _checksum(data):
             return None
-        if data.get("schema") != SCHEMA_VERSION:
+        if data.get("schema") != SCHEMA_VERSION or data.get("space") != space.key:
+            return None
+        weight, dimension = data.get("weight"), data.get("dimension")
+        if type(weight) is not int or weight != k or type(dimension) is not int:
             return None
         basis = SubspaceBasis.from_json_dict(data)
-        if data.get("dimension") != basis.dimension:
+        if dimension != basis.dimension:
             return None
     except (ValueError, KeyError, TypeError, AttributeError, RecursionError):
         return None  # json.load raises RecursionError on too deep nesting
-    if basis.space != space or basis.weight != k:
-        return None
     if any(set(map(len, v.terms)) - {k} for v in basis.vectors):
         return None
     return basis

@@ -176,22 +176,18 @@ def ihara_product(a: XSeries, b: XSeries) -> XSeries:
     return concat_product(a, kappa_substitute(conjugate_x1(a), b.truncate(bound)))
 
 
-def _check_TM1(a: XSeries, where: str) -> None:
-    _check_tm1(a, where, 1, NotInTM1)
-
-
 def ihara1_product(a: XSeries, b: XSeries) -> XSeries:
     """Substitution product kappa_a(b) on group-shaped series (x1-coefficient
     1, all x0-powers zero)."""
-    _check_TM1(a, "ihara1_product")
-    _check_TM1(b, "ihara1_product")
+    _check_tm1(a, "ihara1_product", 1, NotInTM1)
+    _check_tm1(b, "ihara1_product", 1, NotInTM1)
     return kappa_substitute(a, b)
 
 
 def tm1_inverse(a: XSeries) -> XSeries:
     """Two-sided inverse for the substitution product, built by zeroing the
     defect weight by weight."""
-    _check_TM1(a, "tm1_inverse")
+    _check_tm1(a, "tm1_inverse", 1, NotInTM1)
     bound = a.weight_bound
     x1 = XSeries.word("1", 1, bound)
     inv = x1

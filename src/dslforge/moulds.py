@@ -51,10 +51,6 @@ class MultiPoly:
         return cls(nvars)
 
     @classmethod
-    def constant(cls, nvars: int, c) -> "MultiPoly":
-        return cls(nvars, [((0,) * nvars, c)])
-
-    @classmethod
     def variable(cls, nvars: int, index: int) -> "MultiPoly":
         exp = [0] * nvars
         exp[index] = 1
@@ -99,11 +95,15 @@ class MultiPoly:
         c = _coeff(c)
         return MultiPoly(self.nvars, ((e, c * v) for e, v in self.terms.items()))
 
-    def eval_at(self, args: Sequence[int | None], nvars_out: int) -> "MultiPoly":
-        """Substitute each variable by a target variable (by index) or by 0.
+    def eval_at(
+        self, args: Sequence[int | tuple[int, ...] | None], nvars_out: int
+    ) -> "MultiPoly":
+        """Substitute each variable by 0, by a target variable, or by a sum of
+        target variables.
 
-        args[i] is the target index for variable i, or None for 0.  Distinct
-        variables may map to the same target.
+        args[i] is None for 0, the target index for variable i, or a tuple
+        of target indices for their sum.  Distinct variables may map to the
+        same targets.
         """
         if len(args) != self.nvars:
             raise ValueError("wrong number of arguments")
@@ -115,37 +115,19 @@ class MultiPoly:
                     continue
                 new = [0] * nvars_out
                 for e, target in zip(exp, args):
-                    if e:
+                    if e and type(target) is int:
                         new[target] += e
-                yield new, c
+                partial = {tuple(new): c}
+                for e, target in zip(exp, args):
+                    if e and type(target) is tuple:
+                        for _ in range(e):
+                            partial = _accumulate(
+                                (m[:j] + (m[j] + 1,) + m[j + 1 :], cm)
+                                for m, cm in partial.items() for j in target
+                            )
+                yield from partial.items()
 
         return MultiPoly(nvars_out, terms())
-
-    def subst(self, assignments: Sequence["MultiPoly"], nvars_out: int) -> "MultiPoly":
-        """General substitution: variable i is replaced by assignments[i]."""
-        if len(assignments) != self.nvars:
-            raise ValueError("wrong number of assignments")
-        powers: list[dict[int, MultiPoly]] = [dict() for _ in range(self.nvars)]
-
-        def power(i: int, e: int) -> MultiPoly:
-            hit = powers[i].get(e)
-            if hit is not None:
-                return hit
-            if e == 0:
-                out = MultiPoly.constant(nvars_out, 1)
-            else:
-                out = power(i, e - 1) * assignments[i]
-            powers[i][e] = out
-            return out
-
-        total = MultiPoly.zero(nvars_out)
-        for exp, c in self.terms.items():
-            term = MultiPoly.constant(nvars_out, c)
-            for i, e in enumerate(exp):
-                if e:
-                    term = term * power(i, e)
-            total = total + term
-        return total
 
     def to_json_dict(self) -> dict:
         return {
@@ -223,13 +205,7 @@ def ma_mi_extract(s: XSeries, depth: int) -> tuple[MultiPoly, MultiPoly]:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     v = vimo_extract(s, depth)
-    zero = MultiPoly.zero(depth)
-    prefix_sums = []
-    acc = MultiPoly.zero(depth)
-    for i in range(depth):
-        acc = acc + MultiPoly.variable(depth, i)
-        prefix_sums.append(acc)
-    ma = v.subst([zero] + prefix_sums, depth)
+    ma = v.eval_at([None] + [tuple(range(i + 1)) for i in range(depth)], depth)
     mi = v.eval_at([None] + list(range(depth)), depth)
     return ma, mi
 

@@ -431,13 +431,6 @@ class TYSeries(_SeriesOps):
     def _sorted_items(self) -> list:
         return sorted(self.terms.items())
 
-    def t_layer(self, t: int) -> YSeries:
-        """The Y-series multiplying T^t, with the bound lowered accordingly."""
-        return YSeries(
-            ((w, c) for (s, w), c in self.terms.items() if s == t),
-            max(self.weight_bound - t - 1, 0),
-        )
-
 
 @dataclass(frozen=True)
 class CornerDecomposition:

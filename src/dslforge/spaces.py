@@ -17,21 +17,21 @@ Y-words, which the harmonic rows read off the column words.  Kernels are
 computed exactly as integer vectors and re-expanded into series through the
 columns, so `addmr-fad` solves 7 columns at weight 11.
 
-Membership certificates never read the compiled rows: each star weight and
-each sharp T^t layer is decided on the codes read off the series, and only a
-failing one builds the star_word or q_sharp image and scans its pairs.
+Membership certificates never read the compiled rows, and they read the
+series once, into its weight components: each star weight and each sharp
+T^t layer is decided on the codes read off a component, and only a failing
+one decodes the same codes and scans its pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import islice, pairwise
 from math import gcd
 
-from .algebra import _codes_vanish, _harmonic_products, _harmonic_scan, _sharp_codes
+from .algebra import _code_defects, _components, _harmonic_products, _sharp_codes
 from .algebra import _sharp_terms, _shuffle_defects, _star_codes, _star_terms
-from .algebra import _weight_component
-from .algebra import q_sharp, star_word
 from .linalg import kernel_basis
 from .lyndon import lyndon_primitive_basis
 from .series import XSeries, corner_decompose
@@ -303,12 +303,12 @@ class MembershipReport:
     """Independent re-verification of the defining conditions on a series.
 
     Built from direct defect recomputation, never from the compiled matrix.
-    Each weight is decided first: primitivity by the Lie test, the harmonic
-    conditions by pairing the codes of the star_word and q_sharp images,
-    read off the series' words, in integers with the spanning products, one
-    per non-Lyndon Y-word.  Only a failing weight
-    is scanned over every pair (u, v), and violations list at most the first
-    10 offending conditions in scan order.
+    Each weight component is decided first: primitivity by the Lie test,
+    the harmonic conditions by pairing the codes of the star_word and
+    q_sharp images, read off the component's words, in integers with the
+    spanning products, one per non-Lyndon Y-word.  Only a failing weight is
+    scanned over every pair (u, v), on those same codes, and violations list
+    at most the first 10 offending conditions in scan order.
     """
 
     space: SpaceId
@@ -328,9 +328,11 @@ class MembershipReport:
 _MAX_VIOLATIONS = 10
 
 
-def _violations(space: SpaceId, s: XSeries, weights: list):
+def _violations(space: SpaceId, s: XSeries, comps: dict):
     """Yield (weight, condition, detail) for each violated defining condition
-    of the space, in report order; each scan runs only as far as it is read."""
+    of the space, in report order, reading the series' weight components
+    comps (_components); each scan runs only as far as it is read."""
+    weights = sorted(comps)
     min_wt = space.min_weight
     for k in weights:
         if k < min_wt:
@@ -339,28 +341,22 @@ def _violations(space: SpaceId, s: XSeries, weights: list):
     tags = space.condition_tags()
     if space != VSTRPRTY:
         for k in weights:
-            for u, v, val in _shuffle_defects(s, k):
+            for u, v, val in _shuffle_defects(comps[k], k):
                 yield k, "primitive", {"u": u, "v": v, "value": str(val)}
 
     if "star-harmonic" in tags:
-        star = None
         for k in weights:
-            if _codes_vanish(_star_codes(_weight_component(s, k), k), k):
-                continue
-            star = star_word(s) if star is None else star
-            for u, v, val in _harmonic_scan(star, k):
-                yield k, "star-harmonic", {"u": list(u), "v": list(v), "value": str(val)}
+            # the codes carry k * star_word(s), so each pairing is k times its value
+            for u, v, val in _code_defects(_star_codes(comps[k], k), k):
+                yield k, "star-harmonic", {
+                    "u": list(u), "v": list(v), "value": str(Fraction(val, k))}
 
     if "sharp-harmonic" in tags:
-        sharp = None
         for k in weights:
-            layers = _sharp_codes(_weight_component(s, k))
+            layers = _sharp_codes(comps[k])
             # the T^t layer pairs y_{t+1} (u * v) with wt u + wt v = k - t - 1
             for t in range(k - 3, -1, -1):
-                if _codes_vanish(layers.get(k - t - 1, {}), k - t - 1):
-                    continue
-                sharp = q_sharp(s) if sharp is None else sharp
-                for u, v, val in _harmonic_scan(sharp.t_layer(t), k - t - 1):
+                for u, v, val in _code_defects(layers.get(k - t - 1, {}), k - t - 1):
                     yield k, "sharp-harmonic", {
                         "t_exp": t, "u": list(u), "v": list(v), "value": str(val)}
 
@@ -385,16 +381,16 @@ def _violations(space: SpaceId, s: XSeries, weights: list):
 
 def membership_check(space: SpaceId, s: XSeries) -> MembershipReport:
     """Check every defining condition of the space on each weight component."""
-    weights = sorted({len(w) for w in s.terms})
+    comps = _components(s)
     violations = [
         {"weight": k, "condition": condition, "detail": detail}
-        for k, condition, detail in islice(_violations(space, s, weights), _MAX_VIOLATIONS)
+        for k, condition, detail in islice(_violations(space, s, comps), _MAX_VIOLATIONS)
     ]
     return MembershipReport(
         space=space,
         passed=not violations,
         violations=violations,
-        weights_checked=weights,
+        weights_checked=sorted(comps),
     )
 
 

@@ -83,11 +83,18 @@ def _signed(edit):
         _signed(lambda d: d["vectors"][0]["terms"][0].update(coeff=0.5)),
         _signed(lambda d: d["vectors"][0]["terms"][0].pop("word")),
         _signed(lambda d: d["vectors"][0].update(weight_bound=-1)),
+        # equal to the key's header only after a coercion
+        _signed(lambda d: d.update(weight=d["weight"] + 0.9)),
+        _signed(lambda d: d.update(weight=str(d["weight"]))),
+        _signed(lambda d: d.update(space=f" {d['space'].upper()} ")),
+        _signed(lambda d: d.update(vectors=d["vectors"][:1], dimension=True)),
+        _signed(lambda d: d.update(dimension=float(d["dimension"]))),
         # consistent with its key, so only the checksum can see it
         lambda d: d["vectors"][0]["terms"][0].update(coeff=12345),
     ],
     ids=["dimension", "space", "weight", "term-length", "vectors-type",
-         "float-coeff", "missing-word", "negative-bound", "coeff"],
+         "float-coeff", "missing-word", "negative-bound", "float-weight",
+         "string-weight", "padded-space", "bool-dimension", "float-dimension", "coeff"],
 )
 def test_inconsistent_entry_is_a_miss(private_cache, edit) -> None:
     basis = get_basis(ADDMR, 5)

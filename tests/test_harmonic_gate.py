@@ -1,11 +1,14 @@
 """Harmonic conditions are decided by the spanning products in integers and
-listed by the pair scan: the decision agrees with the pair scan, and a member
-never reaches it."""
+listed by the pair scan: the decision agrees with the pair scan, a member
+never reaches it, and the listing off the codes equals the one off the
+star_word and q_sharp images, which certificates never build."""
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -13,7 +16,7 @@ from dslforge import algebra, spaces
 from dslforge.algebra import q_sharp, star_word
 from dslforge.cache import get_basis
 from dslforge.lyndon import bracketing, lyndon_words
-from dslforge.series import XSeries
+from dslforge.series import XSeries, YSeries, corner_decompose
 from dslforge.spaces import ADDMR, ADDMR_FAD_PARITY, DMR, membership_check
 from dslforge.words import all_xwords, all_ywords, harmonic_words, shuffle_words
 
@@ -37,10 +40,11 @@ def _decisions(s: XSeries, k: int):
     comp = algebra._weight_component(s, k)
     yield algebra._codes_vanish(algebra._star_codes(comp, k), k), star_word(s), k
     layers = algebra._sharp_codes(comp)
-    sharp = q_sharp(s)
+    sharp = q_sharp(s).terms
     for t in range(k - 3, -1, -1):
         m = k - t - 1
-        yield algebra._codes_vanish(layers.get(m, {}), m), sharp.t_layer(t), m
+        layer = YSeries(((w, c) for (e, w), c in sharp.items() if e == t), m)
+        yield algebra._codes_vanish(layers.get(m, {}), m), layer, m
 
 
 def _cases(rng, k):
@@ -84,9 +88,9 @@ def _pair_scan_only(monkeypatch, space, s):
     pair scans alone: the harmonic code decision always falls through to
     them."""
     with monkeypatch.context() as m:
-        m.setattr(spaces, "_codes_vanish", lambda comp, k: False)
-        m.setattr(spaces, "_shuffle_defects", lambda a, k: algebra._pair_scan(
-            algebra._weight_component(a, k), k, all_xwords, shuffle_words))
+        m.setattr(algebra, "_codes_vanish", lambda comp, k: False)
+        m.setattr(spaces, "_shuffle_defects", lambda comp, k: algebra._pair_scan(
+            comp, k, all_xwords, shuffle_words))
         return membership_check(space, s)
 
 
@@ -127,3 +131,108 @@ def test_a_member_makes_no_pair_scan(space, monkeypatch) -> None:
     assert calls == []
     assert not membership_check(space, member + _lyndon_perturbation(rng, 9)).passed
     assert calls
+
+
+# ---- the listing against the star_word and q_sharp images ------------------
+
+
+def _reference_violations(space, s: XSeries):
+    """The defining conditions of the space violated by s, in report order,
+    with the harmonic ones listed off the star_word and q_sharp images: each
+    weight-k component of star_word(s), and each T^t layer of q_sharp(s) at
+    Y-weight k - t - 1, scanned over every pair (u, v)."""
+    weights = sorted({len(w) for w in s.terms})
+    tags = space.condition_tags()
+    for k in weights:
+        if k < space.min_weight:
+            yield k, "min-weight", f"nonzero component below weight {space.min_weight}"
+    for k in weights:
+        if k >= 2:
+            comp = algebra._weight_component(s, k)
+            for u, v, val in algebra._pair_scan(comp, k, all_xwords, shuffle_words):
+                yield k, "primitive", {"u": u, "v": v, "value": str(val)}
+    if "star-harmonic" in tags:
+        star = star_word(s)
+        for k in weights:
+            comp = algebra._weight_component(star, k)
+            for u, v, val in algebra._pair_scan(comp, k, all_ywords, harmonic_words):
+                yield k, "star-harmonic", {"u": list(u), "v": list(v), "value": str(val)}
+    if "sharp-harmonic" in tags:
+        sharp = q_sharp(s).terms
+        for k in weights:
+            for t in range(k - 3, -1, -1):
+                m = k - t - 1
+                layer = {w: c for (e, w), c in sharp.items() if e == t and sum(w) == m}
+                for u, v, val in algebra._pair_scan(layer, m, all_ywords, harmonic_words):
+                    yield k, "sharp-harmonic", {
+                        "t_exp": t, "u": list(u), "v": list(v), "value": str(val)}
+    if "sharp-depth-one" in tags:
+        for k in weights:
+            if val := s.coeff("1" + "0" * (k - 2) + "1"):
+                yield k, "sharp-depth-one", {"value": str(val)}
+    if "corner00" in tags:
+        corners = corner_decompose(s)
+        for w, c in sorted(corners.c00.terms.items()):
+            yield len(w) + 2, "corner00", {"word": "0" + w + "0", "value": str(c)}
+        if "parity" in tags:
+            parity = corners.c11 + corners.c10 + corners.c01
+            for w, c in sorted(parity.terms.items()):
+                yield len(w) + 2, "parity", {"middle": w, "value": str(c)}
+
+
+def _reference_cases(rng, space, k):
+    """Members with Fraction coefficients, their Lyndon perturbations and
+    00-corner bumps, random words, coefficients above 2^64, and a series of
+    weights k - 1 and k."""
+    member = _combination(rng, get_basis(space, k).vectors, k)
+    corner = XSeries(bracketing("0" * (k - 1) + "1"), k).scale(rng.choice(_COEFFS))
+    words = rng.sample(range(2**k), 5)
+    yield member
+    yield member + _lyndon_perturbation(rng, k)
+    yield member + corner
+    yield XSeries([(format(n, f"0{k}b"), rng.choice(_COEFFS)) for n in words], k)
+    yield (member + corner).scale(2**64 + 1)
+    yield member + XSeries.word(format(words[0], f"0{k}b"), 2**64 + 3, k)
+    lower = _combination(rng, get_basis(space, k - 1).vectors, k - 1)
+    yield member + (lower + _lyndon_perturbation(rng, k - 1)).with_bound(k)
+
+
+@pytest.mark.parametrize("space", [DMR, ADDMR, ADDMR_FAD_PARITY], ids=str)
+def test_reports_match_the_listing_off_the_images(space) -> None:
+    rng = random.Random(23)
+    verdicts, capped = set(), 0
+    for k in range(4, 10):
+        for s in _reference_cases(rng, space, k):
+            ref = list(islice(_reference_violations(space, s), 11))
+            want = {
+                "space": space.key,
+                "pass": not ref,
+                "violations": [{"weight": k, "condition": condition, "detail": detail}
+                               for k, condition, detail in ref[:10]],
+                "weights_checked": sorted({len(w) for w in s.terms}),
+            }
+            got = membership_check(space, s).to_json_dict()
+            assert json.dumps(got) == json.dumps(want), (k, s)
+            verdicts.add(got["pass"])
+            capped += len(ref) > 10
+    assert verdicts == {True, False}
+    assert capped
+
+
+@pytest.mark.parametrize("space", [DMR, ADDMR], ids=str)
+def test_certificates_build_no_star_or_sharp_image(space, monkeypatch) -> None:
+    rng = random.Random(13)
+    member = _combination(rng, get_basis(space, 8).vectors, 8)
+    cases = [member + _lyndon_perturbation(rng, 8) for _ in range(3)]
+    expected = [membership_check(space, s).to_json_dict() for s in cases]
+
+    def refuse(a):
+        raise AssertionError("a harmonic image was built")
+
+    monkeypatch.setattr(algebra, "q_left", refuse)
+    monkeypatch.setattr(algebra, "q_right", refuse)
+    for s, want in zip(cases, expected):
+        rep = membership_check(space, s)
+        assert rep.to_json_dict() == want
+        assert not rep.passed
+        assert {v["condition"] for v in rep.violations} & {"star-harmonic", "sharp-harmonic"}

@@ -198,6 +198,7 @@ def test_star_harmonic_violations_are_the_scan_prefix_and_stop_early(monkeypatch
     for e in lyndon_primitive_basis(8):
         s = s + e.expansion.scale(rng.randint(-2, 2))
     star = star_word(s)
+    codes = {algebra._ycode(w): c for w, c in algebra._weight_component(star, 8).items()}
     calls = []
     real = algebra.harmonic_words
     monkeypatch.setattr(
@@ -208,7 +209,7 @@ def test_star_harmonic_violations_are_the_scan_prefix_and_stop_early(monkeypatch
     assert len(full) > 10
     for limit in (0, 1, 10):
         calls.clear()
-        assert list(islice(algebra._harmonic_defects(star, 8), limit)) == full[:limit]
+        assert list(islice(algebra._code_defects(codes, 8), limit)) == full[:limit]
         assert len(calls) < full_calls
     calls.clear()
     rep = membership_check(DMR, s)

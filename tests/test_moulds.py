@@ -46,8 +46,7 @@ def test_multipoly_eval_and_subst() -> None:
     # u0 -> 0 kills terms with positive exponent
     assert p.eval_at([None, 0], 1).is_zero()
     # substitution by a sum of variables
-    s = MultiPoly(2, [((1, 0), 1), ((0, 1), 1)])
-    q = MultiPoly(1, [((2,), 1)]).subst([s], 2)
+    q = MultiPoly(1, [((2,), 1)]).eval_at([(0, 1)], 2)
     assert q == MultiPoly(2, [((2, 0), 1), ((1, 1), 2), ((0, 2), 1)])
 
 
@@ -136,6 +135,36 @@ def test_ma_mi_examples() -> None:
     ma, mi = ma_mi_extract(XSeries.word("101"), 2)
     assert mi == MultiPoly(2, [((1, 0), 1)])
     assert ma == MultiPoly(2, [((1, 0), 1)])
+
+
+def _subst(p: MultiPoly, assignments: list, nvars_out: int) -> MultiPoly:
+    """General substitution by polynomial multiplication: variable i is
+    replaced by assignments[i]."""
+    total = MultiPoly.zero(nvars_out)
+    for exp, c in p.terms.items():
+        term = MultiPoly(nvars_out, [((0,) * nvars_out, c)])
+        for i, e in enumerate(exp):
+            for _ in range(e):
+                term = term * assignments[i]
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("depth", range(1, 6))
+def test_ma_is_the_substitution_by_prefix_sums(depth) -> None:
+    rng = random.Random(depth)
+    prefix_sums, acc = [], MultiPoly.zero(depth)
+    for i in range(depth):
+        acc = acc + MultiPoly.variable(depth, i)
+        prefix_sums.append(acc)
+    for _ in range(4):
+        s = _random_series(rng, depth + 4, min_weight=depth).scale(Fraction(-5, 3))
+        v = vimo_extract(s, depth)
+        assert not v.is_zero()
+        ma, mi = ma_mi_extract(s, depth)
+        assert ma == _subst(v, [MultiPoly.zero(depth)] + prefix_sums, depth)
+        assert mi == _subst(v, [MultiPoly.zero(depth)] + [
+            MultiPoly.variable(depth, i) for i in range(depth)], depth)
 
 
 def test_deriv_explicit_examples() -> None:

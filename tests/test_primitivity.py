@@ -107,7 +107,8 @@ def test_limited_defect_list_is_the_scan_prefix_and_stops_early(monkeypatch) -> 
     assert len(full) > 10
     for limit in (0, 1, 10):
         calls.clear()
-        assert list(islice(algebra._shuffle_defects(s, 8), limit)) == full[:limit]
+        comp = algebra._weight_component(s, 8)
+        assert list(islice(algebra._shuffle_defects(comp, 8), limit)) == full[:limit]
         assert len(calls) < full_calls
 
 

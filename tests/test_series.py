@@ -78,7 +78,6 @@ def test_tyseries_weight_and_layers() -> None:
     assert s.coeff((1, (2,))) == 1
     dropped = TYSeries([((3, (2,)), 1)], 4)  # weight 6 > bound
     assert dropped.is_zero()
-    assert s.t_layer(1) == YSeries([((2,), 1)], 2)
 
 
 def test_json_round_trips(tmp_path) -> None:
