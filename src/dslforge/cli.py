@@ -2,7 +2,7 @@
 
 Exit codes: 0 success/pass, 1 semantic failure (failed membership or check),
 2 usage, parse, or input errors, including a violated precondition of a
-library call.
+library call, and an exact solve that cannot finish (ArithmeticError).
 """
 
 from __future__ import annotations
@@ -242,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DslforgeError, ValueError, OSError) as exc:
+    except (DslforgeError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -5,19 +5,20 @@ The common setting: series whose x1-coefficient and x0-power coefficients
 bracket; series with x1-coefficient 1 and vanishing x0-powers form a group
 under substitution.  The bracketing-with-x1 map links the two pictures; its
 kernel on words is spanned by the x1-powers, so its inverse is read off the
-words of the input and certified exactly.
+words of the input by one word rule and certified exactly.  The same rule
+solves the conjugator E = exp(psi) of phi layer by layer from E phi = x1 E.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from math import factorial
+from math import factorial, lcm
 
 from .algebra import (
-    _commutator_terms,
+    _components,
     _pairs_by_weight,
+    _power_series,
     _scaled_exp,
     commutator,
     concat_inverse,
@@ -33,7 +34,7 @@ from .errors import (
     NotPrimitive,
     PreconditionViolation,
 )
-from .series import XSeries, corner_decompose
+from .series import XSeries
 
 
 def derive_d(psi: XSeries, target: XSeries) -> XSeries:
@@ -93,23 +94,9 @@ def ad_x1(a: XSeries) -> XSeries:
     return commutator(XSeries.word("1", 1, a.weight_bound), a)
 
 
-def ad_x1_inverse(v: XSeries, check: bool = True) -> XSeries:
-    """The primitive psi with no pure-x1-power component and [x1, psi] = v.
-
-    The kernel of bracketing with x1 on words is spanned by the x1-powers, so
-    psi reads off the words of v: psi(u) = v(1u) when u ends in 0, and
-    psi(a1) = v(1a1) + psi(1a) otherwise.  Each weight is certified exactly,
-    also with check=False: [x1, psi] = v and psi is primitive, or NotInImage
-    is raised.  The image is the primitive series with vanishing 00-corner.
-    """
-    if check:
-        mw = v.min_weight()
-        if mw is not None and mw < 3:
-            raise PreconditionViolation("ad_x1_inverse: input has weight < 3 terms")
-        if not is_primitive(v):
-            raise NotPrimitive("ad_x1_inverse: input is not primitive")
-        if mw is not None and not corner_decompose(v).c00.is_zero():
-            raise NotInImage("ad_x1_inverse: nonzero 00-corner")
+def _x1_preimage(v: XSeries) -> XSeries:
+    """The x1-power-free psi with [x1, psi] = v when there is one, unchecked:
+    psi(u) = v(1u) when u ends in 0, and psi(a1) = v(1a1) + psi(1a)."""
     psi: dict[str, int | Fraction] = {}
     # c*1u adds c at u and at each rotation that moves a leading 1 to the end
     for w, c in v.terms.items():
@@ -120,7 +107,27 @@ def ad_x1_inverse(v: XSeries, check: bool = True) -> XSeries:
         while u[0] == "1":
             u = u[1:] + "1"
             psi[u] = psi.get(u, 0) + c
-    result = XSeries(psi, max(v.weight_bound - 1, 0))
+    return XSeries(psi, max(v.weight_bound - 1, 0))
+
+
+def ad_x1_inverse(v: XSeries, check: bool = True) -> XSeries:
+    """The primitive psi with no pure-x1-power component and [x1, psi] = v.
+
+    The kernel of bracketing with x1 on words is spanned by the x1-powers, so
+    psi reads off the words of v (_x1_preimage).  Each weight is certified
+    exactly, also with check=False: [x1, psi] = v and psi is primitive, or
+    NotInImage is raised.  The image is the primitive series with vanishing
+    00-corner.
+    """
+    if check:
+        mw = v.min_weight()
+        if mw is not None and mw < 3:
+            raise PreconditionViolation("ad_x1_inverse: input has weight < 3 terms")
+        if not is_primitive(v):
+            raise NotPrimitive("ad_x1_inverse: input is not primitive")
+        if any(w[0] == w[-1] == "0" for w in v.terms):
+            raise NotInImage("ad_x1_inverse: nonzero 00-corner")
+    result = _x1_preimage(v)
     for n in sorted({len(w) for w in v.terms}):
         part = result.component(n - 1)
         image = ad_x1(part.with_bound(n))
@@ -221,11 +228,11 @@ def exp_ihara1(psi: XSeries) -> XSeries:
 
 @dataclass(frozen=True)
 class FadDecomposition:
-    """Outcome of the weightwise conjugation-recovery recursion.
+    """Outcome of the weightwise conjugation recovery.
 
     psi_parts maps weight m >= 2 to the recovered homogeneous generator;
-    residuals maps weight n >= 3 to the 00-corner obstruction at that weight
-    (reassembled as a full series).  Membership holds exactly when every
+    residuals maps weight n >= 3 to the 00-corner obstruction at that weight,
+    as a series at phi's bound.  Membership holds exactly when every
     recorded residual vanishes up to the bound.
     """
 
@@ -242,72 +249,60 @@ class FadDecomposition:
 def fad_decompose(phi: XSeries) -> FadDecomposition:
     """Decide whether phi is a conjugate x1 series, recovering the conjugator.
 
-    phi = exp(-psi) x1 exp(psi) = sum over r of (-1)^r ad(psi)^r(x1) / r!.
-    With psi = psi_2 + psi_3 + ..., layers[r, w] holds the weight-w part of
-    ad(psi)^r(x1), which is sum over m of [psi_m, layers[r-1, w-m]]: no
-    division, so the layers are integral when psi is.  At weight n the
-    layers with r >= 2 use only psi_m with m <= n - 3; their signed sum u_n
-    is formed in integers over the deepest r! and divided by it once per
-    term.  The r = 1 layer is [psi_{n-1}, x1] = -[x1, psi_{n-1}].  So the
-    part of phi not explained by the deeper layers must be a bracket with
-    x1, which happens exactly when its 00-corner vanishes.  On the first
-    nonzero residual the recursion stops (later steps depend on the missing
-    generator) and is_member is False.  On success the reconstruction is
-    certified up to the bound from concatenation products, independently
-    of the layers: E = N exp(psi), with N the factorial of the highest power
-    of psi that survives the bound, is a unit of the truncated algebra, so
-    E phi = x1 E holds exactly when phi = E^{-1} x1 E = exp(-psi) x1 exp(psi).
+    phi = E^{-1} x1 E with E = exp(psi) exactly when E phi = x1 E, which at
+    weight n reads [x1, E_{n-1}] = sum over j >= 3 of E_{n-j} phi_j, with
+    phi_j the weight-j part of phi - x1 and E_0 = 1.  A group-like E with no
+    x1 term has no x1-power words, which span the kernel of bracketing with
+    x1, so each layer is the x1-power-free preimage of a right side built
+    from the layers below, certified by bracketing it back.  A bracket with
+    x1 has no word that begins and ends with x0: those words of the right
+    side are the residual at weight n, and the first nonzero one ends the
+    solve.  psi = log E on the layers found (up to weight bound - 1, or n - 2
+    on a failure at n) is certified for members and non-members alike: it is
+    primitive, and N exp(psi) = N E with N as in _scaled_exp.
     """
     bound = phi.weight_bound
-    x1 = XSeries.word("1", 1, bound)
-    diff = phi - x1
+    diff = phi - XSeries.word("1", 1, bound)
     mw = diff.min_weight()
     if mw is not None and mw < 3:
         raise PreconditionViolation("fad_decompose: phi - x1 has weight < 3 terms")
     if not is_primitive(diff):
         raise PreconditionViolation("fad_decompose: phi - x1 is not primitive")
 
-    psi_parts: dict[int, XSeries] = {}
+    parts = _components(diff)  # {j: phi_j}, every j >= 3
+    layers: list[dict] = [{"": 1}, {}]  # the terms of E_0, E_1, ...
     residuals: dict[int, XSeries] = {}
-    member = True
-    lifted: dict[int, XSeries] = {}  # psi_m at the working bound
-    layers: dict[tuple[int, int], XSeries] = {}
-
     for n in range(3, bound + 1):
-        depths = range(2, (n - 1) // 2 + 1)
-        for r in depths:
-            layers[r, n] = XSeries(
-                (t for m in range(2, n - 2 * r + 2)
-                 for t in _commutator_terms(lifted[m], layers[r - 1, n - m])),
-                bound,
-            )
-        # top * u_n in integers, with top the r! of the deepest layer
-        top = factorial(depths[-1]) if depths else 1
-        factor = {r: (-1) ** r * (top // factorial(r)) for r in depths}
-        scaled = XSeries(
-            ((w, c * factor[r]) for r in depths for w, c in layers[r, n].terms.items()),
-            bound,
+        right = XSeries(
+            ((u + v, cu * cv) for j, part in parts.items() if j <= n
+             for u, cu in layers[n - j].items() for v, cv in part.items()),
+            n,
         )
-        target = XSeries(
-            chain(((w, c) for w, c in diff.terms.items() if len(w) == n),
-                  ((w, -Fraction(c, top)) for w, c in scaled.terms.items())),
-            bound,
-        )
-        c00 = corner_decompose(target).c00
-        if not c00.is_zero():
-            x0 = XSeries.word("0", 1, bound)
-            residuals[n] = concat_product(concat_product(x0, c00.with_bound(bound)), x0)
-            member = False
+        corner = ((w, c) for w, c in right.terms.items() if w[0] == w[-1] == "0")
+        residuals[n] = XSeries(corner, bound)
+        if residuals[n]:
             break
-        residuals[n] = XSeries.zero(bound)
-        psi_parts[n - 1] = ad_x1_inverse(target.truncate(n), check=False)
-        lifted[n - 1] = psi_parts[n - 1].with_bound(bound)
-        layers[1, n] = commutator(lifted[n - 1], x1)
+        layer = _x1_preimage(right)
+        if ad_x1(layer.with_bound(n)) != right:
+            raise NotInImage(f"fad_decompose: no preimage at weight {n}")
+        layers.append(layer.terms)
 
-    psi_parts = {m: p for m, p in psi_parts.items() if not p.is_zero()}
-    out = FadDecomposition(psi_parts=psi_parts, residuals=residuals, is_member=member)
-    if member:
-        _, e = _scaled_exp(out.psi(bound))  # E = N exp(psi)
-        if concat_product(e, phi) != concat_product(x1, e):
-            raise AssertionError("fad_decompose: reconstruction mismatch")
-    return out
+    top = len(layers) - 1
+    e = XSeries((t for layer in layers for t in layer.items()), top)
+    # K log E = sum over r of (-1)^(r+1) K/(r d^r) (d(E - 1))^r in integers,
+    # with d clearing E's denominators; (E - 1)^r vanishes for 2r > top
+    d = lcm(*(c.denominator for c in e.terms.values()))
+    k = d ** (top // 2) * lcm(*range(1, top // 2 + 1))
+    y = (e - XSeries.unit(top)).scale(d)
+    log = _power_series(y, lambda r: r and (-1) ** (r + 1) * k // (r * d**r))
+    if not is_primitive(log):
+        raise AssertionError("fad_decompose: log E is not primitive")
+    log = log.scale(Fraction(1, k))
+    big, scaled = _scaled_exp(log)
+    if scaled != e.scale(big):
+        raise AssertionError("fad_decompose: reconstruction mismatch")
+    return FadDecomposition(
+        psi_parts={m: XSeries(part, m) for m, part in sorted(_components(log).items())},
+        residuals=residuals,
+        is_member=not any(residuals.values()),
+    )

@@ -43,6 +43,11 @@ def _primes_below(n: int):
 # few are found once; a kernel whose entries need more draws them on demand.
 _PRIMES = tuple(islice(_primes_below(2**25 + 1), 8))
 
+# The most primes one kernel_basis call draws, so that a wrong mod-p engine
+# fails instead of looping.  Every kernel of every space up to weight 13 takes
+# at most 3; 64 reconstruct entries of about 790 bits over 790 bits.
+_MAX_PRIMES = 64
+
 # The most rows _rref_mod_p converts and cleans at once.  64 rows of 186
 # columns (weight 11) are 95 KB of int64, so a chunk and its few temporaries
 # leave the peak memory of a weight-11 table as it was (256 rows added 1 MB),
@@ -175,6 +180,12 @@ def _lift(residues: dict, modulus: int, free_cols: list[int], ncols: int):
     return basis
 
 
+def _prime_budget():
+    """The primes of one kernel_basis call, then ArithmeticError."""
+    yield from islice(chain(_PRIMES, _primes_below(_PRIMES[-1])), _MAX_PRIMES)
+    raise ArithmeticError(f"kernel_basis: {_MAX_PRIMES} primes gave no verified basis")
+
+
 def kernel_basis(rows: list[list], ncols: int) -> list[list[int]]:
     """Exact kernel basis of the linear system rows * x = 0.
 
@@ -188,10 +199,11 @@ def kernel_basis(rows: list[list], ncols: int) -> list[list[int]]:
     annihilates every row.  A prime that shows other pivot columns is
     skipped, unless they prove the base prime unlucky (lexicographically
     earlier), or the lifted kernel of the selected rows misses some other
-    row: then the next prime becomes the base.
+    row: then the next prime becomes the base.  ArithmeticError is raised
+    when _MAX_PRIMES primes give no verified basis.
     """
     int_rows = [_row_to_int(r) for r in rows]
-    primes = chain(_PRIMES, _primes_below(_PRIMES[-1]))
+    primes = _prime_budget()
     while True:
         p = next(primes)
         selected, pivot_cols, residues = _rref_mod_p(int_rows, ncols, p)

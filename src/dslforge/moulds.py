@@ -282,60 +282,36 @@ def check_corner_identity(s: XSeries, depth: int) -> VerificationReport:
 def check_parity_identity(s: XSeries, depth: int) -> VerificationReport:
     """Check the strong-parity generating identity in denominator-cleared form.
 
-    Base form (any series, middle variables x_1..x_r):
-      x_1*x_r*v(0,x_1..x_r,0) + x_1*[v(0,x_1..x_r) - v(0,x_1..x_{r-1},0)]
-                              + x_r*[v(x_1..x_r,0) - v(0,x_2..x_r,0)] = 0.
-    For primitive inputs (decided here by is_primitive), additionally the
-    shifted form with an extra variable y and denominators cleared by
-    (x_1 - y)(x_r - y).
-
-    The base identity at depth r is equivalent to the strong-parity rows on
-    middle words of depth r-1.
+    Shifted form, middle variables x_1..x_r and y, denominators cleared:
+      (x_1-y)(x_r-y)*v(y,x_1..x_r,y) + (x_1-y)*[v(0,x_1..x_r) - v(0,x_1..x_{r-1},y)]
+                                     + (x_r-y)*[v(x_1..x_r,0) - v(y,x_2..x_r,0)] = 0.
+    Its value at y = 0, the base form, is checked on any series, the shifted
+    form on primitive inputs only (decided here by is_primitive).  The base
+    identity at depth r is equivalent to the strong-parity rows on middle
+    words of depth r-1.
     """
     t0 = perf_counter()
     r = depth
     if r < 1:
         raise ValueError("depth must be >= 1")
-    # variables: x_1..x_r at indices 0..r-1, y at index r
-    nv = r + 1
-    x = [MultiPoly.variable(nv, i) for i in range(r)]
-
-    def xs(*idx):
-        return [None if i is None else i - 1 for i in idx]
-
-    v_mid = vimo_extract(s, r + 1)  # v(0, x_1..x_r, 0): r+2 args
-    lhs = v_mid.eval_at([None] + xs(*range(1, r + 1)) + [None], nv)
+    # variables: x_1..x_r at indices 0..r-1, y at index r; None is 0
+    nv, y, xs = r + 1, r, list(range(r))
+    v_mid = vimo_extract(s, r + 1)  # r+2 args
     v_r = vimo_extract(s, r)  # r+1 args
-
-    a_part = v_r.eval_at([None] + xs(*range(1, r + 1)), nv) - v_r.eval_at(
-        [None] + xs(*range(1, r)) + [None], nv
+    x1y = MultiPoly.variable(nv, 0) - MultiPoly.variable(nv, y)
+    xry = MultiPoly.variable(nv, r - 1) - MultiPoly.variable(nv, y)
+    shifted = (
+        x1y * xry * v_mid.eval_at([y, *xs, y], nv)
+        + x1y * (v_r.eval_at([None, *xs], nv) - v_r.eval_at([None, *xs[:-1], y], nv))
+        + xry * (v_r.eval_at([*xs, None], nv) - v_r.eval_at([y, *xs[1:], None], nv))
     )
-    b_part = v_r.eval_at(xs(*range(1, r + 1)) + [None], nv) - v_r.eval_at(
-        [None] + xs(*range(2, r + 1)) + [None], nv
-    )
-    base = x[0] * x[r - 1] * lhs + x[0] * a_part + x[r - 1] * b_part
+    base = shifted.eval_at([*xs, None], nv)  # y = 0 gives the base form term for term
     witnesses = []
     if not base.is_zero():
         witnesses.append({"variant": "base", "difference_terms": len(base.terms)})
-
     primitive = is_primitive(s)
-    if primitive:
-        y = MultiPoly.variable(nv, r)
-        yi = r + 1  # 1-based index of y for eval_at via xs()
-        lhs_y = v_mid.eval_at(xs(yi, *range(1, r + 1), yi), nv)
-        a_y = v_r.eval_at(xs(None, *range(1, r + 1)), nv) - v_r.eval_at(
-            xs(None, *range(1, r), yi), nv
-        )
-        b_y = v_r.eval_at(xs(*range(1, r + 1), None), nv) - v_r.eval_at(
-            xs(yi, *range(2, r + 1), None), nv
-        )
-        x1y = x[0] - y
-        xry = x[r - 1] - y
-        shifted = x1y * xry * lhs_y + x1y * a_y + xry * b_y
-        if not shifted.is_zero():
-            witnesses.append(
-                {"variant": "shifted", "difference_terms": len(shifted.terms)}
-            )
+    if primitive and not shifted.is_zero():
+        witnesses.append({"variant": "shifted", "difference_terms": len(shifted.terms)})
     return _report(
         "parity-identity",
         {"depth": r, "primitive": primitive},

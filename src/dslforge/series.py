@@ -15,6 +15,7 @@ only in their keys.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -46,18 +47,25 @@ def _coeff(value) -> int | Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+# The coefficient strings a file may hold, as coeff_str writes them: "p" or
+# "p/q" in ASCII digits; and "p" strings joined by ",", a whole list at once.
+_COEFF = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_INTS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+
+
 def _json_coeff(value) -> int | Fraction:
-    """An exact coefficient read from JSON: an integer or a "p"/"p/q" string,
-    in normal form.  Floats are rejected, not converted to their binary
-    value."""
+    """An exact coefficient read from JSON: an integer or a "p"/"p/q" string
+    with a nonzero denominator, in normal form.  Floats and any other string
+    ("0.5", "1e3", " 7", "1_0") are rejected, not converted."""
     if type(value) is int:
         return value
-    if isinstance(value, str):
-        try:
-            return _coeff(value)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in coefficient {value!r}") from None
-    raise ValueError(f"coefficient must be an integer or a string, got {value!r}")
+    m = _COEFF.fullmatch(value) if isinstance(value, str) else None
+    if m is None:
+        raise ValueError(f"coefficient must be an integer, 'p' or 'p/q', got {value!r}")
+    p, q = m.groups()
+    if q is not None and not int(q):
+        raise ValueError(f"zero denominator in coefficient {value!r}")
+    return int(p) if q is None else _coeff(Fraction(int(p), int(q)))
 
 
 def _json_terms(data: dict, alphabet: str, key, weight, read_all) -> tuple[dict, int]:
@@ -98,19 +106,22 @@ def _read_word_terms(terms: list, bound: int) -> dict | None:
     """The terms {word: int} of an X-series term list, checked in a few
     passes over the whole list: every term has a word and a coefficient,
     every word is a '0'/'1' string within the bound, no word repeats, and
-    every coefficient is a JSON integer (never a bool) or a string that int()
-    reads, which gives the value the per-term reader gives.  None otherwise,
-    so the per-term reader decides, with its messages, and reads fractions."""
+    every coefficient is a "p" string, as coeff_str writes an integer, all
+    matched by one regex over their joined text.  None otherwise, so the
+    per-term reader decides, with its messages, and reads JSON integers and
+    fractions."""
     try:
         words = list(map(itemgetter("word"), terms))
         coeffs = list(map(itemgetter("coeff"), terms))
     except (KeyError, TypeError):
         return None
-    if not (set(map(type, words)) <= {str} and set(map(type, coeffs)) <= {int, str}):
+    if not (set(map(type, words)) <= {str} and set(map(type, coeffs)) <= {str}):
         return None
     if "".join(words).strip("01") or max(map(len, words), default=0) > bound:
         return None
-    try:
+    if not _INTS.fullmatch(",".join(coeffs)):
+        return None
+    try:  # a string holding "," matches above and fails here, as does a long one
         out = dict(zip(words, map(int, coeffs)))
     except ValueError:
         return None

@@ -247,6 +247,8 @@ def verify_lie_axioms(
     """Antisymmetry and the Jacobi identity for the derivation bracket on
     seeded random elements, plus closure of the parity-refined corner
     subspace under the bracket."""
+    if k_max < 2:
+        raise ValueError(f"lie-axioms needs k_max >= 2, got {k_max}")
     t0 = perf_counter()
     rng = random.Random(seed)
     witnesses = []
@@ -310,6 +312,8 @@ def verify_racinet_homomorphism(
 ) -> VerificationReport:
     """Bracketing with x1 intertwines the two brackets:
     ad_x1({a, b}) = {ad_x1(a), ad_x1(b)}_1 on random primitive pairs."""
+    if k_max < 4:
+        raise ValueError(f"racinet-homomorphism needs k_max >= 4, got {k_max}")
     t0 = perf_counter()
     rng = random.Random(seed)
     witnesses = []

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from dslforge import linalg
 from dslforge.cli import main
 from dslforge.series import XSeries
 
@@ -221,3 +222,36 @@ def test_bad_numbers_exit_2(cli_cache, capsys, tmp_path, argv) -> None:
 def test_dims_empty_space_list_exits_2(cli_cache, capsys) -> None:
     assert main(["dims", "--space", ",", "--kmax", "3"]) == 2
     assert capsys.readouterr().err.startswith("error: no space id")
+
+
+def test_a_kernel_out_of_primes_exits_2(cli_cache, capsys, monkeypatch) -> None:
+    right = linalg._rref_mod_p
+
+    def corrupt(rows, ncols, p):  # every residue off by one: no basis verifies
+        selected, pivot_cols, kernel = right(rows, ncols, p)
+        return selected, pivot_cols, {key: (r + 1) % p for key, r in kernel.items()}
+
+    monkeypatch.setattr(linalg, "_rref_mod_p", corrupt)
+    assert main(["dims", "--space", "dmr", "--kmax", "5", "--no-cache"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: kernel_basis: {linalg._MAX_PRIMES} primes")
+    assert "Traceback" not in err
+
+
+def test_a_mod_p_scan_that_would_overflow_int64_exits_2(cli_cache, capsys, monkeypatch) -> None:
+    # (p - 1)**2 >= 2**63 already for the first pivot
+    monkeypatch.setattr(linalg, "_PRIMES", (3037000507,))
+    assert main(["dims", "--space", "dmr", "--kmax", "5", "--no-cache"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: mod-3037000507 row selection would overflow int64")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "check,kmax,message",
+    [("lie-axioms", "1", "lie-axioms needs k_max >= 2, got 1"),
+     ("racinet-homomorphism", "1", "racinet-homomorphism needs k_max >= 4, got 1")],
+)
+def test_verify_kmax_below_the_sampled_weights_exits_2(cli_cache, capsys, check, kmax, message):
+    assert main(["verify", "--check", check, "--kmax", kmax]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

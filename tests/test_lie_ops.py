@@ -635,22 +635,63 @@ def test_fad_decompose_matches_the_fraction_layers() -> None:
     assert rejected >= 15
 
 
-def test_reconstruction_certificate_catches_a_wrong_generator(monkeypatch) -> None:
-    # a primitive but wrong top part leaves every residual zero, so only
-    # the final certificate can tell
-    bound = 7
+def _member_and_non_member(bound: int = 7) -> tuple[XSeries, XSeries]:
+    """A conjugate phi of a random generator of weights 2 and 3, and phi plus
+    ad(x0)^(bound-1)(x1), whose 00-corner rejects it at the top weight."""
     rng = random.Random(73)
     x1 = XSeries.word("1", 1, bound)
     psi = _random_primitive(rng, 2, bound) + _random_primitive(rng, 3, bound)
     phi = concat_product(concat_product(concat_exp(-psi), x1), concat_exp(psi))
+    bumped = phi + lyndon_primitive_basis(bound)[0].expansion  # [x0,[x0,...,[x0,x1]]]
     assert fad_decompose(phi).is_member
-    extra = lyndon_primitive_basis(bound - 1)[0].expansion.with_bound(bound - 1)
-    right = lie.ad_x1_inverse
+    dec = fad_decompose(bumped)
+    assert not dec.is_member and max(dec.residuals) == bound
+    return phi, bumped
 
-    def wrong(v: XSeries, check: bool = True) -> XSeries:
-        part = right(v, check)
-        return part + extra if v.weight_bound == bound else part
 
-    monkeypatch.setattr(lie, "ad_x1_inverse", wrong)
-    with pytest.raises(AssertionError, match="fad_decompose: reconstruction mismatch"):
+def _patch_preimage(monkeypatch, weight: int, extra: XSeries) -> None:
+    """Make lie._x1_preimage add extra to the layer it solves at weight."""
+    right = lie._x1_preimage
+
+    def wrong(v: XSeries) -> XSeries:
+        part = right(v)
+        return part + extra.with_bound(part.weight_bound) if v.weight_bound == weight else part
+
+    monkeypatch.setattr(lie, "_x1_preimage", wrong)
+
+
+@pytest.mark.parametrize("member", [True, False])
+def test_lie_test_catches_an_x1_power_on_the_top_layer(monkeypatch, member) -> None:
+    # the x1-power brackets back to the same right side, so the layer check
+    # passes, and exp(log E) = E whatever E is: only the Lie test can tell
+    bound = 7
+    phi = _member_and_non_member(bound)[0 if member else 1]
+    top = bound - 1 if member else bound - 2  # the last layer solved
+    _patch_preimage(monkeypatch, top + 1, XSeries.word("1" * top, 1, top))
+    with pytest.raises(AssertionError, match="fad_decompose: log E is not primitive"):
         fad_decompose(phi)
+
+
+@pytest.mark.parametrize("member", [True, False])
+def test_layer_check_catches_a_layer_off_by_a_word(monkeypatch, member) -> None:
+    phi = _member_and_non_member()[0 if member else 1]
+    _patch_preimage(monkeypatch, 5, XSeries.word("0110", 1, 4))
+    with pytest.raises(NotInImage, match="fad_decompose: no preimage at weight 5$"):
+        fad_decompose(phi)
+
+
+def test_reconstruction_certificate_catches_a_wrong_generator(monkeypatch) -> None:
+    # a wrong but primitive log E passes the Lie test, so only the final
+    # certificate N exp(psi) = N E can tell; on a member and a non-member
+    phis = _member_and_non_member()
+    right = lie._power_series
+
+    def wrong(x, coefficient):
+        out = right(x, coefficient)
+        k = out.weight_bound
+        return out + lyndon_primitive_basis(k)[0].expansion.with_bound(k)
+
+    monkeypatch.setattr(lie, "_power_series", wrong)
+    for phi in phis:
+        with pytest.raises(AssertionError, match="fad_decompose: reconstruction mismatch"):
+            fad_decompose(phi)

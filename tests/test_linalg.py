@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,31 @@ def test_mod_p_selection_refuses_int64_overflow() -> None:
     assert _rref_mod_p(rows[:2], 4, p)[0] == [0, 1]
     with pytest.raises(ArithmeticError, match="int64"):
         _rref_mod_p(rows, 4, p)
+
+
+def _corrupt_residues(monkeypatch) -> list:
+    """Make linalg._rref_mod_p return each kernel residue plus 1: every
+    lift is consistent but wrong, so no basis ever verifies.  Returns the
+    list of primes the engine is run on."""
+    right, primes = linalg._rref_mod_p, []
+
+    def corrupt(rows, ncols, p):
+        primes.append(p)
+        selected, pivot_cols, kernel = right(rows, ncols, p)
+        return selected, pivot_cols, {key: (r + 1) % p for key, r in kernel.items()}
+
+    monkeypatch.setattr(linalg, "_rref_mod_p", corrupt)
+    return primes
+
+
+def test_a_wrong_mod_p_engine_runs_out_of_primes(monkeypatch) -> None:
+    rows = compile_constraints(DMR, 7)  # a one-dimensional kernel
+    primes = _corrupt_residues(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(ArithmeticError, match=f"kernel_basis: {linalg._MAX_PRIMES} primes"):
+        kernel_basis(rows, len(rows[0]))
+    assert time.perf_counter() - start < 5.0
+    assert len(primes) == linalg._MAX_PRIMES == len(set(primes))
 
 
 def test_chunked_scan_matches_the_row_scan_on_compiled_systems() -> None:

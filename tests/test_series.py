@@ -239,6 +239,11 @@ READER_CASES = {
     "zero-denominator": _with_term(coeff="1/0"),
     "zero-coeff": _with_term(coeff="0"),
     "word-coeff": _with_term(coeff="five"),
+    "exponent-coeff": _with_term(coeff="1e3"),
+    "decimal-coeff": _with_term(coeff="0.5"),
+    "underscore-coeff": _with_term(coeff="1_0"),
+    "comma-coeff": _with_term(coeff="1,2"),
+    "comma-coeffs": dict(_GOOD, terms=[dict(t, coeff="1,2") for t in _GOOD["terms"][:2]]),
     "repeated-word": dict(_GOOD, terms=_GOOD["terms"] + [_GOOD["terms"][0]]),
     "above-bound": _with_term(word="01101"),
     "letter-2": _with_term(word="2"),

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from dslforge.cache import get_basis
 from dslforge.spaces import ADDMR_FAD_PARITY
 from dslforge.verify import (
@@ -79,6 +81,22 @@ def test_racinet_homomorphism() -> None:
     # total weight up to 9
     rep = verify_racinet_homomorphism(pair_count=6, k_max=9, seed=13)
     assert rep.passed
+
+
+def test_lie_axioms_need_two_weights() -> None:
+    # sample weights are drawn from 2..k_max
+    with pytest.raises(ValueError, match=r"^lie-axioms needs k_max >= 2, got 1$"):
+        verify_lie_axioms(sample_count=5, k_max=1)
+    assert verify_lie_axioms(sample_count=5, k_max=2).parameters["k_max"] == 2
+
+
+def test_racinet_homomorphism_needs_a_pair_of_weight_four() -> None:
+    # a pair of primitive series of weight >= 2 each weighs at least 4
+    for k_max in (1, 3):
+        message = f"^racinet-homomorphism needs k_max >= 4, got {k_max}$"
+        with pytest.raises(ValueError, match=message):
+            verify_racinet_homomorphism(pair_count=5, k_max=k_max)
+    assert verify_racinet_homomorphism(pair_count=5, k_max=4).passed
 
 
 def test_group_laws() -> None:
