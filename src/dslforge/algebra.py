@@ -192,21 +192,25 @@ def star_word(psi: XSeries) -> YSeries:
     return q_left(psi) + _y1_tail(psi)
 
 
-def _power_series(x, coefficient):
-    """The sum over n >= 0 of coefficient(n) x^n under concatenation, built in
-    one constructor that keeps only the current power alive; x has zero
-    constant term, so its powers vanish past the bound."""
+def _iterated_sum(first, step, coefficient):
+    """The sum over n >= 0 of coefficient(n) step^n(first), at first's bound,
+    built in one constructor that keeps only the current term alive; step
+    raises the weight, so the terms vanish past the bound."""
 
     def terms():
-        power = type(x).unit(x.weight_bound)
-        n = 0
-        while not power.is_zero():
+        term, n = first, 0
+        while not term.is_zero():
             c = coefficient(n)
-            yield from ((w, c * v) for w, v in power.terms.items())
+            yield from ((w, c * v) for w, v in term.terms.items())
             n += 1
-            power = concat_product(power, x)
+            term = step(term)
 
-    return type(x)(terms(), x.weight_bound)
+    return type(first)(terms(), first.weight_bound)
+
+
+def _power_series(x, coefficient):
+    """The sum over n >= 0 of coefficient(n) x^n under concatenation."""
+    return _iterated_sum(type(x).unit(x.weight_bound), lambda p: concat_product(p, x), coefficient)
 
 
 def _scaled_exp(x) -> tuple:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 import tempfile
 import zlib
 from pathlib import Path
@@ -38,6 +39,13 @@ def cache_dir() -> Path:
 
 def _entry_path(space: SpaceId, k: int) -> Path:
     return cache_dir() / f"{space.key}-{k}-{SCHEMA_VERSION}.json"
+
+
+# A name _entry_path makes, under any schema version, and then the suffix of
+# the temporary file store_basis writes it through, left when a writer dies.
+_ENTRY_NAME = re.compile(
+    r"[a-z0-9]+(?:-[a-z0-9]+)*-[0-9]+-s[0-9]+p[0-9]+\.json([a-z0-9_]+\.tmp)?"
+)
 
 
 def _checksum(payload: dict) -> int:
@@ -80,7 +88,8 @@ def load_basis(space: SpaceId, k: int) -> SubspaceBasis | None:
 def store_basis(basis: SubspaceBasis) -> Path:
     """Write the entry and its checksum through a private temporary file in
     the cache directory and rename it into place, so concurrent writers never
-    share a file."""
+    share a file.  A clear_cache that removes the temporary file first leaves
+    the entry unstored, as if it had run just after the rename."""
     payload = basis.to_json_dict()
     payload["crc32"] = _checksum(payload)
     path = _entry_path(basis.space, basis.weight)
@@ -90,6 +99,8 @@ def store_basis(basis: SubspaceBasis) -> Path:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(payload))
         os.replace(tmp, path)
+    except FileNotFoundError:
+        pass  # the temporary file was cleared before the rename
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
@@ -123,20 +134,22 @@ def _resolve_basis(space: SpaceId, k: int, use_cache: bool, resolved: dict) -> S
     return basis
 
 
-def clear_cache() -> int:
-    """Remove all cache entries; returns the number of files removed."""
+def _cache_files() -> list[tuple[Path, bool]]:
+    """(path, is an entry) for the entries and temporary files of the cache
+    directory; no other file there is the cache's."""
     base = cache_dir()
-    if not base.is_dir():
-        return 0
-    count = 0
-    for path in base.glob("*.json"):
+    matches = ((p, _ENTRY_NAME.fullmatch(p.name)) for p in base.iterdir()) if base.is_dir() else ()
+    return [(p, m[1] is None) for p, m in matches if m]
+
+
+def clear_cache() -> int:
+    """Remove the entries of every schema version and the temporary files of
+    killed writers; returns the number of entries removed."""
+    files = _cache_files()
+    for path, _ in files:
         path.unlink()
-        count += 1
-    return count
+    return sum(entry for _, entry in files)
 
 
 def list_entries() -> list[str]:
-    base = cache_dir()
-    if not base.is_dir():
-        return []
-    return sorted(p.name for p in base.glob("*.json"))
+    return sorted(p.name for p, entry in _cache_files() if entry)

@@ -17,6 +17,7 @@ from math import factorial, lcm
 
 from .algebra import (
     _components,
+    _iterated_sum,
     _pairs_by_weight,
     _power_series,
     _scaled_exp,
@@ -68,24 +69,22 @@ def _check_tm1(a: XSeries, where: str, x1: int = 0, error=NotInTm1) -> None:
         raise error(f"{where}: coefficient of x0^{n} must vanish")
 
 
-def bracket1(a: XSeries, b: XSeries, check: bool = True) -> XSeries:
+def bracket1(a: XSeries, b: XSeries) -> XSeries:
     """Derivation bracket d_a(b) - d_b(a) on tm1-shaped series."""
-    if check:
-        _check_tm1(a, "bracket1")
-        _check_tm1(b, "bracket1")
+    _check_tm1(a, "bracket1")
+    _check_tm1(b, "bracket1")
     return derive_d(a, b) - derive_d(b, a)
 
 
-def bracket_racinet(a: XSeries, b: XSeries, check: bool = True) -> XSeries:
+def bracket_racinet(a: XSeries, b: XSeries) -> XSeries:
     """Bracket d_[x1,a](b) - d_[x1,b](a) + [a,b] on primitive series of
     weight >= 2; bracketing with x1 turns it into bracket1."""
-    if check:
-        for s, name in ((a, "a"), (b, "b")):
-            mw = s.min_weight()
-            if mw is not None and mw < 2:
-                raise NotPrimitive(f"bracket_racinet: {name} has weight < 2 terms")
-            if not is_primitive(s):
-                raise NotPrimitive(f"bracket_racinet: {name} is not primitive")
+    for s, name in ((a, "a"), (b, "b")):
+        mw = s.min_weight()
+        if mw is not None and mw < 2:
+            raise NotPrimitive(f"bracket_racinet: {name} has weight < 2 terms")
+        if not is_primitive(s):
+            raise NotPrimitive(f"bracket_racinet: {name} is not primitive")
     return derive_d(ad_x1(a), b) - derive_d(ad_x1(b), a) + commutator(a, b)
 
 
@@ -212,18 +211,8 @@ def exp_ihara1(psi: XSeries) -> XSeries:
     if mw is not None and mw < 2:
         raise NotInTm1("exp_ihara1: lowest weight must be >= 2")
     _check_tm1(psi, "exp_ihara1")
-    bound = psi.weight_bound
-
-    def terms():
-        term = XSeries.word("1", 1, bound)  # d_psi^n(x1), not yet divided by n!
-        n = 0
-        while not term.is_zero():
-            scale = factorial(n)
-            yield from ((w, Fraction(c, scale)) for w, c in term.terms.items())
-            n += 1
-            term = derive_d(psi, term)
-
-    return XSeries(terms(), bound)
+    x1 = XSeries.word("1", 1, psi.weight_bound)
+    return _iterated_sum(x1, lambda term: derive_d(psi, term), lambda n: Fraction(1, factorial(n)))
 
 
 @dataclass(frozen=True)

@@ -55,16 +55,6 @@ _MAX_PRIMES = 64
 _CHUNK_ROWS = 64
 
 
-def _primitive(ints: list[int]) -> list[int]:
-    """Divide by the gcd and make the first nonzero entry positive."""
-    g = gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    if next((v for v in ints if v), 0) < 0:
-        ints = [-v for v in ints]
-    return ints
-
-
 def _row_to_int(row) -> list[int]:
     """The row itself when all its entries are ints; otherwise a new integer
     row, the row times the lcm of its denominators."""
@@ -162,7 +152,10 @@ def _rational(a: int, m: int) -> tuple[int, int] | None:
 
 def _lift(residues: dict, modulus: int, free_cols: list[int], ncols: int):
     """Primitive integer vectors from the combined residues, one per free
-    column, or None when some entry has no rational reconstruction yet."""
+    column, or None when some entry has no rational reconstruction yet.  The
+    lcm of denominators in lowest terms leaves a gcd of 1, so only the sign
+    is set: each prime of the lcm misses the entry whose denominator it
+    divides to the full power."""
     entries: dict[int, list] = {fc: [] for fc in free_cols}
     for (fc, col), a in residues.items():
         nd = _rational(a, modulus)
@@ -176,7 +169,9 @@ def _lift(residues: dict, modulus: int, free_cols: list[int], ncols: int):
         vec[fc] = den
         for col, n, d in entries[fc]:
             vec[col] = n * (den // d)
-        basis.append(_primitive(vec))
+        if next(v for v in vec if v) < 0:
+            vec = [-v for v in vec]
+        basis.append(vec)
     return basis
 
 

@@ -6,7 +6,8 @@ two bounds.  Coefficients are exact rationals held in one normal form: a
 plain int when the value is integral, a Fraction only when its denominator
 is above 1, so integer inputs and bases run in native int arithmetic.  Zero
 coefficients are never stored.  coeff() returns a Fraction, for a missing
-word too, so dividing two coefficients stays exact.  Instances are
+word too, so dividing two coefficients stays exact.  A coefficient string,
+in a file or in process, is "p" or "p/q" (_json_coeff).  Instances are
 immutable: attributes cannot be set, no method mutates terms, and all
 operations return new series.  The three classes share one body and differ
 only in their keys.
@@ -40,10 +41,7 @@ def _coeff(value) -> int | Fraction:
     if isinstance(value, int):
         return int(value)
     if isinstance(value, str):
-        try:
-            return int(value)  # accepts a subset of Fraction's strings, same value
-        except ValueError:
-            return _coeff(Fraction(value))
+        return _json_coeff(value)  # the file grammar, in process too
     raise TypeError(f"not an exact rational: {value!r}")
 
 
@@ -54,9 +52,10 @@ _INTS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 
 
 def _json_coeff(value) -> int | Fraction:
-    """An exact coefficient read from JSON: an integer or a "p"/"p/q" string
-    with a nonzero denominator, in normal form.  Floats and any other string
-    ("0.5", "1e3", " 7", "1_0") are rejected, not converted."""
+    """An exact coefficient read from JSON, or from a string in process: an
+    integer or a "p"/"p/q" string with a nonzero denominator, in normal form.
+    Floats and any other string ("0.5", "1e3", " 7", "1_0") are rejected,
+    not converted."""
     if type(value) is int:
         return value
     m = _COEFF.fullmatch(value) if isinstance(value, str) else None
@@ -68,13 +67,9 @@ def _json_coeff(value) -> int | Fraction:
     return int(p) if q is None else _coeff(Fraction(int(p), int(q)))
 
 
-def _json_terms(data: dict, alphabet: str, key, weight, read_all) -> tuple[dict, int]:
-    """The {key: coeff} terms and the weight bound of a series JSON object,
-    checked for format, alphabet, well-formed, distinct terms within the
-    bound and exact coefficients.  read_all(terms, bound) reads the whole
-    list at once, or returns None, and then key(term) reads and checks the
-    word of each term in turn.  A file is not truncated or summed, so no
-    listed term is lost."""
+def _json_header(data: dict, alphabet: str) -> tuple[int, list]:
+    """The weight bound and the term list of a series JSON object, checked
+    for format, alphabet, a nonnegative integer bound and a list of terms."""
     if data.get("format") != JSON_FORMAT:
         raise ValueError(f"unknown series format: {data.get('format')!r}")
     if data.get("alphabet") != alphabet:
@@ -85,9 +80,13 @@ def _json_terms(data: dict, alphabet: str, key, weight, read_all) -> tuple[dict,
     terms = data.get("terms")
     if not isinstance(terms, list):
         raise ValueError("series JSON needs a list of terms")
-    out = read_all(terms, bound)
-    if out is not None:
-        return out, bound
+    return bound, terms
+
+
+def _json_terms(terms: list, bound: int, key, weight) -> dict:
+    """The {key: coeff} terms of a JSON term list, each read by key(term),
+    checked well formed, distinct, within the bound and exact.  A file is not
+    truncated or summed, so no listed term is lost."""
     out = {}
     for t in terms:
         try:
@@ -99,7 +98,7 @@ def _json_terms(data: dict, alphabet: str, key, weight, read_all) -> tuple[dict,
         if weight(w) > bound:
             raise ValueError(f"term above weight_bound {bound}: {t!r}")
         out[w] = c
-    return out, bound
+    return out
 
 
 def _read_word_terms(terms: list, bound: int) -> dict | None:
@@ -161,9 +160,9 @@ class _SeriesOps:
 
     A subclass declares only its keys: _weight(key), the key test _is_key
     and its noun for the error message, the JSON alphabet, the JSON fields
-    of one key (_key_json) and their readers (_read_key for one term,
-    _read_terms for a whole list, or None), and how a key is shown in the
-    repr (_show).
+    of one key (_key_json) and their reader (_read_key), and how a key is
+    shown in the repr (_show).  XSeries's own from_json_dict tries its batch
+    reader before the per-term loop.
 
     The constructor sums its (key, coefficient) pairs.  A mapping whose
     values are all nonzero plain ints and whose keys are all within the
@@ -199,11 +198,6 @@ class _SeriesOps:
         for key in keys:
             if not cls._is_key(key):
                 raise ValueError(f"not {cls._noun}: {key!r}")
-
-    def __init_subclass__(cls):
-        # Each class holds its own reader, so that it can be rebound on one
-        # alphabet alone (bench/tracing.py times XSeries reads this way).
-        cls.from_json_dict = classmethod(_SeriesOps.from_json_dict.__func__)
 
     def __setattr__(self, name, *_):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -243,13 +237,10 @@ class _SeriesOps:
             ],
         }
 
-    @staticmethod
-    def _read_terms(terms: list, bound: int) -> None:
-        return None  # read term by term
-
     @classmethod
     def from_json_dict(cls, data: dict):
-        return cls(*_json_terms(data, cls._alphabet, cls._read_key, cls._weight, cls._read_terms))
+        bound, terms = _json_header(data, cls._alphabet)
+        return cls(_json_terms(terms, bound, cls._read_key, cls._weight), bound)
 
     def coeff(self, key) -> Fraction:
         c = self.terms.get(key, 0)
@@ -330,8 +321,6 @@ class XSeries(_SeriesOps):
         if not (set(map(type, keys)) <= {str} and not "".join(keys).strip("01")):
             super()._check_keys(keys)
 
-    _read_terms = staticmethod(_read_word_terms)
-
     @staticmethod
     def _key_json(w: XWord) -> dict:
         return {"word": w}
@@ -362,6 +351,13 @@ class XSeries(_SeriesOps):
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "XSeries":
+        # the whole list in one batch, or term by term when the batch declines
+        bound, terms = _json_header(data, cls._alphabet)
+        out = _read_word_terms(terms, bound)
+        return cls(_json_terms(terms, bound, cls._read_key, len) if out is None else out, bound)
 
     @classmethod
     def from_json(cls, text: str) -> "XSeries":
@@ -497,6 +493,9 @@ def corner_decompose(a: XSeries) -> CornerDecomposition:
     )
 
 
+_BY_ALPHABET = {cls._alphabet: cls for cls in (XSeries, YSeries, TYSeries)}
+
+
 def load_series(path) -> XSeries | YSeries | TYSeries:
     """Load a series of any of the three alphabets from a JSON file; JSON
     nested too deeply to parse is a ValueError like any malformed file."""
@@ -508,10 +507,7 @@ def load_series(path) -> XSeries | YSeries | TYSeries:
     if not isinstance(data, dict):
         raise ValueError(f"{path}: a series file holds one JSON object")
     alphabet = data.get("alphabet")
-    if alphabet == "x01":
-        return XSeries.from_json_dict(data)
-    if alphabet == "y":
-        return YSeries.from_json_dict(data)
-    if alphabet == "ty":
-        return TYSeries.from_json_dict(data)
-    raise ValueError(f"unknown alphabet: {alphabet!r}")
+    cls = _BY_ALPHABET.get(alphabet) if isinstance(alphabet, str) else None
+    if cls is None:
+        raise ValueError(f"unknown alphabet: {alphabet!r}")
+    return cls.from_json_dict(data)

@@ -329,8 +329,8 @@ def verify_racinet_homomorphism(
         bound = ka + kb + 1
         a = random_primitive(ka, bound)
         b = random_primitive(kb, bound)
-        lhs = ad_x1(bracket_racinet(a, b, check=False))
-        rhs = bracket1(ad_x1(a), ad_x1(b), check=False)
+        lhs = ad_x1(bracket_racinet(a, b))
+        rhs = bracket1(ad_x1(a), ad_x1(b))
         if lhs != rhs:
             witnesses.append({"sample": idx, "ka": ka, "kb": kb})
     return _report(

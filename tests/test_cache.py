@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 
 import pytest
 
@@ -160,6 +162,40 @@ def test_store_leaves_no_temporary_files(private_cache, monkeypatch) -> None:
     with pytest.raises(OSError):
         store_basis(get_basis(DMR, 7, use_cache=False))
     assert sorted(p.name for p in private_cache.iterdir()) == [path.name]
+
+
+def test_clear_removes_only_entries_and_temporary_files(private_cache, capsys) -> None:
+    assert main(["dims", "--space", "dmr", "--kmax", "5"]) == 0
+    foreign = ["notes.txt", "package.json", "report-2024.json"]
+    for name in foreign:
+        (private_cache / name).write_text("{}")
+    (private_cache / "dmr-5-s0p9.json").write_text("{}")  # another schema
+    # the temporary file of a killed writer, named as store_basis names it
+    fd, tmp = tempfile.mkstemp(dir=private_cache, prefix="dmr-5-s1p1.json", suffix=".tmp")
+    os.close(fd)
+    entries = sorted([f"dmr-{k}-s1p1.json" for k in range(1, 6)] + ["dmr-5-s0p9.json"])
+    assert list_entries() == entries
+    capsys.readouterr()
+    assert main(["cache", "--list"]) == 0
+    assert capsys.readouterr().out.split() == entries
+    assert main(["cache", "--clear"]) == 0
+    assert capsys.readouterr().out == "removed 6 entries\n"
+    assert sorted(p.name for p in private_cache.iterdir()) == foreign
+
+
+def test_clear_during_a_store_leaves_the_entry_unstored(private_cache, monkeypatch) -> None:
+    basis = get_basis(DMR, 5, use_cache=False)
+    replace = os.replace
+
+    def clear_then_replace(src, dst):
+        cache.clear_cache()
+        replace(src, dst)
+
+    monkeypatch.setattr(cache.os, "replace", clear_then_replace)
+    store_basis(basis)
+    assert list(private_cache.iterdir()) == []
+    monkeypatch.setattr(cache.os, "replace", replace)
+    assert get_basis(DMR, 5) == basis
 
 
 def test_intersection_stores_its_parents(private_cache) -> None:

@@ -1,6 +1,7 @@
 """A coefficient in a series, polynomial or cache file is a JSON integer or a
 string "p" or "p/q" in ASCII digits, as coeff_str writes it; any other string
-is rejected at once, never converted."""
+is rejected at once, never converted.  A string handed to a constructor or
+to scale in process is read by the same grammar."""
 
 from __future__ import annotations
 
@@ -22,7 +23,22 @@ REJECTED = [
     "1/0", "1/-2", "-1/-2", "1/ 2", "1/2/3", "1,2", "--1", "1e2/3",
 ]
 
-ACCEPTED = [("7", 7), ("-7", -7), ("007", 7), ("4/2", 2), ("-3/2", Fraction(-3, 2)), ("0/5", 0)]
+ACCEPTED = [
+    ("7", 7), ("-7", -7), ("007", 7), ("4/2", 2), ("-3/2", Fraction(-3, 2)), ("0/5", 0),
+    ("-0", 0), ("00012", 12),
+]
+
+
+# The in-process readers of a coefficient: the series and polynomial
+# constructors and both scale methods, each giving the stored value (0 when
+# nothing is stored).
+IN_PROCESS = [
+    lambda c: XSeries([("01", c)], 2).terms.get("01", 0),
+    lambda c: XSeries({"01": c}, 2).terms.get("01", 0),
+    lambda c: XSeries.word("01", 1, 2).scale(c).terms.get("01", 0),
+    lambda c: MultiPoly(1, [((1,), c)]).terms.get((1,), 0),
+    lambda c: MultiPoly.variable(1, 0).scale(c).terms.get((1,), 0),
+]
 
 
 def _series(coeff) -> dict:
@@ -44,6 +60,22 @@ def test_series_and_polynomial_readers_accept(coeff, value) -> None:
     assert XSeries.from_json_dict(_series(coeff)) == XSeries({"011": 1, "101": value}, 3)
     poly = MultiPoly.from_json_dict({"vars": 1, "terms": [{"exp": [1], "coeff": coeff}]})
     assert poly.terms == ({(1,): value} if value else {})
+
+
+@pytest.mark.parametrize("coeff", REJECTED)
+def test_in_process_constructors_and_scale_reject(coeff) -> None:
+    start = time.perf_counter()
+    for read in IN_PROCESS:
+        with pytest.raises(ValueError):
+            read(coeff)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("coeff,value", ACCEPTED)
+def test_in_process_constructors_and_scale_accept(coeff, value) -> None:
+    stored = [read(coeff) for read in IN_PROCESS]
+    assert [(c, type(c)) for c in stored] == [(value, type(value))] * len(IN_PROCESS)
+    assert XSeries({"011": "1", "101": coeff}, 3) == XSeries.from_json_dict(_series(coeff))
 
 
 @pytest.mark.parametrize("coeff", REJECTED)

@@ -115,8 +115,8 @@ def test_racinet_bracket_intertwined_by_ad_x1() -> None:
         bound = ka + kb + 1
         a = _random_primitive(rng, ka, bound)
         b = _random_primitive(rng, kb, bound)
-        lhs = ad_x1(bracket_racinet(a, b, check=False))
-        rhs = bracket1(ad_x1(a), ad_x1(b), check=False)
+        lhs = ad_x1(bracket_racinet(a, b))
+        rhs = bracket1(ad_x1(a), ad_x1(b))
         assert lhs == rhs
 
 

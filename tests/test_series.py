@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,18 @@ def test_json_round_trips(tmp_path) -> None:
     assert load_series(path) == x
 
 
+def test_load_series_picks_the_class_by_its_alphabet(tmp_path) -> None:
+    path = tmp_path / "series.json"
+    for s in (XSeries([("011", 2)], 4), YSeries([((2, 1), 5)], 6),
+              TYSeries([((2, (1,)), Fraction(1, 7))], 5)):
+        path.write_text(json.dumps(s.to_json_dict()))
+        assert load_series(path) == s
+    for alphabet in ("x", ["x01"], {"y": 1}, None):
+        path.write_text(json.dumps(dict(XSeries.zero(2).to_json_dict(), alphabet=alphabet)))
+        with pytest.raises(ValueError, match="unknown alphabet"):
+            load_series(path)
+
+
 def test_corner_decompose_examples() -> None:
     # single words sort by first and last letter
     dec = corner_decompose(XSeries.word("011"))
@@ -184,18 +197,6 @@ def test_json_accepts_integer_and_string_coefficients() -> None:
         XSeries.from_json_dict(data)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [" 3 ", "+3", "-0", "1_0", "٣", "00012", "-7", "3.0", "1e2", "4/2", "-3/2", " 1/2 "],
-)
-def test_string_coefficients_read_as_fraction_reads_them(text) -> None:
-    from dslforge.series import _coeff
-
-    c = _coeff(text)
-    assert c == Fraction(text)
-    assert type(c) is (int if Fraction(text).denominator == 1 else Fraction)
-
-
 def test_hexadecimal_string_coefficient_is_rejected() -> None:
     from dslforge.series import _coeff
 
@@ -204,12 +205,13 @@ def test_hexadecimal_string_coefficient_is_rejected() -> None:
 
 
 def _read_term_by_term(data: dict):
-    """The per-term reference: every term read and checked in turn, then
-    summed by the constructor from its (word, coefficient) pairs."""
-    from dslforge.series import _json_terms
+    """The per-term reference: the header checked, every term read and
+    checked in turn, then summed by the constructor from its (word,
+    coefficient) pairs."""
+    from dslforge.series import _json_header, _json_terms
 
-    terms, bound = _json_terms(data, "x01", XSeries._read_key, len, lambda terms, bound: None)
-    return XSeries(list(terms.items()), bound)
+    bound, terms = _json_header(data, "x01")
+    return XSeries(list(_json_terms(terms, bound, XSeries._read_key, len).items()), bound)
 
 
 def _outcome(read, data):
