@@ -1,25 +1,33 @@
 """Exact integer nullspace and rational solve routines, on one modular engine.
 
-Rows arrive as integer (or rational) vectors and are used as they are: a
-rational row is multiplied by the lcm of its denominators, and an integer row
-is neither copied nor scaled.  A vectorized Gauss-Jordan elimination modulo a
-prime p selects a maximal independent row subset and leaves its reduced row
-echelon form (RREF).  It reads the rows in chunks, each converted to int64
-and cleaned against the RREF with one matrix product, so the rows that add
-no pivot, most of them in a narrow system, cost no Python per row; the
-survivors become pivots in row order, as a row-by-row scan takes them.  The
-canonical kernel mod p is read directly off the RREF: for each free column
-fc, x[fc] = 1 and x[pivot_col(i)] = -R[i][fc].  Each RREF row keeps its
-leading entry at its own pivot, so the pivot columns are the leading columns
-of the row space: row order, scaling, repeats and zero rows change neither
-them nor the canonical kernel.  The same reduction runs
-on the selected rows modulo further primes; the residues are combined by the
+The rows of a system are held as one integer matrix, rows by columns: a
+numpy int64 array, or an object array of Python ints when some entry lies
+beyond int64.  A matrix is used as given: every pass reads slices of it and
+nothing copies, scales or casts the whole.  A list of integer (or rational)
+rows is converted to that matrix once, on entry, a rational row multiplied
+by the lcm of its denominators.  A vectorized Gauss-Jordan elimination
+modulo a prime p selects a maximal independent row subset and leaves its
+reduced row echelon form (RREF).  It reads the matrix in chunks, each
+reduced mod p and cleaned against the RREF with one int64 product, so the
+rows that add no pivot, most of them in a narrow system, cost no Python per
+row; the survivors become pivots in row order, as a row-by-row scan takes
+them.  The canonical kernel mod p is read directly off the RREF: for each
+free column fc, x[fc] = 1 and x[pivot_col(i)] = -R[i][fc].  Each RREF row
+keeps its leading entry at its own pivot, so the pivot columns are the
+leading columns of the row space: row order, scaling, repeats and zero rows
+change neither them nor the canonical kernel.  The same reduction runs on
+the selected rows modulo further primes; the residues are combined by the
 Chinese remainder theorem and each entry is recovered as a rational by
 rational reconstruction (Wang, Guy & Davenport, SIGSAM Bull. 1982).  Each
-vector is then scaled to a primitive integer vector, and a basis is returned
-only once it annihilates every original row in exact integer arithmetic.
-There is no fraction-free elimination, and the output is deterministic for a
-fixed input.
+vector is then scaled to a primitive integer vector.
+
+A basis is returned only once a multi-modular certificate shows that it
+annihilates every row exactly.  With B = ncols * max|a_ij| * max|v_j|,
+|a . v| <= B for every row a and basis vector v.  The products of the
+matrix with the basis are taken modulo primes q, in int64 chunks, until the
+product of the q exceeds B; each a . v is then a multiple of a number
+larger than |a . v|, so it is 0.  There is no fraction-free elimination and
+no probabilistic step, and the output is deterministic for a fixed input.
 """
 
 from __future__ import annotations
@@ -39,7 +47,8 @@ def _primes_below(n: int):
 
 # Primes just under 2**25.  The mod-p reduction cleans a row with one int64
 # product that sums up to rank terms below p**2, so it is exact while
-# rank * (p - 1)**2 < 2**63: ranks up to 8192 for these primes.  The first
+# rank * (p - 1)**2 < 2**63: ranks up to 8192 for these primes.  The
+# certificate's products sum ncols such terms: up to 8192 columns.  The first
 # few are found once; a kernel whose entries need more draws them on demand.
 _PRIMES = tuple(islice(_primes_below(2**25 + 1), 8))
 
@@ -48,11 +57,15 @@ _PRIMES = tuple(islice(_primes_below(2**25 + 1), 8))
 # at most 3; 64 reconstruct entries of about 790 bits over 790 bits.
 _MAX_PRIMES = 64
 
-# The most rows _rref_mod_p converts and cleans at once.  64 rows of 186
+# The most rows _rref_mod_p reduces and cleans at once.  64 rows of 186
 # columns (weight 11) are 95 KB of int64, so a chunk and its few temporaries
 # leave the peak memory of a weight-11 table as it was (256 rows added 1 MB),
 # and narrow systems scan as fast as with larger chunks.
 _CHUNK_ROWS = 64
+
+# The entries of one chunk of the certificate (_certify): 64 K entries are
+# 512 KB of int64, about 350 rows at weight 11.
+_CHECK_ENTRIES = 1 << 16
 
 
 def _row_to_int(row) -> list[int]:
@@ -64,8 +77,31 @@ def _row_to_int(row) -> list[int]:
     return row
 
 
-def _rref_mod_p(rows: list[list[int]], ncols: int, p: int):
-    """Gauss-Jordan elimination modulo p, scanning the rows in order.
+def int_matrix(rows, nrows: int, ncols: int):
+    """The nrows x ncols matrix of an iterable of integer rows, filled one
+    row at a time into one preallocated array, so no second copy of the
+    rows is held: numpy int64, or, from the first row with an entry beyond
+    int64 on, an object array of Python ints.  A row of Python ints is
+    exact; its conversion raises OverflowError instead of wrapping.  A row
+    of another length raises ValueError, where numpy would broadcast a
+    one-entry row."""
+    import numpy as np  # imported on first use, so `import dslforge` does not load it
+
+    A = np.zeros((nrows, ncols), dtype=np.int64)
+    for i, row in enumerate(rows):
+        if len(row) != ncols:
+            raise ValueError(f"row {i} has {len(row)} entries, not {ncols}")
+        try:
+            A[i] = row
+        except OverflowError:  # an entry beyond int64
+            A = A.astype(object)
+            A[i] = row
+    return A
+
+
+def _rref_mod_p(rows, ncols: int, p: int):
+    """Gauss-Jordan elimination modulo p, scanning the rows of the matrix
+    rows (int_matrix) in order.
 
     Returns (selected, pivot_cols, kernel): the indices of a maximal
     independent subset, the sorted pivot columns, and the canonical kernel of
@@ -74,14 +110,15 @@ def _rref_mod_p(rows: list[list[int]], ncols: int, p: int):
     since its pivot columns hold the identity, only its free columns are
     kept, packed to the front of the buffer F.
 
-    The rows are read in chunks.  Each chunk is converted to int64 once and
-    cleaned against R with one matrix product, which sums one term below
-    p**2 per pivot, so a pivot that would take rank * (p - 1)**2 to 2**63
-    raises ArithmeticError instead of letting int64 wrap.  Rows that vanish
-    are dropped together; the first survivor is the next pivot and the rest
-    are cleaned of it, in row order, so the selection, the pivots and R are
-    those of a row-by-row scan.  A chunk without a pivot doubles the next
-    chunk, up to _CHUNK_ROWS rows, and a chunk with pivots halves it.
+    The rows are read in chunks, slices of the matrix.  Each chunk is
+    reduced mod p into int64 once and cleaned against R with one matrix
+    product, which sums one term below p**2 per pivot, so a pivot that
+    would take rank * (p - 1)**2 to 2**63 raises ArithmeticError instead of
+    letting int64 wrap.  Rows that vanish are dropped together; the first
+    survivor is the next pivot and the rest are cleaned of it, in row
+    order, so the selection, the pivots and R are those of a row-by-row
+    scan.  A chunk without a pivot doubles the next chunk, up to
+    _CHUNK_ROWS rows, and a chunk with pivots halves it.
     """
     import numpy as np  # imported on first use, so `import dslforge` does not load it
 
@@ -91,12 +128,7 @@ def _rref_mod_p(rows: list[list[int]], ncols: int, p: int):
     selected: list[int] = []
     start, size = 0, 1
     while start < len(rows) and nfree:
-        chunk = rows[start : start + size]
-        try:
-            V = np.array(chunk, dtype=np.int64)
-        except OverflowError:  # an entry beyond int64
-            V = np.array([[c % p for c in row] for row in chunk], dtype=np.int64)
-        V = V[:, perm] % p
+        V = (rows[start : start + size, perm] % p).astype(np.int64, copy=False)
         W = V[:, :nfree]
         if nfree < ncols:
             W = (W - V[:, nfree:][:, ::-1] @ F[: ncols - nfree, :nfree]) % p
@@ -181,36 +213,43 @@ def _prime_budget():
     raise ArithmeticError(f"kernel_basis: {_MAX_PRIMES} primes gave no verified basis")
 
 
-def kernel_basis(rows: list[list], ncols: int) -> list[list[int]]:
+def kernel_basis(rows, ncols: int) -> list[list[int]]:
     """Exact kernel basis of the linear system rows * x = 0.
 
-    Accepts rows of ints or Fractions, in any order, scaled or repeated, zero
-    rows included; integer rows are used as given, not copied.  Returns
-    primitive integer vectors as lists of int (gcd 1, first nonzero entry
-    positive), one per free column in increasing order: the vector with that
-    coordinate 1 and every other free coordinate 0, scaled.  The base prime's
-    RREF selects the rows and fixes the pivot columns; later primes, run on
-    the selected rows only, add residues until the reconstructed basis
-    annihilates every row.  A prime that shows other pivot columns is
-    skipped, unless they prove the base prime unlucky (lexicographically
+    Accepts a matrix (int_matrix: int64, or object for entries beyond
+    int64), used as given: every pass and the certificate read slices of
+    it, the reruns read its selected rows, and the caller's array is never
+    copied whole, scaled or cast.  Also accepts a list of rows of ints or
+    Fractions, converted to that matrix once.  Rows may come in any order,
+    scaled or repeated, zero rows included.  Returns primitive integer
+    vectors as lists of int (gcd 1, first nonzero entry positive), one per
+    free column in increasing order: the vector with that coordinate 1 and
+    every other free coordinate 0, scaled.  The base prime's RREF selects
+    the rows and fixes the pivot columns; later primes, run on the selected
+    rows only, add residues until the reconstructed basis annihilates every
+    row, as _certify shows exactly.  A prime that shows other pivot columns
+    is skipped, unless they prove the base prime unlucky (lexicographically
     earlier), or the lifted kernel of the selected rows misses some other
     row: then the next prime becomes the base.  ArithmeticError is raised
-    when _MAX_PRIMES primes give no verified basis.
+    when _MAX_PRIMES primes give no certified basis.
     """
-    int_rows = [_row_to_int(r) for r in rows]
+    import numpy as np
+
+    if not isinstance(rows, np.ndarray):
+        rows = int_matrix(map(_row_to_int, rows), len(rows), ncols)
     primes = _prime_budget()
     while True:
         p = next(primes)
-        selected, pivot_cols, residues = _rref_mod_p(int_rows, ncols, p)
-        subset = [int_rows[j] for j in selected]
+        selected, pivot_cols, residues = _rref_mod_p(rows, ncols, p)
+        subset = rows[selected]
         free_cols = sorted(set(range(ncols)).difference(pivot_cols))
         modulus = p
         while True:
             basis = _lift(residues, modulus, free_cols, ncols)
             if basis is not None:
-                if _verify_kernel(int_rows, basis):
+                if _certify(rows, basis):
                     return basis
-                if _verify_kernel(subset, basis):
+                if _certify(subset, basis):
                     break  # the selected rows miss part of the row space
             q = next(primes)
             _, cols, new = _rref_mod_p(subset, ncols, q)
@@ -225,21 +264,49 @@ def kernel_basis(rows: list[list], ncols: int) -> list[list[int]]:
             modulus *= q
 
 
-def _verify_kernel(rows: list[list[int]], basis: list[list[int]]) -> bool:
-    """True when every basis vector annihilates every row, exactly."""
-    if not basis:
+def _certify(rows, basis: list[list[int]]) -> bool:
+    """True when every basis vector annihilates every row of the matrix
+    rows, exactly.
+
+    With B = ncols * max|a_ij| * max|v_j| >= |a . v|, the products of the
+    rows with the basis are taken modulo the primes _PRIMES, then further
+    primes, until their product exceeds B: a . v is then a multiple of a
+    number above |a . v|, so 0 when every residue is.  Each product is
+    taken in int64 over a chunk of rows (_CHECK_ENTRIES entries), reduced
+    mod q only when some entry reaches q, and sums ncols terms below q**2;
+    a prime with ncols * (q - 1)**2 >= 2**63 raises ArithmeticError instead
+    of letting int64 wrap.  The first nonzero residue stops the check.
+    """
+    import numpy as np
+
+    if not basis or not rows.size:
         return True
-    for row in rows:
-        support = [(i, r) for i, r in enumerate(row) if r]
-        for vec in basis:
-            total = 0
-            for i, r in support:
-                v = vec[i]
-                if v:
-                    total += r * v
-            if total:
+    nrows, ncols = rows.shape
+    try:
+        V = np.array(basis, dtype=np.int64).T
+    except OverflowError:  # an entry beyond int64
+        V = np.array(basis, dtype=object).T
+    amax = max(int(rows.max()), -int(rows.min()))
+    bound = ncols * amax * max(int(V.max()), -int(V.min()))
+    step = max(_CHECK_ENTRIES // ncols, 1)
+    modulus = 1
+    for q in chain(_PRIMES, _primes_below(_PRIMES[-1])):
+        if modulus > bound:
+            return True
+        if ncols * (q - 1) ** 2 >= 2**63:
+            raise ArithmeticError(
+                f"mod-{q} kernel certificate would overflow int64 at {ncols} columns: "
+                "ncols * (q - 1)**2 must stay below 2**63"
+            )
+        Vq = (V % q).astype(np.int64, copy=False)
+        reduce = amax >= q or rows.dtype == object
+        for start in range(0, nrows, step):
+            chunk = rows[start : start + step]
+            if reduce:
+                chunk = (chunk % q).astype(np.int64, copy=False)
+            if ((chunk @ Vq) % q).any():
                 return False
-    return True
+        modulus *= q
 
 
 def solve_exact(rows: list[list], rhs: list) -> list[Fraction] | None:

@@ -8,7 +8,10 @@ The strong parity space `vstrprty` is not primitive; it is a root too.
 
 Every other space is solved on its parent's basis: one integer row per
 condition the space adds, a positive multiple of the condition's rational
-row, over the parent's integer vectors as columns.  A harmonic condition
+row, over the parent's integer vectors as columns.  The rows are written,
+as each is built, into one preallocated numpy int64 matrix (an object
+matrix when an entry lies beyond int64), which the kernel reads as given:
+it is the only copy of the rows.  A harmonic condition
 gets one row per non-Lyndon Y-word, whose products span every product
 u * v (Hoffman 2000; Radford 1979), and a sharp row pairs a product of
 weight m only with y_{k-m}.  The products come from the table that
@@ -32,7 +35,7 @@ from math import gcd
 
 from .algebra import _code_defects, _components, _harmonic_products, _sharp_codes
 from .algebra import _sharp_terms, _shuffle_defects, _star_codes, _star_terms
-from .linalg import kernel_basis
+from .linalg import int_matrix, kernel_basis
 from .lyndon import lyndon_primitive_basis
 from .series import XSeries, corner_decompose
 from .words import all_xwords
@@ -140,7 +143,7 @@ def _word_index(columns: list[dict]) -> dict:
 def _harmonic_row(table: dict, n: int, terms) -> list:
     """The row psi -> sum of mult * <image of psi | key> over the terms
     (key, mult), where table maps keys (X-words, or the codes of Y-words) to
-    [(column, coeff)] of the images.  Every builder's rows come from here."""
+    [(column, coeff)] of the images, summed exactly in Python ints."""
     row = [0] * n
     for key, mult in terms:
         for j, c in table.get(key, ()):
@@ -148,25 +151,24 @@ def _harmonic_row(table: dict, n: int, terms) -> list:
     return row
 
 
-def _product_rows(table: dict, n: int, m: int) -> list:
+def _product_rows(table: dict, m: int) -> list:
     """One row per spanning product of weight m (_harmonic_products), over a
     table keyed by the codes of Y-words."""
     starts, codes, mults = _harmonic_products(m)
-    return [_harmonic_row(table, n, zip(codes[a:b], mults[a:b]))
-            for a, b in pairwise(starts)]
+    return [(table, zip(codes[a:b], mults[a:b])) for a, b in pairwise(starts)]
 
 
-def _star_harmonic_rows(index: dict, n: int, k: int) -> list:
+def _star_harmonic_rows(index: dict, k: int) -> list:
     """One row per non-Lyndon Y-word of weight k, for its product u * v: the
     functional psi -> <k * star_word(psi) | u * v>, with the image read off
     the column words by _star_terms; the factor k makes it integral."""
     star: dict = {}
     for w, code, factor in _star_terms(index, k):
         star.setdefault(code, []).extend((j, factor * c) for j, c in index[w])
-    return _product_rows(star, n, k)
+    return _product_rows(star, k)
 
 
-def _sharp_harmonic_rows(index: dict, n: int, k: int) -> list:
+def _sharp_harmonic_rows(index: dict, k: int) -> list:
     """One row per non-Lyndon Y-word of weight m, 2 <= m < k, for its product
     u * v: the functional psi -> <q_right(psi) | y_{k-m} (u * v)>.  A
     weight-k word meets y_l (u * v) only at l = k - m, as the term T^{k-m-1} y
@@ -175,32 +177,33 @@ def _sharp_harmonic_rows(index: dict, n: int, k: int) -> list:
     layers: dict = {}
     for w, m, code in _sharp_terms(index):
         layers.setdefault(m, {})[code] = index[w]
-    return [row for m in range(2, k) for row in _product_rows(layers.get(m, {}), n, m)]
+    return [row for m in range(2, k) for row in _product_rows(layers.get(m, {}), m)]
 
 
-def _sharp_depth_one_rows(index: dict, n: int, k: int) -> list:
+def _sharp_depth_one_rows(index: dict, k: int) -> list:
     """The explicit depth-one tail row: <psi | x1 x0^{k-2} x1> = 0."""
-    return [_harmonic_row(index, n, (("1" + "0" * (k - 2) + "1", 1),))]
+    return [(index, (("1" + "0" * (k - 2) + "1", 1),))]
 
 
-def _corner00_rows(index: dict, n: int, k: int) -> list:
+def _corner00_rows(index: dict, k: int) -> list:
     """One row per word x0*w*x0 appearing in some column."""
     corners = sorted(w for w in index if len(w) >= 2 and w[0] == "0" and w[-1] == "0")
-    return [_harmonic_row(index, n, ((w, 1),)) for w in corners]
+    return [(index, ((w, 1),)) for w in corners]
 
 
-def _parity_rows(index: dict, n: int, k: int) -> list:
+def _parity_rows(index: dict, k: int) -> list:
     """One row per middle w of a column word not of the form x0 w x0 (over raw
     word columns, every w of weight k-2): <.|x1 w x1> + <.|x1 w x0> + <.|x0 w x1>."""
     middles = sorted(
         {w[1:-1] for w in index if len(w) >= 2 and (w[0], w[-1]) != ("0", "0")}
     )
-    return [
-        _harmonic_row(index, n, (("1" + w + "1", 1), ("1" + w + "0", 1), ("0" + w + "1", 1)))
-        for w in middles
-    ]
+    return [(index, (("1" + w + "1", 1), ("1" + w + "0", 1), ("0" + w + "1", 1)))
+            for w in middles]
 
 
+# Each builder reads the word -> [(column, coeff)] index of the columns and
+# the weight, and returns its rows as (table, terms), in row order: the row
+# _harmonic_row(table, n, terms).
 _ROW_BUILDERS = {
     "star-harmonic": _star_harmonic_rows,
     "sharp-harmonic": _sharp_harmonic_rows,
@@ -210,27 +213,32 @@ _ROW_BUILDERS = {
 }
 
 
-def _compile(tags: tuple, basis: SubspaceBasis) -> list:
-    """The integer rows of the conditions over the basis vectors as columns;
-    every builder reads one word -> [(column, coeff)] index over them.
-    Integral coefficients are stored as ints, so each vector's terms already
-    are {word: int}."""
+def _compile(tags: tuple, basis: SubspaceBasis):
+    """The integer matrix of the conditions over the basis vectors as
+    columns (linalg.int_matrix): int64, or object when an entry lies beyond
+    int64.  Each row is summed in Python ints and written into the
+    preallocated matrix as it is built, so the matrix is the only copy of
+    the rows.  Integral coefficients are stored as ints, so each vector's
+    terms already are {word: int}."""
     index = _word_index([v.terms for v in basis.vectors])
-    return [row for tag in tags
-            for row in _ROW_BUILDERS[tag](index, basis.dimension, basis.weight)]
+    n = basis.dimension
+    rows = [row for tag in tags for row in _ROW_BUILDERS[tag](index, basis.weight)]
+    return int_matrix((_harmonic_row(table, n, terms) for table, terms in rows), len(rows), n)
 
 
-def compile_on_parent(space: SpaceId, parent: SubspaceBasis) -> list:
-    """The library's compiler: the rows of the conditions the space adds,
-    over its parent's canonical basis vectors as columns.  The parent's rows
-    hold on every combination, and rational_kernel turns the kernel into the
-    canonical basis (see there).  Below the root's minimum weight the parent
-    has no vectors, so the system has no columns and its kernel is empty."""
+def compile_on_parent(space: SpaceId, parent: SubspaceBasis):
+    """The library's compiler: the integer matrix (rows by the parent's
+    dimension) of the conditions the space adds, over its parent's canonical
+    basis vectors as columns; rational_kernel reads it as given.  The
+    parent's rows hold on every combination, and rational_kernel turns the
+    kernel into the canonical basis (see there).  Below the root's minimum
+    weight the parent has no vectors, so the matrix has no columns and its
+    kernel is empty."""
     return _compile(space.own_tags, parent)
 
 
-def compile_constraints(space: SpaceId, k: int) -> list:
-    """The full-rows reference for compile_on_parent: the rows of every
+def compile_constraints(space: SpaceId, k: int):
+    """The full-rows reference for compile_on_parent: the matrix of every
     condition of the space, over its root's closed-form basis at weight k.
     The strong parity space is a root that is not primitive, so it has
     nothing to compile."""
@@ -239,11 +247,12 @@ def compile_constraints(space: SpaceId, k: int) -> list:
     return _compile(space.condition_tags(), root_basis(space.root, k))
 
 
-def rational_kernel(space: SpaceId, parent: SubspaceBasis, rows: list) -> SubspaceBasis:
-    """The space's basis: the exact nullspace of the rows over the parent's
-    vectors as columns, re-expanded into series in integer arithmetic, each
-    vector divided by the gcd of its word coefficients and signed so that
-    its smallest word has a positive coefficient.
+def rational_kernel(space: SpaceId, parent: SubspaceBasis, rows) -> SubspaceBasis:
+    """The space's basis: the exact nullspace of the rows (a matrix, or a
+    list of rows; see linalg.kernel_basis) over the parent's vectors as
+    columns, re-expanded into series in integer arithmetic, each vector
+    divided by the gcd of its word coefficients and signed so that its
+    smallest word has a positive coefficient.
 
     Over a parent's canonical basis this gives the child's canonical basis,
     for every space.  On a free Lie root the columns are the Lyndon

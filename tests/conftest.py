@@ -9,6 +9,22 @@ def record_acceptance(line: str) -> None:
     _ACCEPTANCE_LINES.append(line)
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--run-slow", action="store_true", default=False,
+        help="also run the tests marked slow (high-weight checks)",
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--run-slow"):
+        return
+    skip = pytest.mark.skip(reason="marked slow: give --run-slow to run it")
+    for item in items:
+        if item.get_closest_marker("slow"):
+            item.add_marker(skip)
+
+
 @pytest.fixture(scope="session", autouse=True)
 def isolated_cache(tmp_path_factory):
     """Route the basis cache into a per-session directory so repeated

@@ -1,7 +1,9 @@
 """Reference systems that the library itself never solves: every condition
 of a space over its root's closed-form basis, and primitivity over raw word
 coordinates, whose rows are paired with a basis of unit words.  Also the
-row-by-row mod-p scan that the library's chunked scan must reproduce."""
+references that the library's row matrix, chunked scan and kernel
+certificate must reproduce: rows compiled into Python lists, the row-by-row
+mod-p scan, and the exact row-by-row kernel check."""
 
 from __future__ import annotations
 
@@ -9,8 +11,10 @@ import numpy as np
 
 from dslforge.series import XSeries
 from dslforge.spaces import (
+    _ROW_BUILDERS,
     SpaceId,
     SubspaceBasis,
+    _word_index,
     compile_constraints,
     rational_kernel,
     root_basis,
@@ -22,6 +26,49 @@ def full_rows_kernel(space: SpaceId, k: int) -> SubspaceBasis:
     """The space's basis at weight k from the rows of all its conditions
     over its root's closed-form basis, bypassing its parent."""
     return rational_kernel(space, root_basis(space.root, k), compile_constraints(space, k))
+
+
+def harmonic_row(table: dict, n: int, terms) -> list:
+    """The row psi -> sum of mult * <image of psi | key> over the terms
+    (key, mult) as a Python list, where table maps keys to [(column, coeff)]
+    of the images: the list builder that the compiled matrix replaces."""
+    row = [0] * n
+    for key, mult in terms:
+        for j, c in table.get(key, ()):
+            row[j] += mult * c
+    return row
+
+
+def list_rows(rows, n: int) -> list:
+    """The rows (table, terms) of a row builder as Python lists of n ints."""
+    return [harmonic_row(table, n, terms) for table, terms in rows]
+
+
+def compile_lists(tags: tuple, basis: SubspaceBasis) -> list:
+    """The rows of the conditions over the basis vectors as columns, as
+    Python lists: the reference for spaces._compile's matrix."""
+    index = _word_index([v.terms for v in basis.vectors])
+    return [row for tag in tags
+            for row in list_rows(_ROW_BUILDERS[tag](index, basis.weight), basis.dimension)]
+
+
+def verify_kernel_by_rows(rows, basis: list[list[int]]) -> bool:
+    """The exact row loop that linalg._certify replaces, kept as its
+    reference: True when every basis vector annihilates every row, given
+    as a list of Python ints (a matrix's .tolist())."""
+    if not basis:
+        return True
+    for row in rows:
+        support = [(i, r) for i, r in enumerate(row) if r]
+        for vec in basis:
+            total = 0
+            for i, r in support:
+                v = vec[i]
+                if v:
+                    total += r * v
+            if total:
+                return False
+    return True
 
 
 def compile_primitivity_raw(k: int) -> list:

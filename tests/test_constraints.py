@@ -27,7 +27,7 @@ from dslforge.spaces import (
 )
 from dslforge.words import all_xwords, all_ywords, word_pairs
 
-from reference_systems import compile_primitivity_raw, full_rows_kernel, raw_kernel
+from reference_systems import compile_primitivity_raw, full_rows_kernel, list_rows, raw_kernel
 
 
 def test_space_id_parse() -> None:
@@ -97,7 +97,7 @@ def _raw_parity_kernel(k: int) -> SubspaceBasis:
     if k < VSTRPRTY.min_weight:
         rows = [[int(i == j) for j in range(n)] for i in range(n)]
     else:
-        rows = _parity_rows(_word_index([{w: 1} for w in words]), n, k)
+        rows = list_rows(_parity_rows(_word_index([{w: 1} for w in words]), k), n)
     return raw_kernel(VSTRPRTY, k, rows)
 
 
@@ -162,7 +162,7 @@ def test_parity_rows_vanish_on_addmr_fad() -> None:
     for k in range(1, 13):
         basis = get_basis(ADDMR_FAD, k)
         rows = compile_on_parent(ADDMR_FAD_PARITY, basis)
-        assert bool(rows) == bool(basis.vectors) and not any(map(any, rows)), k
+        assert bool(len(rows)) == bool(basis.vectors) and not rows.any(), k
         assert get_basis(ADDMR_FAD_PARITY, k).vectors == basis.vectors
 
 
@@ -202,23 +202,23 @@ def test_composite_spaces_raw_oracle() -> None:
         index = _word_index([{w: 1} for w in labels])
         n = len(labels)
         prim = compile_primitivity_raw(k)
-        dmr_rows = prim + _star_harmonic_rows(index, n, k)
+        dmr_rows = prim + list_rows(_star_harmonic_rows(index, k), n)
         dim = len(kernel_basis(dmr_rows, n))
         assert dim == full_rows_kernel(DMR, k).dimension
 
         if k >= 4:
             addmr_rows = (
                 prim
-                + _sharp_harmonic_rows(index, n, k)
-                + _sharp_depth_one_rows(index, n, k)
+                + list_rows(_sharp_harmonic_rows(index, k), n)
+                + list_rows(_sharp_depth_one_rows(index, k), n)
             )
             dim = len(kernel_basis(addmr_rows, n))
             assert dim == full_rows_kernel(ADDMR, k).dimension
 
             afp_rows = (
                 addmr_rows
-                + _corner00_rows(index, n, k)
-                + _parity_rows(index, n, k)
+                + list_rows(_corner00_rows(index, k), n)
+                + list_rows(_parity_rows(index, k), n)
             )
             dim = len(kernel_basis(afp_rows, n))
             assert dim == full_rows_kernel(ADDMR_FAD_PARITY, k).dimension

@@ -11,6 +11,7 @@ import hashlib
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dslforge import spaces
@@ -20,13 +21,16 @@ from dslforge.linalg import kernel_basis
 from dslforge.lyndon import bracketing, lyndon_primitive_basis, lyndon_words
 from dslforge.series import XSeries
 from dslforge.spaces import (
+    FAD,
     VSTRPRTY,
     SpaceId,
-    _harmonic_row,
+    _corner00_rows,
     _sharp_harmonic_rows,
     _star_harmonic_rows,
     _word_index,
     compile_constraints,
+    compile_on_parent,
+    root_basis,
 )
 from dslforge.words import (
     all_xwords,
@@ -38,7 +42,7 @@ from dslforge.words import (
     word_pairs,
 )
 
-from reference_systems import full_rows_kernel
+from reference_systems import compile_lists, full_rows_kernel, list_rows
 
 # sha256 of json.dumps(basis.to_json_dict(), sort_keys=True) for k = 1..8
 _PINNED = {
@@ -143,7 +147,45 @@ def test_compiled_rows_are_plain_ints(name) -> None:
     space = SpaceId.parse(name)
     for k in range(1, 8):
         rows = compile_constraints(space, k)
-        assert all(type(c) is int for row in rows for c in row), (name, k)
+        assert rows.dtype == np.int64, (name, k)
+        assert all(type(c) is int for row in rows.tolist() for c in row), (name, k)
+
+
+@pytest.mark.parametrize("name", sorted(set(_PINNED) - {"vstrprty"}))
+def test_compiled_matrix_equals_the_list_rows(name) -> None:
+    """The int64 matrix holds, entry for entry, the rows that the list
+    builder makes, on the parent's basis and on the root's."""
+    space = SpaceId.parse(name)
+    for k in range(1, 11):
+        parent = get_basis(space.parent, k)
+        rows = compile_on_parent(space, parent)
+        assert rows.dtype == np.int64 and rows.shape[1] == parent.dimension, k
+        assert rows.tolist() == compile_lists(space.own_tags, parent), k
+        full = compile_lists(space.condition_tags(), root_basis(space.root, k))
+        assert compile_constraints(space, k).tolist() == full, k
+
+
+def test_a_row_beyond_int64_takes_the_object_path(monkeypatch) -> None:
+    """From the first row with an entry beyond int64 on, the matrix holds
+    Python ints, exactly, and its kernel is that of the rows as written."""
+    parent = get_basis(FAD.parent, 8)
+    plain = compile_on_parent(FAD, parent)
+    big = len(plain) // 2
+
+    def one_big_row(index, k):
+        rows = _corner00_rows(index, k)
+        table, terms = rows[big]
+        rows[big] = (table, [(key, 2**70 * mult) for key, mult in terms])
+        return rows
+
+    monkeypatch.setitem(spaces._ROW_BUILDERS, "corner00", one_big_row)
+    rows = compile_on_parent(FAD, parent)
+    want = plain.tolist()
+    want[big] = [2**70 * c for c in want[big]]
+    assert rows.dtype == object and rows.tolist() == want
+    assert all(type(c) is int for row in rows.tolist() for c in row)
+    assert want == compile_lists(FAD.own_tags, parent)
+    assert kernel_basis(rows, parent.dimension) == kernel_basis(plain, parent.dimension)
 
 
 def _factor_pairs(m: int):
@@ -183,7 +225,7 @@ def _column_pairs(k: int):
 def test_star_harmonic_rows_are_k_times_the_rational_rows(k) -> None:
     for ints, series in _column_pairs(k):
         oracle = _fraction_star_rows(series, k)
-        rows = _star_harmonic_rows(_word_index(ints), len(ints), k)
+        rows = list_rows(_star_harmonic_rows(_word_index(ints), k), len(ints))
         assert rows == [[k * c for c in r] for r in oracle]
 
 
@@ -211,7 +253,7 @@ def _fraction_sharp_rows(columns: list[XSeries], k: int) -> list:
 def test_sharp_harmonic_rows_equal_the_rational_rows(k) -> None:
     for ints, series in _column_pairs(k):
         oracle = _fraction_sharp_rows(series, k)
-        assert _sharp_harmonic_rows(_word_index(ints), len(ints), k) == oracle
+        assert list_rows(_sharp_harmonic_rows(_word_index(ints), k), len(ints)) == oracle
 
 
 def _ywords_kernel(products, k: int) -> list:
@@ -246,16 +288,15 @@ def test_product_table_stays_compact() -> None:
     assert size < 500_000
 
 
-def _pair_star_harmonic_rows(index: dict, n: int, k: int) -> list:
+def _pair_star_harmonic_rows(index: dict, k: int) -> list:
     """The star-harmonic rows over every nonempty pair (u, v), wt u <= wt v."""
     star = {y: [(j, k * c) for j, c in cols]
             for w, cols in index.items() if (y := leading_blocks(w)) is not None}
     star[(1,) * k] = star.get((1,) * k, []) + index.get("0" * (k - 1) + "1", [])
-    return [_harmonic_row(star, n, harmonic_words(u, v).items())
-            for u, v in word_pairs(k, all_ywords)]
+    return [(star, harmonic_words(u, v).items()) for u, v in word_pairs(k, all_ywords)]
 
 
-def _pair_sharp_harmonic_rows(index: dict, n: int, k: int) -> list:
+def _pair_sharp_harmonic_rows(index: dict, k: int) -> list:
     """The sharp-harmonic rows over every l >= 1 and nonempty pair (u, v) with
     l + wt u + wt v = k that meets some column."""
     sharp = {y: cols for w, cols in index.items()
@@ -267,7 +308,7 @@ def _pair_sharp_harmonic_rows(index: dict, n: int, k: int) -> list:
             for l in range(1, k - m + 1):
                 terms = [((l,) + w, mult) for w, mult in expansion.items()]
                 if any(y in sharp for y, _ in terms):
-                    rows.append(_harmonic_row(sharp, n, terms))
+                    rows.append((sharp, terms))
     return rows
 
 
@@ -298,5 +339,5 @@ def test_one_star_row_per_non_lyndon_composition(k) -> None:
     lyndon = sum(_mobius(k // d) * (2**d - 1) for d in range(1, k + 1) if k % d == 0)
     assert lyndon % k == 0
     columns = [bracketing(w) for w in lyndon_words(k)]
-    rows = _star_harmonic_rows(_word_index(columns), len(columns), k)
+    rows = _star_harmonic_rows(_word_index(columns), k)
     assert len(rows) == 2 ** (k - 1) - lyndon // k

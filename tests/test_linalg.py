@@ -4,10 +4,11 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dslforge import linalg
-from dslforge.cache import _resolve_basis
+from dslforge.cache import _resolve_basis, get_basis
 from dslforge.linalg import kernel_basis, solve_exact
 from dslforge.spaces import (
     ADDMR,
@@ -20,7 +21,8 @@ from dslforge.spaces import (
     compile_on_parent,
     root_basis,
 )
-from reference_systems import rref_mod_p_by_rows
+from conftest import record_acceptance
+from reference_systems import rref_mod_p_by_rows, verify_kernel_by_rows
 
 
 def _naive_kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
@@ -148,14 +150,19 @@ def test_kernel_ignores_row_order_scaling_repeats_and_zero_rows(name) -> None:
     for k in range(space.min_weight, 10):
         compiled = compile_constraints(space, k)
         ncols, n = root_basis(space.root, k).dimension, len(compiled)
-        rows = compiled + rng.sample(compiled, n // 4) + [[0] * ncols] * 3
-        rows += [[-c for c in r] for r in rng.sample(compiled, n // 3)]
-        rows += [[7 * c for c in r] for r in rng.sample(compiled, n // 4)]
-        rng.shuffle(rows)
+        picks = [compiled[rng.sample(range(n), m)] for m in (n // 4, n // 3, n // 4)]
+        rows = np.concatenate([
+            compiled, picks[0], np.zeros((3, ncols), dtype=np.int64), -picks[1], 7 * picks[2],
+        ])
+        rows = rows[rng.sample(range(len(rows)), len(rows))]
+        assert rows.dtype == np.int64
         assert kernel_basis(rows, ncols) == kernel_basis(compiled, ncols), k
+        assert kernel_basis(rows.tolist(), ncols) == kernel_basis(compiled, ncols), k
 
 
 def test_kernel_reduces_the_callers_own_integer_rows(monkeypatch) -> None:
+    """The compiled int64 matrix reaches the first pass itself, not a copy;
+    the reruns get its selected rows, exactly."""
     from dslforge import linalg
 
     seen = []
@@ -166,10 +173,48 @@ def test_kernel_reduces_the_callers_own_integer_rows(monkeypatch) -> None:
 
     rref = linalg._rref_mod_p
     monkeypatch.setattr(linalg, "_rref_mod_p", spy)
-    rows = compile_constraints(DMR, 7)
-    kernel_basis(rows, len(rows[0]))
-    assert len(seen[0]) == len(rows)
-    assert all(a is b for a, b in zip(seen[0], rows))
+    rows = compile_constraints(DMR, 9)  # certified on the second prime
+    want = rows.tolist()
+    kernel_basis(rows, rows.shape[1])
+    assert seen[0] is rows and rows.dtype == np.int64
+    assert rows.tolist() == want
+    selected = rref(rows, rows.shape[1], linalg._PRIMES[0])[0]
+    assert len(seen) > 1
+    assert all(again.tolist() == [want[i] for i in selected] for again in seen[1:])
+
+
+def test_a_list_of_rows_becomes_one_matrix_once(monkeypatch) -> None:
+    """Rows given as lists, Fractions included, are converted once, at
+    entry, and every pass reads that one matrix."""
+    seen = []
+
+    def spy(rows, ncols, p):
+        seen.append(rows)
+        return rref(rows, ncols, p)
+
+    rref = linalg._rref_mod_p
+    monkeypatch.setattr(linalg, "_rref_mod_p", spy)
+    rows = [[Fraction(1, 2), Fraction(-1), 0], [0, 3, -6], [1, -2, 0]]
+    assert kernel_basis(rows, 3) == [[4, 2, 1]]
+    assert seen[0].dtype == np.int64 and seen[0].tolist() == [[1, -2, 0], [0, 3, -6], [1, -2, 0]]
+
+
+def _matrix(rows: list, ncols: int):
+    return linalg.int_matrix(rows, len(rows), ncols)
+
+
+def test_int_matrix_holds_entries_beyond_int64_as_python_ints() -> None:
+    rows = [[1, -2, 3], [2**63, 0, -(2**70)], [4, 5, 6]]
+    A = _matrix(rows, 3)
+    assert A.dtype == object and A.tolist() == rows
+    assert all(type(c) is int for row in A.tolist() for c in row)
+    B = _matrix(rows[:1] + rows[2:], 3)
+    assert B.dtype == np.int64 and B.tolist() == rows[:1] + rows[2:]
+    for short_or_long in ([1], [1, 2], [1, 2, 3, 4]):
+        with pytest.raises(ValueError):
+            _matrix([[1, 2, 3], short_or_long], 3)
+        with pytest.raises(ValueError):
+            kernel_basis([[1, 2, 3], short_or_long], 3)
 
 
 def test_mod_p_selection_refuses_int64_overflow() -> None:
@@ -178,9 +223,9 @@ def test_mod_p_selection_refuses_int64_overflow() -> None:
     # rank * (p - 1)**2 < 2**63 holds for two pivots and fails for the third
     p = 2**31 - 1
     rows = [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 1, 0], [0, 0, 1, 1]]
-    assert _rref_mod_p(rows[:2], 4, p)[0] == [0, 1]
+    assert _rref_mod_p(_matrix(rows[:2], 4), 4, p)[0] == [0, 1]
     with pytest.raises(ArithmeticError, match="int64"):
-        _rref_mod_p(rows, 4, p)
+        _rref_mod_p(_matrix(rows, 4), 4, p)
 
 
 def _corrupt_residues(monkeypatch) -> list:
@@ -208,19 +253,113 @@ def test_a_wrong_mod_p_engine_runs_out_of_primes(monkeypatch) -> None:
     assert len(primes) == linalg._MAX_PRIMES == len(set(primes))
 
 
-def test_chunked_scan_matches_the_row_scan_on_compiled_systems() -> None:
-    """Same (selected, pivot_cols, kernel) as the row-by-row reference on
-    every system the library compiles for these spaces up to weight 10."""
+def _compiled_systems():
+    """(space, k, matrix, ncols) for every system the library compiles for
+    these spaces up to weight 10."""
     spaces = (DMR, ADDMR, ADDMR_FAD, ADDMR_FAD_PARITY, FAD_PARITY)
     for k in range(1, 11):
         resolved: dict = {}
         for space in spaces:
             _resolve_basis(space, k, False, resolved)
             parent = resolved[space.parent]
-            rows = compile_on_parent(space, parent)
-            for p in linalg._PRIMES[:2]:
-                want = rref_mod_p_by_rows(rows, parent.dimension, p)
-                assert linalg._rref_mod_p(rows, parent.dimension, p) == want, (space, k, p)
+            yield space, k, compile_on_parent(space, parent), parent.dimension
+
+
+def test_chunked_scan_matches_the_row_scan_on_compiled_systems() -> None:
+    """Same (selected, pivot_cols, kernel) as the row-by-row reference on
+    every compiled system up to weight 10."""
+    for space, k, rows, ncols in _compiled_systems():
+        for p in linalg._PRIMES[:2]:
+            want = rref_mod_p_by_rows(rows, ncols, p)
+            assert linalg._rref_mod_p(rows, ncols, p) == want, (space, k, p)
+
+
+def test_certificate_agrees_with_the_row_loop_on_compiled_systems() -> None:
+    """On every compiled system up to weight 10, the certificate accepts the
+    true basis, and gives the exact row loop's verdict on copies with one
+    entry moved by +-1 or by +-_PRIMES[0]."""
+    rng = random.Random(26)
+    p0 = linalg._PRIMES[0]
+    rejected = 0
+    for space, k, rows, ncols in _compiled_systems():
+        lists = rows.tolist()
+        basis = kernel_basis(rows, ncols)
+        assert linalg._certify(rows, basis) and verify_kernel_by_rows(lists, basis)
+        for delta in (1, -1, p0, -p0):
+            for _ in range(3 if basis else 0):
+                i, j = rng.randrange(len(basis)), rng.randrange(ncols)
+                wrong = [list(v) for v in basis]
+                wrong[i][j] += delta
+                want = verify_kernel_by_rows(lists, wrong)
+                assert linalg._certify(rows, wrong) == want, (space, k, delta, i, j)
+                rejected += not want
+    assert rejected > 100, rejected
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["fad", "dmr"])
+def test_certificate_against_the_row_loop_at_weight_13(name) -> None:
+    """Same verdicts as the exact row loop on a weight-13 kernel and on a
+    copy with one entry moved by _PRIMES[0]; both times are recorded."""
+    space = SpaceId.parse(name)
+    parent = get_basis(space.parent, 13)
+    rows = compile_on_parent(space, parent)
+    basis = kernel_basis(rows, parent.dimension)
+    wrong = [list(v) for v in basis]
+    wrong[-1][0] += linalg._PRIMES[0]
+    lists = rows.tolist()
+    times = []
+    for check, matrix in ((linalg._certify, rows), (verify_kernel_by_rows, lists)):
+        start = time.perf_counter()
+        assert check(matrix, basis) and not check(matrix, wrong)
+        times.append(time.perf_counter() - start)
+    record_acceptance(
+        f"kernel check at {name} 13 ({rows.shape[0]} x {rows.shape[1]}, {len(basis)} "
+        f"vectors, true and wrong basis): certificate {times[0]:.2f} s, "
+        f"row loop {times[1]:.2f} s"
+    )
+
+
+def test_certificate_rejects_products_that_vanish_mod_its_first_primes() -> None:
+    """A product that is a nonzero multiple of the first primes is caught by
+    the next one, which the bound B = ncols * max|a| * max|v| calls for."""
+    p = linalg._PRIMES
+    for row, vec in (
+        ([p[0], 0], [1, 1]),  # a . v = p0
+        ([1, 0], [p[0], 1]),
+        ([p[0] * p[1], 0], [1, 1]),  # a . v = p0 p1
+        ([3, 1], [p[0] * p[1], -2 * p[0] * p[1]]),
+        ([p[0] * p[1] * p[2] * p[3], 0], [1, 1]),  # an entry beyond int64
+        ([1, 1], [2**70, p[0] * p[1] - 2**70]),
+    ):
+        rows = _matrix([[0, 0], row], 2)
+        product = sum(a * v for a, v in zip(row, vec))
+        assert product and product % p[0] == 0
+        assert not linalg._certify(rows, [vec]), (row, vec)
+    assert _matrix([[p[0] * p[1] * p[2] * p[3], 0]], 2).dtype == object
+
+
+def test_certificate_accepts_correct_bases_beyond_int64() -> None:
+    for row, vec in (
+        ([3**80, 5**70], [5**70, -(3**80)]),  # object rows, object basis
+        ([1, 1], [2**70, -(2**70)]),  # int64 rows, object basis
+        ([2**62, -(2**62)], [1, 1]),  # the largest entries int64 holds
+    ):
+        rows = _matrix([row, [0, 0], [-c for c in row]], 2)
+        assert linalg._certify(rows, [vec]), (row, vec)
+    assert kernel_basis([[3**80, 5**70]] * 3, 2) == [[5**70, -(3**80)]]
+
+
+def test_certificate_refuses_int64_overflow() -> None:
+    # ncols * (q - 1)**2 < 2**63 fails for the primes near 2**25 at 8200 columns
+    ncols = 8200
+    rows = np.zeros((2, ncols), dtype=np.int64)
+    rows[0, 0] = 1
+    vec = [0] * ncols
+    vec[1] = 1
+    with pytest.raises(ArithmeticError, match="int64"):
+        linalg._certify(rows, [vec])
+    assert linalg._certify(rows[:, :2], [vec[:2]])
 
 
 def _random_systems():
@@ -257,7 +396,8 @@ def _random_systems():
 def test_chunked_scan_matches_the_row_scan_on_random_systems(case) -> None:
     rows, ncols = list(_random_systems())[case]
     for p in linalg._PRIMES[:2]:
-        assert linalg._rref_mod_p(rows, ncols, p) == rref_mod_p_by_rows(rows, ncols, p)
+        got = linalg._rref_mod_p(_matrix(rows, ncols), ncols, p)
+        assert got == rref_mod_p_by_rows(rows, ncols, p)
 
 
 def test_chunked_scan_reduces_entries_beyond_int64() -> None:
@@ -276,7 +416,9 @@ def test_chunked_scan_reduces_entries_beyond_int64() -> None:
         rows += [[0] * ncols] * 300 + [[(2**64 * p + 1) * c for c in base[-1]]]
         want = rref_mod_p_by_rows(rows, ncols, p)
         assert want[2]
-        assert linalg._rref_mod_p(rows, ncols, p) == want
+        A = _matrix(rows, ncols)
+        assert A.dtype == object
+        assert linalg._rref_mod_p(A, ncols, p) == want
 
 
 def _naive_solve(rows: list[list], rhs: list) -> list[Fraction] | None:
