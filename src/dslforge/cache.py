@@ -2,10 +2,11 @@
 
 Only spaces solved on a parent are cached: a root's closed form is cheaper
 to build than to read and check.  Files are named
-<space>-<weight>-<schema_version>.json and store a SubspaceBasis with the
-CRC-32 of its canonical JSON; bumping the schema version (which also encodes
-the pivot rule) invalidates old entries.  The directory defaults to
-~/.cache/dslforge and is overridden by DSLFORGE_CACHE_DIR.
+<space>-<weight>-<schema_version>.json and store a SubspaceBasis, as its own
+JSON writer writes and its reader checks it, with the CRC-32 of that
+canonical JSON; bumping the schema version (which also encodes the pivot
+rule) invalidates old entries.  The directory defaults to ~/.cache/dslforge
+and is overridden by DSLFORGE_CACHE_DIR.
 """
 
 from __future__ import annotations
@@ -57,32 +58,20 @@ def _checksum(payload: dict) -> int:
 
 
 def load_basis(space: SpaceId, k: int) -> SubspaceBasis | None:
-    """The cached basis, or None (a miss) when the entry is absent, of another
-    schema, unreadable or nested too deeply to parse, fails its checksum, or
-    is structurally inconsistent with its key.  The header is read as
-    stored: the space must be the key's name exactly, and the weight and
-    dimension must be ints, not floats, strings or booleans."""
-    path = _entry_path(space, k)
-    if not path.is_file():
-        return None
+    """The cached basis, or None (a miss) when the entry cannot be opened
+    (absent, removed while being read, or not a file), cannot be parsed
+    (nested too deeply included), fails its checksum, is not a basis as
+    SubspaceBasis.from_json_dict reads one, header included, or is the basis
+    of another space or weight than its key's."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(_entry_path(space, k), "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if data.pop("crc32", None) != _checksum(data):
             return None
-        if data.get("schema") != SCHEMA_VERSION or data.get("space") != space.key:
-            return None
-        weight, dimension = data.get("weight"), data.get("dimension")
-        if type(weight) is not int or weight != k or type(dimension) is not int:
-            return None
         basis = SubspaceBasis.from_json_dict(data)
-        if dimension != basis.dimension:
-            return None
-    except (ValueError, KeyError, TypeError, AttributeError, RecursionError):
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError):
         return None  # json.load raises RecursionError on too deep nesting
-    if any(set(map(len, v.terms)) - {k} for v in basis.vectors):
-        return None
-    return basis
+    return basis if (basis.space, basis.weight) == (space, k) else None
 
 
 def store_basis(basis: SubspaceBasis) -> Path:
@@ -144,11 +133,13 @@ def _cache_files() -> list[tuple[Path, bool]]:
 
 def clear_cache() -> int:
     """Remove the entries of every schema version and the temporary files of
-    killed writers; returns the number of entries removed."""
-    files = _cache_files()
-    for path, _ in files:
-        path.unlink()
-    return sum(entry for _, entry in files)
+    killed writers; returns the number of entries this call removed."""
+    removed = 0
+    for path, entry in _cache_files():
+        with contextlib.suppress(FileNotFoundError):  # removed by another process
+            path.unlink()
+            removed += entry
+    return removed
 
 
 def list_entries() -> list[str]:

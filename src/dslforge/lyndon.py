@@ -15,7 +15,8 @@ from .words import XWord
 
 
 def lyndon_words(k: int) -> list[XWord]:
-    """All Lyndon words of length k over '0' < '1', by Duval's algorithm."""
+    """Lyndon words of length k over '0' < '1', increasing, as Duval's algorithm
+    makes them: _is_lie_component and lyndon_primitive_basis rely on the order."""
     if k <= 0:
         return []
     out = []
@@ -29,7 +30,7 @@ def lyndon_words(k: int) -> list[XWord]:
             w.append(w[-m])
         while w and w[-1] == 1:
             w.pop()
-    return sorted(out)
+    return out
 
 
 def _mobius(n: int) -> int:

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 from .algebra import is_primitive
 from .errors import NonzeroLowWeight
 from .lie import derive_d
-from .series import XSeries, _accumulate, _coeff, _json_coeff, coeff_str, corner_decompose
+from .series import XSeries, _accumulate, _coeff, _json_terms, coeff_str, corner_decompose
 from .verify import VerificationReport, _report
 from .words import x_run_lengths, xdepth
 
@@ -143,11 +143,11 @@ class MultiPoly:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MultiPoly":
-        """Read {"vars": n, "terms": [{"exp": [...], "coeff": ...}]}.  As in
-        a series file, nothing is coerced or summed: vars is a nonnegative
-        integer, each exponent vector a list of n nonnegative integers and
-        listed once, and each coefficient exact, an integer or a "p"/"p/q"
-        string.  Anything else raises ValueError."""
+        """Read {"vars": n, "terms": [{"exp": [...], "coeff": ...}]} with the
+        series term-list reader: nothing is coerced or summed, vars is a
+        nonnegative integer, each exponent vector a list of n nonnegative
+        integers and listed once, and each coefficient exact, an integer or a
+        "p"/"p/q" string.  Anything else raises ValueError."""
         if not isinstance(data, dict):
             raise ValueError(f"polynomial JSON must be an object, got {data!r}")
         nvars, terms = data.get("vars"), data.get("terms")
@@ -155,20 +155,16 @@ class MultiPoly:
             raise ValueError(f"vars must be a nonnegative integer, got {nvars!r}")
         if not isinstance(terms, list):
             raise ValueError("polynomial JSON needs a list of terms")
-        out = {}
-        for t in terms:
-            try:
-                exp, c = t["exp"], _json_coeff(t["coeff"])
-            except (KeyError, TypeError):
-                raise ValueError(f"malformed term: {t!r}") from None
+
+        def exponent(t: dict) -> tuple:
+            exp = t["exp"]
             if not isinstance(exp, list) or len(exp) != nvars or any(
                 type(e) is not int or e < 0 for e in exp
             ):
                 raise ValueError(f"malformed exponent vector: {t!r}")
-            if tuple(exp) in out:
-                raise ValueError(f"repeated exponent vector: {t!r}")
-            out[tuple(exp)] = c
-        return cls(nvars, out)
+            return tuple(exp)
+
+        return cls(nvars, _json_terms(terms, 0, exponent, lambda exp: 0))
 
     def __repr__(self):
         if not self.terms:

@@ -28,6 +28,7 @@ one decodes the same codes and scans its pairs.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, pairwise
@@ -112,23 +113,33 @@ class SubspaceBasis:
     def dimension(self) -> int:
         return len(self.vectors)
 
-    def to_json_dict(self) -> dict:
+    def _header(self) -> dict:
+        """The basis-v1 header: everything a stored basis holds but its vectors."""
         return {
             "format": "basis-v1",
             "schema": SCHEMA_VERSION,
             "space": self.space.key,
             "weight": self.weight,
             "dimension": self.dimension,
-            "vectors": [v.to_json_dict() for v in self.vectors],
         }
+
+    def to_json_dict(self) -> dict:
+        return {**self._header(), "vectors": [v.to_json_dict() for v in self.vectors]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SubspaceBasis":
-        return cls(
-            space=SpaceId.parse(data["space"]),
-            weight=int(data["weight"]),
-            vectors=[XSeries.from_json_dict(v) for v in data["vectors"]],
-        )
+        """A basis as stored: ValueError unless the weight is an int, the
+        stored header, serialised as JSON, is the header of the basis read,
+        so that the space is its key exactly and 5, 5.0, "5" and true differ,
+        and every word of every vector has length weight."""
+        weight, vectors = data["weight"], [XSeries.from_json_dict(v) for v in data["vectors"]]
+        basis = cls(SpaceId.parse(data["space"]), weight, vectors)
+        header = basis._header()
+        if json.dumps([data.get(f) for f in header]) != json.dumps(list(header.values())):
+            raise ValueError(f"basis header is not as {cls.__name__} writes it")
+        if type(weight) is not int or any(set(map(len, v.terms)) - {weight} for v in vectors):
+            raise ValueError(f"basis vectors must be homogeneous of weight {weight!r}")
+        return basis
 
 
 def _word_index(columns: list[dict]) -> dict:

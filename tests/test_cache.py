@@ -91,12 +91,16 @@ def _signed(edit):
         _signed(lambda d: d.update(space=f" {d['space'].upper()} ")),
         _signed(lambda d: d.update(vectors=d["vectors"][:1], dimension=True)),
         _signed(lambda d: d.update(dimension=float(d["dimension"]))),
+        # another version of the header
+        _signed(lambda d: d.update(format="basis-v9")),
+        _signed(lambda d: d.update(schema="s0p0")),
         # consistent with its key, so only the checksum can see it
         lambda d: d["vectors"][0]["terms"][0].update(coeff=12345),
     ],
     ids=["dimension", "space", "weight", "term-length", "vectors-type",
          "float-coeff", "missing-word", "negative-bound", "float-weight",
-         "string-weight", "padded-space", "bool-dimension", "float-dimension", "coeff"],
+         "string-weight", "padded-space", "bool-dimension", "float-dimension", "format",
+         "schema", "coeff"],
 )
 def test_inconsistent_entry_is_a_miss(private_cache, edit) -> None:
     basis = get_basis(ADDMR, 5)
@@ -148,6 +152,38 @@ def test_entry_with_a_rejected_term_and_a_valid_checksum_is_a_miss(private_cache
     _tamper(ADDMR, 6, _signed(lambda d: edit(d["vectors"][0])))
     assert load_basis(ADDMR, 6) is None
     assert get_basis(ADDMR, 6) == basis
+
+
+def test_entry_removed_before_it_is_opened_is_a_miss(private_cache, monkeypatch) -> None:
+    basis = get_basis(ADDMR, 5)
+
+    def remove_then_open(path, *args, **kwargs):
+        os.unlink(path)  # as by a concurrent clear
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cache, "open", remove_then_open, raising=False)
+    assert load_basis(ADDMR, 5) is None
+    monkeypatch.delattr(cache, "open")
+    assert get_basis(ADDMR, 5) == basis
+
+
+def test_entry_path_that_is_a_directory_is_a_miss(private_cache) -> None:
+    cache._entry_path(ADDMR, 5).mkdir(parents=True)
+    assert load_basis(ADDMR, 5) is None
+
+
+def test_clear_counts_only_the_entries_it_removed(private_cache, monkeypatch) -> None:
+    assert dimension_table([DMR], 5) == {"dmr": [0, 0, 1, 0, 1]}
+    listed = cache._cache_files
+
+    def list_then_lose_one():
+        files = listed()
+        files[0][0].unlink()  # as by a concurrent clear
+        return files
+
+    monkeypatch.setattr(cache, "_cache_files", list_then_lose_one)
+    assert cache.clear_cache() == 4
+    assert list(private_cache.iterdir()) == []
 
 
 def test_store_leaves_no_temporary_files(private_cache, monkeypatch) -> None:

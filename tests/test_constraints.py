@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from dslforge import algebra
@@ -261,6 +263,55 @@ def test_basis_json_round_trip() -> None:
     assert back.space == basis.space
     assert back.weight == basis.weight
     assert back.vectors == basis.vectors
+
+
+@pytest.mark.parametrize(
+    "space",
+    [DMR, ADDMR, FAD, VSTRPRTY, ADDMR_FAD, ADDMR_FAD_PARITY, FAD_PARITY, F2GEQ(1), F2GEQ(4)],
+    ids=str,
+)
+def test_every_basis_reads_back_as_written(space) -> None:
+    for k in range(1, 9):
+        basis = get_basis(space, k, use_cache=False)
+        text = json.dumps(basis.to_json_dict())
+        back = SubspaceBasis.from_json_dict(json.loads(text))
+        assert back == basis
+        assert json.dumps(back.to_json_dict()) == text
+
+
+def _one_vector(data: dict, dimension) -> None:
+    data.update(vectors=data["vectors"][:1], dimension=dimension)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.update(format="basis-v9"),
+        lambda d: d.pop("format"),
+        lambda d: d.update(schema="s0p0"),
+        lambda d: d.update(space=" addmr "),
+        lambda d: d.update(space="ADDMR"),
+        lambda d: d.update(weight="7"),
+        lambda d: d.update(weight=7.0),
+        lambda d: d.update(weight=6.9),
+        lambda d: d.update(weight=True),
+        lambda d: d.update(vectors=[], dimension=0, weight="7"),
+        lambda d: _one_vector(d, True),
+        lambda d: _one_vector(d, 1.0),
+        lambda d: d.update(dimension=d["dimension"] + 1),
+        lambda d: d.update(dimension=d["dimension"] - 1),
+        lambda d: d["vectors"][0]["terms"][0].update(word=d["vectors"][0]["terms"][0]["word"][1:]),
+    ],
+    ids=["other-format", "no-format", "other-schema", "padded-space", "upper-case-space",
+         "string-weight", "float-weight", "fractional-weight", "bool-weight",
+         "empty-with-string-weight", "bool-dimension", "float-dimension",
+         "dimension-above-count", "dimension-below-count", "short-word"],
+)
+def test_basis_reader_refuses_what_its_writer_never_writes(edit) -> None:
+    data = get_basis(ADDMR, 7, use_cache=False).to_json_dict()
+    edit(data)
+    with pytest.raises(ValueError):
+        SubspaceBasis.from_json_dict(data)
 
 
 def _sharp_harmonic_defects(image: dict, k: int):

@@ -28,6 +28,13 @@ def test_lyndon_words_are_lyndon() -> None:
             assert all(w < w[i:] + w[:i] for i in range(1, k))
 
 
+def test_lyndon_words_are_generated_in_increasing_order() -> None:
+    # _is_lie_component's triangular reduction reads them in this order
+    for k in range(1, 17):
+        words = lyndon_words(k)
+        assert all(u < v for u, v in zip(words, words[1:])), k
+
+
 def test_witt_numbers() -> None:
     assert [witt_number(k) for k in range(1, 10)] == [2, 1, 2, 3, 6, 9, 18, 30, 56]
 
