@@ -19,6 +19,7 @@ import tempfile
 import zlib
 from pathlib import Path
 
+from .series import _json_object
 from .spaces import (
     SCHEMA_VERSION,
     SpaceId,
@@ -59,18 +60,18 @@ def _checksum(payload: dict) -> int:
 
 def load_basis(space: SpaceId, k: int) -> SubspaceBasis | None:
     """The cached basis, or None (a miss) when the entry cannot be opened
-    (absent, removed while being read, or not a file), cannot be parsed
-    (nested too deeply included), fails its checksum, is not a basis as
-    SubspaceBasis.from_json_dict reads one, header included, or is the basis
-    of another space or weight than its key's."""
+    (OSError), is not one JSON object, fails its checksum, is not a basis as
+    SubspaceBasis.from_json_dict reads one, or holds another space or weight
+    than its key's: every reader raises ValueError.  Parse and checksum run
+    at one call depth, so what parses never overflows in the checksum."""
     try:
         with open(_entry_path(space, k), "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = _json_object(fh.read(), fh.name)
         if data.pop("crc32", None) != _checksum(data):
             return None
         basis = SubspaceBasis.from_json_dict(data)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError):
-        return None  # json.load raises RecursionError on too deep nesting
+    except (OSError, ValueError):
+        return None
     return basis if (basis.space, basis.weight) == (space, k) else None
 
 

@@ -53,7 +53,9 @@ def _mobius(n: int) -> int:
 
 def witt_number(k: int) -> int:
     """Dimension of the degree-k part of the free Lie algebra on two letters:
-    (1/k) * sum over d | k of mu(d) * 2^(k/d)."""
+    (1/k) * sum over d | k of mu(d) * 2^(k/d); 0 for k < 1, as lyndon_words."""
+    if k < 1:
+        return 0
     total = 0
     for d in range(1, k + 1):
         if k % d == 0:

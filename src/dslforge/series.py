@@ -67,9 +67,23 @@ def _json_coeff(value) -> int | Fraction:
     return int(p) if q is None else _coeff(Fraction(int(p), int(q)))
 
 
+def _json_object(text: str, name: str) -> dict:
+    """The JSON object that text holds (series files and text, cache entries);
+    any other text, too deeply nested included, is a ValueError naming name."""
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{name}: JSON nested too deeply") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{name}: a series file holds one JSON object")
+    return data
+
+
 def _json_header(data: dict, alphabet: str) -> tuple[int, list]:
     """The weight bound and the term list of a series JSON object, checked
     for format, alphabet, a nonnegative integer bound and a list of terms."""
+    if not isinstance(data, dict):
+        raise ValueError(f"series JSON must be an object, got {type(data).__name__}")
     if data.get("format") != JSON_FORMAT:
         raise ValueError(f"unknown series format: {data.get('format')!r}")
     if data.get("alphabet") != alphabet:
@@ -239,6 +253,7 @@ class _SeriesOps:
 
     @classmethod
     def from_json_dict(cls, data: dict):
+        """The series a JSON value holds; ValueError for any other value."""
         bound, terms = _json_header(data, cls._alphabet)
         return cls(_json_terms(terms, bound, cls._read_key, cls._weight), bound)
 
@@ -361,7 +376,8 @@ class XSeries(_SeriesOps):
 
     @classmethod
     def from_json(cls, text: str) -> "XSeries":
-        return cls.from_json_dict(json.loads(text))
+        """The series a JSON text holds; ValueError for any other text."""
+        return cls.from_json_dict(_json_object(text, "series JSON"))
 
 
 class YSeries(_SeriesOps):
@@ -497,15 +513,10 @@ _BY_ALPHABET = {cls._alphabet: cls for cls in (XSeries, YSeries, TYSeries)}
 
 
 def load_series(path) -> XSeries | YSeries | TYSeries:
-    """Load a series of any of the three alphabets from a JSON file; JSON
-    nested too deeply to parse is a ValueError like any malformed file."""
+    """Load a series of any of the three alphabets from a JSON file; any
+    malformed file, nested too deeply included, is a ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: a series file holds one JSON object")
+        data = _json_object(fh.read(), path)
     alphabet = data.get("alphabet")
     cls = _BY_ALPHABET.get(alphabet) if isinstance(alphabet, str) else None
     if cls is None:

@@ -128,11 +128,14 @@ class SubspaceBasis:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SubspaceBasis":
-        """A basis as stored: ValueError unless the weight is an int, the
-        stored header, serialised as JSON, is the header of the basis read,
-        so that the space is its key exactly and 5, 5.0, "5" and true differ,
-        and every word of every vector has length weight."""
-        weight, vectors = data["weight"], [XSeries.from_json_dict(v) for v in data["vectors"]]
+        """A basis as stored: ValueError unless data is an object with a str
+        space and a list of vectors, the header, serialised as JSON, is the
+        header of the basis read, so that 5, 5.0, "5" and true differ, and
+        every word of every vector has length weight, an int."""
+        if not (isinstance(data, dict) and isinstance(data.get("space"), str)
+                and isinstance(data.get("vectors"), list)):
+            raise ValueError(f"{cls.__name__} JSON needs a string space and a list of vectors")
+        weight, vectors = data.get("weight"), [XSeries.from_json_dict(v) for v in data["vectors"]]
         basis = cls(SpaceId.parse(data["space"]), weight, vectors)
         header = basis._header()
         if json.dumps([data.get(f) for f in header]) != json.dumps(list(header.values())):
@@ -304,8 +307,8 @@ def root_basis(space: SpaceId, k: int) -> SubspaceBasis:
     vector at each x0 w x0 and x0 w x1 - x1 w a at each x1 w a: 3 * 2^(k-2)
     vectors.
     """
-    if k < 1:
-        raise ValueError("weight must be >= 1")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"weight must be >= 1 and an int, got {k!r}")
     if k < space.min_weight:
         vectors = []
     elif space != VSTRPRTY:

@@ -18,6 +18,7 @@ from dslforge.spaces import (
     DMR,
     F2GEQ,
     VSTRPRTY,
+    SubspaceBasis,
     dimension_table,
 )
 
@@ -109,6 +110,36 @@ def test_inconsistent_entry_is_a_miss(private_cache, edit) -> None:
     assert load_basis(ADDMR, 5) is None
     assert get_basis(ADDMR, 5) == basis
     assert load_basis(ADDMR, 5) == basis
+
+
+@pytest.mark.parametrize(
+    "document",
+    [lambda d: {**d, "space": 5}, lambda d: {**d, "vectors": 5}, lambda d: [1]],
+    ids=["int-space", "int-vectors", "list"],
+)
+def test_entry_the_basis_reader_rejects_is_a_miss(private_cache, document) -> None:
+    """The document, made from a stored entry, raises ValueError from
+    SubspaceBasis.from_json_dict and, signed as an entry when it is an
+    object, is a miss."""
+    basis = get_basis(ADDMR, 5)
+    entry = cache._entry_path(ADDMR, 5)
+    data = json.loads(entry.read_text())
+    data.pop("crc32")
+    doc = document(data)
+    with pytest.raises(ValueError):
+        SubspaceBasis.from_json_dict(doc)
+    if isinstance(doc, dict):
+        doc["crc32"] = cache._checksum(doc)
+    entry.write_text(json.dumps(doc))
+    assert load_basis(ADDMR, 5) is None
+    assert get_basis(ADDMR, 5) == basis
+
+
+@pytest.mark.parametrize("k", [True, False, 5.0, 0])
+def test_a_weight_that_is_not_a_positive_int_stores_nothing(private_cache, k) -> None:
+    with pytest.raises(ValueError, match="weight must be >= 1"):
+        get_basis(DMR, k)
+    assert not private_cache.exists()
 
 
 @pytest.mark.parametrize(
