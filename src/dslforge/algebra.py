@@ -106,17 +106,15 @@ def concat_product(a, b):
     )
 
 
-def _commutator_terms(a: XSeries, b: XSeries):
-    """The terms (word, coeff) of ab - ba within the lower bound, not yet
-    summed, so that a sum of commutators is summed once."""
-    for u, v, c in _term_pairs(a, b):
-        yield u + v, c
-        yield v + u, -c
-
-
 def commutator(a: XSeries, b: XSeries) -> XSeries:
     """ab - ba under concatenation, truncated to the lower bound."""
-    return XSeries(_commutator_terms(a, b), min(a.weight_bound, b.weight_bound))
+
+    def terms():
+        for u, v, c in _term_pairs(a, b):
+            yield u + v, c
+            yield v + u, -c
+
+    return XSeries(terms(), min(a.weight_bound, b.weight_bound))
 
 
 def antipode(a: XSeries) -> XSeries:
@@ -288,14 +286,6 @@ def _pair_scan(comp: dict, k: int, words, product):
             yield u, v, val
 
 
-def _weight_component(a, k: int) -> dict:
-    """The terms of weight k of an X- or Y-series, as {word: coefficient}."""
-    if k > a.weight_bound:
-        raise ValueError(f"weight {k} exceeds bound {a.weight_bound}")
-    weight = a._weight
-    return {w: c for w, c in a.terms.items() if weight(w) == k}
-
-
 def _components(a) -> dict[int, dict]:
     """The terms of an X-series sorted into {weight: {word: coefficient}} in
     one pass; a weight with no terms has no entry."""
@@ -321,7 +311,9 @@ def shuffle_primitivity_defect(
     An empty list at every weight means the series is primitive for the
     coproduct dual to the interleaving product.
     """
-    return list(_shuffle_defects(_weight_component(a, k), k))
+    if k > a.weight_bound:
+        raise ValueError(f"weight {k} exceeds bound {a.weight_bound}")
+    return list(_shuffle_defects(a.component(k).terms, k))
 
 
 @lru_cache(maxsize=None)
@@ -432,8 +424,9 @@ def harmonic_primitivity_defect(
 ) -> list[tuple[YWord, YWord, int | Fraction]]:
     """All nonempty Y-word pairs (u, v), wt u <= wt v, total weight k, with
     <a | u * v> != 0."""
-    return list(_code_defects(
-        {_ycode(w): c for w, c in _weight_component(a, k).items()}, k))
+    if k > a.weight_bound:
+        raise ValueError(f"weight {k} exceeds bound {a.weight_bound}")
+    return list(_code_defects({_ycode(w): c for w, c in a.component(k).terms.items()}, k))
 
 
 def is_primitive(a: XSeries) -> bool:

@@ -43,10 +43,10 @@ def _entry_path(space: SpaceId, k: int) -> Path:
     return cache_dir() / f"{space.key}-{k}-{SCHEMA_VERSION}.json"
 
 
-# A name _entry_path makes, under any schema version, and then the suffix of
-# the temporary file store_basis writes it through, left when a writer dies.
+# A name _entry_path makes (or made for a bool weight), under any schema, then
+# the suffix of the temporary file store_basis writes it through.
 _ENTRY_NAME = re.compile(
-    r"[a-z0-9]+(?:-[a-z0-9]+)*-[0-9]+-s[0-9]+p[0-9]+\.json([a-z0-9_]+\.tmp)?"
+    r"[a-z0-9]+(?:-[a-z0-9]+)*-(?:[0-9]+|True|False)-s[0-9]+p[0-9]+\.json([a-z0-9_]+\.tmp)?"
 )
 
 

@@ -109,28 +109,26 @@ def _x1_preimage(v: XSeries) -> XSeries:
     return XSeries(psi, max(v.weight_bound - 1, 0))
 
 
-def ad_x1_inverse(v: XSeries, check: bool = True) -> XSeries:
+def ad_x1_inverse(v: XSeries) -> XSeries:
     """The primitive psi with no pure-x1-power component and [x1, psi] = v.
 
     The kernel of bracketing with x1 on words is spanned by the x1-powers, so
     psi reads off the words of v (_x1_preimage).  Each weight is certified
-    exactly, also with check=False: [x1, psi] = v and psi is primitive, or
-    NotInImage is raised.  The image is the primitive series with vanishing
-    00-corner.
+    exactly: [x1, psi] = v and psi is primitive, or NotInImage is raised.
+    The image is the primitive series with vanishing 00-corner.
     """
-    if check:
-        mw = v.min_weight()
-        if mw is not None and mw < 3:
-            raise PreconditionViolation("ad_x1_inverse: input has weight < 3 terms")
-        if not is_primitive(v):
-            raise NotPrimitive("ad_x1_inverse: input is not primitive")
-        if any(w[0] == w[-1] == "0" for w in v.terms):
-            raise NotInImage("ad_x1_inverse: nonzero 00-corner")
+    mw = v.min_weight()
+    if mw is not None and mw < 3:
+        raise PreconditionViolation("ad_x1_inverse: input has weight < 3 terms")
+    if not is_primitive(v):
+        raise NotPrimitive("ad_x1_inverse: input is not primitive")
+    if any(w[0] == w[-1] == "0" for w in v.terms):
+        raise NotInImage("ad_x1_inverse: nonzero 00-corner")
     result = _x1_preimage(v)
-    for n in sorted({len(w) for w in v.terms}):
-        part = result.component(n - 1)
-        image = ad_x1(part.with_bound(n))
-        if image != v.component(n).with_bound(n) or not is_primitive(part):
+    parts = _components(result)
+    for n, comp in sorted(_components(v).items()):
+        part = XSeries(parts.get(n - 1, {}), n)
+        if ad_x1(part) != XSeries(comp, n) or not is_primitive(part):
             raise NotInImage(f"ad_x1_inverse: no primitive preimage at weight {n}")
     return result
 

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .algebra import is_primitive
 from .lie import derive_d
-from .series import XSeries, _accumulate, _coeff, _json_terms, coeff_str, corner_decompose
+from .series import XSeries, _accumulate, _coeff, _json_terms, _shown, coeff_str, corner_decompose
 from .verify import VerificationReport, _report
 from .words import x_run_lengths, xdepth
 
@@ -148,10 +148,10 @@ class MultiPoly:
         integers and listed once, and each coefficient exact, an integer or a
         "p"/"p/q" string.  Anything else raises ValueError."""
         if not isinstance(data, dict):
-            raise ValueError(f"polynomial JSON must be an object, got {data!r}")
+            raise ValueError(f"polynomial JSON must be an object, got {_shown(data)}")
         nvars, terms = data.get("vars"), data.get("terms")
         if type(nvars) is not int or nvars < 0:
-            raise ValueError(f"vars must be a nonnegative integer, got {nvars!r}")
+            raise ValueError(f"vars must be a nonnegative integer, got {_shown(nvars)}")
         if not isinstance(terms, list):
             raise ValueError("polynomial JSON needs a list of terms")
 
@@ -160,7 +160,7 @@ class MultiPoly:
             if not isinstance(exp, list) or len(exp) != nvars or any(
                 type(e) is not int or e < 0 for e in exp
             ):
-                raise ValueError(f"malformed exponent vector: {t!r}")
+                raise ValueError(f"malformed exponent vector: {_shown(t)}")
             return tuple(exp)
 
         return cls(nvars, _json_terms(terms, 0, exponent, lambda exp: 0))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -29,6 +30,12 @@ from .words import XWord, YWord, is_xword, is_yword
 TWord = tuple  # (t_exp, YWord)
 
 JSON_FORMAT = "ncseries-v1"
+
+
+# A rejected value as a reader's error message shows it, bounded by reprlib.
+_BOUNDED = reprlib.Repr()
+_BOUNDED.maxlevel = 2
+_shown = _BOUNDED.repr
 
 
 def _coeff(value) -> int | Fraction:
@@ -60,10 +67,10 @@ def _json_coeff(value) -> int | Fraction:
         return value
     m = _COEFF.fullmatch(value) if isinstance(value, str) else None
     if m is None:
-        raise ValueError(f"coefficient must be an integer, 'p' or 'p/q', got {value!r}")
+        raise ValueError(f"coefficient must be an integer, 'p' or 'p/q', got {_shown(value)}")
     p, q = m.groups()
     if q is not None and not int(q):
-        raise ValueError(f"zero denominator in coefficient {value!r}")
+        raise ValueError(f"zero denominator in coefficient {_shown(value)}")
     return int(p) if q is None else _coeff(Fraction(int(p), int(q)))
 
 
@@ -85,12 +92,12 @@ def _json_header(data: dict, alphabet: str) -> tuple[int, list]:
     if not isinstance(data, dict):
         raise ValueError(f"series JSON must be an object, got {type(data).__name__}")
     if data.get("format") != JSON_FORMAT:
-        raise ValueError(f"unknown series format: {data.get('format')!r}")
+        raise ValueError(f"unknown series format: {_shown(data.get('format'))}")
     if data.get("alphabet") != alphabet:
-        raise ValueError(f"expected alphabet {alphabet!r}, got {data.get('alphabet')!r}")
+        raise ValueError(f"expected alphabet {alphabet!r}, got {_shown(data.get('alphabet'))}")
     bound = data.get("weight_bound")
     if type(bound) is not int or bound < 0:
-        raise ValueError(f"weight_bound must be a nonnegative integer, got {bound!r}")
+        raise ValueError(f"weight_bound must be a nonnegative integer, got {_shown(bound)}")
     terms = data.get("terms")
     if not isinstance(terms, list):
         raise ValueError("series JSON needs a list of terms")
@@ -106,11 +113,11 @@ def _json_terms(terms: list, bound: int, key, weight) -> dict:
         try:
             w, c = key(t), _json_coeff(t["coeff"])
         except (KeyError, TypeError):
-            raise ValueError(f"malformed term: {t!r}") from None
+            raise ValueError(f"malformed term: {_shown(t)}") from None
         if w in out:
-            raise ValueError(f"repeated term: {t!r}")
+            raise ValueError(f"repeated term: {_shown(t)}")
         if weight(w) > bound:
-            raise ValueError(f"term above weight_bound {bound}: {t!r}")
+            raise ValueError(f"term above weight_bound {bound}: {_shown(t)}")
         out[w] = c
     return out
 
@@ -211,7 +218,7 @@ class _SeriesOps:
         """Raise ValueError naming the first key that fails _is_key."""
         for key in keys:
             if not cls._is_key(key):
-                raise ValueError(f"not {cls._noun}: {key!r}")
+                raise ValueError(f"not {cls._noun}: {_shown(key)}")
 
     def __setattr__(self, name, *_):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -344,7 +351,7 @@ class XSeries(_SeriesOps):
     def _read_key(t: dict) -> XWord:
         w = t["word"]
         if not is_xword(w):
-            raise ValueError(f"not an X-word: {w!r}")
+            raise ValueError(f"not an X-word: {_shown(w)}")
         return w
 
     def _sorted_items(self) -> list:
@@ -396,7 +403,7 @@ class YSeries(_SeriesOps):
     def _read_key(t: dict) -> YWord:
         w = t["yword"]
         if not (isinstance(w, list) and all(type(k) is int and k >= 1 for k in w)):
-            raise ValueError(f"yword must be a list of positive integers, got {w!r}")
+            raise ValueError(f"yword must be a list of positive integers, got {_shown(w)}")
         return tuple(w)
 
     @staticmethod
@@ -443,7 +450,7 @@ class TYSeries(_SeriesOps):
     def _read_key(t: dict) -> TWord:
         e = t["t"]
         if type(e) is not int or e < 0:
-            raise ValueError(f"t must be a nonnegative integer, got {e!r}")
+            raise ValueError(f"t must be a nonnegative integer, got {_shown(e)}")
         return e, YSeries._read_key(t)
 
     @staticmethod
@@ -520,5 +527,5 @@ def load_series(path) -> XSeries | YSeries | TYSeries:
     alphabet = data.get("alphabet")
     cls = _BY_ALPHABET.get(alphabet) if isinstance(alphabet, str) else None
     if cls is None:
-        raise ValueError(f"unknown alphabet: {alphabet!r}")
+        raise ValueError(f"unknown alphabet: {_shown(alphabet)}")
     return cls.from_json_dict(data)

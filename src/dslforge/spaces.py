@@ -38,7 +38,7 @@ from .algebra import _code_defects, _components, _harmonic_products, _sharp_code
 from .algebra import _sharp_terms, _shuffle_defects, _star_codes, _star_terms
 from .linalg import int_matrix, kernel_basis
 from .lyndon import lyndon_primitive_basis
-from .series import XSeries, corner_decompose
+from .series import XSeries, _shown, corner_decompose
 from .words import all_xwords
 
 # Bumped when the emitted rows or the pivot rule change; part of cache keys.
@@ -65,7 +65,7 @@ class SpaceId:
             arg = text[len("f2geq") :].lstrip(":-")
             if arg.isdigit() and int(arg) >= 1:
                 return F2GEQ(int(arg))
-        raise ValueError(f"unknown space id: {text!r}")
+        raise ValueError(f"unknown space id: {_shown(text)}")
 
     @property
     def root(self) -> "SpaceId":
@@ -141,7 +141,7 @@ class SubspaceBasis:
         if json.dumps([data.get(f) for f in header]) != json.dumps(list(header.values())):
             raise ValueError(f"basis header is not as {cls.__name__} writes it")
         if type(weight) is not int or any(set(map(len, v.terms)) - {weight} for v in vectors):
-            raise ValueError(f"basis vectors must be homogeneous of weight {weight!r}")
+            raise ValueError(f"basis vectors must be homogeneous of weight {_shown(weight)}")
         return basis
 
 

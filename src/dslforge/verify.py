@@ -61,6 +61,12 @@ def _report(name: str, params: dict, witnesses: list, t0: float) -> Verification
     )
 
 
+def _nonzero_bases(space, weights, use_cache: bool) -> dict:
+    """{k: basis} of the space at each of the weights where it is nonzero."""
+    bases = {k: get_basis(space, k, use_cache=use_cache) for k in weights}
+    return {k: basis for k, basis in bases.items() if basis.dimension}
+
+
 def verify_bracket_closure(
     k1: int, k2: int, use_cache: bool = True
 ) -> VerificationReport:
@@ -152,11 +158,7 @@ def verify_lemma_essential_all(
     t0 = perf_counter()
     witnesses = []
     pairs = 0
-    bases = {
-        k: basis
-        for k in range(4, total_weight_max - 3)
-        if (basis := get_basis(ADDMR_FAD_PARITY, k, use_cache=use_cache)).dimension > 0
-    }
+    bases = _nonzero_bases(ADDMR_FAD_PARITY, range(4, total_weight_max - 3), use_cache)
     for ka, basis_a in bases.items():
         for kb, basis_b in bases.items():
             if ka + kb > total_weight_max:
@@ -182,7 +184,10 @@ def verify_ad_embedding(k: int, use_cache: bool = True) -> VerificationReport:
     """Bracketing with x1 sends each weight-k basis vector of the tangent
     double shuffle space into the parity-refined intersection one weight up;
     the images stay linearly independent.  Also records whether the two
-    dimensions agree."""
+    dimensions agree.  A pass with dims_equal certifies ad(x1)(dmr_k) =
+    addmr-fad-parity_{k+1} (membership gives inclusion, independence the
+    dimension, and equal dimensions equality): the Lie-algebra form of the
+    paper's refined AdDMR_0 = DMR_0 question at this weight."""
     t0 = perf_counter()
     source = get_basis(DMR, k, use_cache=use_cache)
     target = get_basis(ADDMR_FAD_PARITY, k + 1, use_cache=use_cache)
@@ -278,11 +283,7 @@ def verify_lie_axioms(
             witnesses.append({"sample": idx, "reason": "jacobi"})
 
     # closure of the corner-and-parity subspace under the bracket
-    bases = {
-        k: basis
-        for k in range(3, k_max + 1)
-        if (basis := get_basis(FAD_PARITY, k, use_cache=use_cache)).dimension > 0
-    }
+    bases = _nonzero_bases(FAD_PARITY, range(3, k_max + 1), use_cache)
     for ka, basis_a in bases.items():
         for kb, basis_b in bases.items():
             bound = ka + kb - 1

@@ -41,6 +41,15 @@ def isolated_cache(tmp_path_factory):
         os.environ["DSLFORGE_CACHE_DIR"] = old
 
 
+@pytest.fixture()
+def private_cache(tmp_path, monkeypatch):
+    """A cache directory of the test's own, not yet made: a test that needs
+    it before the library writes to it makes it."""
+    path = tmp_path / "cache"
+    monkeypatch.setenv("DSLFORGE_CACHE_DIR", str(path))
+    return path
+
+
 def pytest_terminal_summary(terminalreporter):
     if _ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

@@ -3,9 +3,13 @@ of a space over its root's closed-form basis, and primitivity over raw word
 coordinates, whose rows are paired with a basis of unit words.  Also the
 references that the library's row matrix, chunked scan and kernel
 certificate must reproduce: rows compiled into Python lists, the row-by-row
-mod-p scan, and the exact row-by-row kernel check."""
+mod-p scan, and the exact row-by-row kernel check.  And two helpers that
+several test modules share: the Moebius function of the Witt-formula
+oracles and a seeded random series."""
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 
@@ -149,3 +153,27 @@ def rref_mod_p_by_rows(rows: list[list[int]], ncols: int, p: int):
         for a, b, r in zip(i.tolist(), j.tolist(), F[i, j].tolist())
     }
     return selected, sorted(pivot_cols), kernel
+
+
+def mobius(n: int) -> int:
+    """The Moebius function of n >= 1, by trial division."""
+    out, q = 1, 2
+    while n > 1:
+        if n % q == 0:
+            n //= q
+            if n % q == 0:
+                return 0
+            out = -out
+        q += 1
+    return out
+
+
+def random_series(rng: random.Random, bound: int, min_weight: int = 2) -> XSeries:
+    """Each word of weight min_weight..bound, in all_xwords order, with
+    probability 0.3 and a coefficient drawn from -3..3."""
+    items = []
+    for k in range(min_weight, bound + 1):
+        for w in all_xwords(k):
+            if rng.random() < 0.3:
+                items.append((w, rng.randint(-3, 3)))
+    return XSeries(items, bound)

@@ -7,7 +7,13 @@ from __future__ import annotations
 import random
 
 from conftest import record_acceptance
-from reference_systems import compile_primitivity_raw, full_rows_kernel, raw_kernel
+from reference_systems import (
+    compile_primitivity_raw,
+    full_rows_kernel,
+    mobius,
+    random_series,
+    raw_kernel,
+)
 
 from dslforge.algebra import concat_exp, concat_product, is_primitive
 from dslforge.cache import get_basis
@@ -165,15 +171,6 @@ def test_criterion_6_conjugation_round_trip() -> None:
     assert rejected
 
 
-def _random_series(rng: random.Random, bound: int, min_weight: int = 2) -> XSeries:
-    items = []
-    for k in range(min_weight, bound + 1):
-        for w in all_xwords(k):
-            if rng.random() < 0.3:
-                items.append((w, rng.randint(-3, 3)))
-    return XSeries(items, bound)
-
-
 def test_criterion_7_mould_identity_suite() -> None:
     rng = random.Random(2024)
     ok = True
@@ -201,7 +198,7 @@ def test_criterion_7_mould_identity_suite() -> None:
 
     # corner identity, both directions, 200 random series of weight <= 7
     for trial in range(200):
-        s = _random_series(rng, 7)
+        s = random_series(rng, 7)
         if trial % 2 == 0:
             dec = corner_decompose(s)
             fix = [("0" + w + "0", -c) for w, c in dec.c00.terms.items()]
@@ -253,17 +250,6 @@ def _free_lie_odd_dims(kmax: int) -> list[int]:
     generalized Witt formula: with g(t) = t^3 + t^5 + ... and
     log 1/(1 - g) = sum L_m t^m, n * d_n = sum over e | n of mu(n/e) e L_e."""
     from fractions import Fraction
-
-    def mobius(n: int) -> int:
-        out, q = 1, 2
-        while n > 1:
-            if n % q == 0:
-                n //= q
-                if n % q == 0:
-                    return 0
-                out = -out
-            q += 1
-        return out
 
     g = [int(n >= 3 and n % 2 == 1) for n in range(kmax + 1)]
     log = [Fraction(0)] * (kmax + 1)

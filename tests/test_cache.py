@@ -23,13 +23,6 @@ from dslforge.spaces import (
 )
 
 
-@pytest.fixture()
-def private_cache(tmp_path, monkeypatch):
-    path = tmp_path / "cache"
-    monkeypatch.setenv("DSLFORGE_CACHE_DIR", str(path))
-    return path
-
-
 def _dims_row(capsys) -> list[int]:
     row = capsys.readouterr().out.strip().splitlines()[-1]
     return [int(x) for x in row.split("|")[1].split()]
@@ -248,6 +241,19 @@ def test_clear_removes_only_entries_and_temporary_files(private_cache, capsys) -
     assert main(["cache", "--clear"]) == 0
     assert capsys.readouterr().out == "removed 6 entries\n"
     assert sorted(p.name for p in private_cache.iterdir()) == foreign
+
+
+def test_entries_older_versions_wrote_for_a_bool_weight_are_listed_and_cleared(
+    private_cache, capsys
+) -> None:
+    private_cache.mkdir()
+    legacy = ["dmr-False-s1p1.json", "dmr-True-s1p1.json"]
+    for name in legacy + ["dmr-5-s1p1.json", "notes.json"]:
+        (private_cache / name).write_text("{}")
+    assert list_entries() == sorted(legacy + ["dmr-5-s1p1.json"])
+    assert main(["cache", "--clear"]) == 0
+    assert capsys.readouterr().out == "removed 3 entries\n"
+    assert [p.name for p in private_cache.iterdir()] == ["notes.json"]
 
 
 def test_clear_during_a_store_leaves_the_entry_unstored(private_cache, monkeypatch) -> None:

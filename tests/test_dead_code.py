@@ -2,11 +2,13 @@
 every method and every module-level assignment is used somewhere other than
 its own definition, every module-level import is used by the module that
 makes it, every function-level import breaks an import cycle, every
-defaulted parameter is passed by some call, and every public top-level name
-is exported from `dslforge/__init__.py` or used by the package or the
-benchmark, not by the tests alone.  No module divides with `/` except to
-join a path with a name: the quotient of two int coefficients is a float,
-so every exact division is spelled Fraction(p, q).
+defaulted parameter is passed by some call in the package or the benchmark,
+not by the tests alone (the console-script entry `cli.main(argv)` is the one
+exception), and every public top-level name is exported from
+`dslforge/__init__.py` or used by the package or the benchmark, not by the
+tests alone.  No module divides with `/` except to join a path with a name:
+the quotient of two int coefficients is a float, so every exact division is
+spelled Fraction(p, q).
 
 A use is any name read or attribute in `src/dslforge`, `tests/` or `bench/`,
 an import of the name, or an export from `dslforge/__init__.py`.  Dunder
@@ -269,6 +271,11 @@ def test_every_function_level_import_breaks_a_cycle() -> None:
 
 def test_every_defaulted_parameter_is_passed_somewhere() -> None:
     assert unpassed_parameters(_PACKAGE, _ROOT / "tests", _ROOT / "bench") == []
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests() -> None:
+    # the installed console script calls main() with no argument
+    assert unpassed_parameters(_PACKAGE, _ROOT / "bench") == ["cli.main(argv)"]
 
 
 def test_every_public_name_is_exported_or_used_outside_the_tests() -> None:

@@ -37,7 +37,7 @@ def _lyndon_perturbation(rng, k) -> XSeries:
 def _decisions(s: XSeries, k: int):
     """(code decision, image, weight) for the star component of weight k and
     for every sharp T^t layer of the weight-k component of s."""
-    comp = algebra._weight_component(s, k)
+    comp = s.component(k).terms
     yield algebra._codes_vanish(algebra._star_codes(comp, k), k), star_word(s), k
     layers = algebra._sharp_codes(comp)
     sharp = q_sharp(s).terms
@@ -73,7 +73,7 @@ def test_products_vanish_exactly_when_the_pair_scan_is_empty(k) -> None:
     for s, weights in _cases(rng, k):
         for wt in weights:
             for vanish, image, m in _decisions(s, wt):
-                comp = algebra._weight_component(image, m)
+                comp = image.component(m).terms
                 scan = algebra._pair_scan(comp, m, all_ywords, harmonic_words)
                 assert vanish == (next(scan, None) is None), (k, wt, m)
                 ycodes = {algebra._ycode(w): c for w, c in comp.items()}
@@ -148,13 +148,13 @@ def _reference_violations(space, s: XSeries):
             yield k, "min-weight", f"nonzero component below weight {space.min_weight}"
     for k in weights:
         if k >= 2:
-            comp = algebra._weight_component(s, k)
+            comp = s.component(k).terms
             for u, v, val in algebra._pair_scan(comp, k, all_xwords, shuffle_words):
                 yield k, "primitive", {"u": u, "v": v, "value": str(val)}
     if "star-harmonic" in tags:
         star = star_word(s)
         for k in weights:
-            comp = algebra._weight_component(star, k)
+            comp = star.component(k).terms
             for u, v, val in algebra._pair_scan(comp, k, all_ywords, harmonic_words):
                 yield k, "star-harmonic", {"u": list(u), "v": list(v), "value": str(val)}
     if "sharp-harmonic" in tags:

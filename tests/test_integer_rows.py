@@ -42,7 +42,7 @@ from dslforge.words import (
     word_pairs,
 )
 
-from reference_systems import compile_lists, full_rows_kernel, list_rows
+from reference_systems import compile_lists, full_rows_kernel, list_rows, mobius
 
 # sha256 of json.dumps(basis.to_json_dict(), sort_keys=True) for k = 1..8
 _PINNED = {
@@ -322,21 +322,9 @@ def test_kernels_match_the_pair_rows(name, monkeypatch) -> None:
     assert compiled == pairs
 
 
-def _mobius(n: int) -> int:
-    out, q = 1, 2
-    while n > 1:
-        if n % q == 0:
-            n //= q
-            if n % q == 0:
-                return 0
-            out = -out
-        q += 1
-    return out
-
-
 @pytest.mark.parametrize("k", range(2, 13))
 def test_one_star_row_per_non_lyndon_composition(k) -> None:
-    lyndon = sum(_mobius(k // d) * (2**d - 1) for d in range(1, k + 1) if k % d == 0)
+    lyndon = sum(mobius(k // d) * (2**d - 1) for d in range(1, k + 1) if k % d == 0)
     assert lyndon % k == 0
     columns = [bracketing(w) for w in lyndon_words(k)]
     rows = _star_harmonic_rows(_word_index(columns), k)

@@ -22,7 +22,7 @@ from dslforge import cache
 from dslforge.cache import get_basis, load_basis
 from dslforge.moulds import MultiPoly
 from dslforge.series import TYSeries, XSeries, YSeries, load_series
-from dslforge.spaces import ADDMR, DMR, SubspaceBasis
+from dslforge.spaces import ADDMR, DMR, SpaceId, SubspaceBasis
 
 _READERS = [
     XSeries.from_json_dict,
@@ -31,14 +31,6 @@ _READERS = [
     SubspaceBasis.from_json_dict,
     MultiPoly.from_json_dict,
 ]
-
-
-@pytest.fixture()
-def private_cache(tmp_path, monkeypatch):
-    path = tmp_path / "cache"
-    path.mkdir()
-    monkeypatch.setenv("DSLFORGE_CACHE_DIR", str(path))
-    return path
 
 
 def _read(reader, value):
@@ -105,6 +97,7 @@ _DOCS = _JSON | st.builds(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_DOCS)
 def test_every_reader_returns_or_raises_value_error(private_cache, doc) -> None:
+    private_cache.mkdir(exist_ok=True)  # one directory for every example
     for reader in _READERS:
         _read(reader, doc)
     _read(XSeries.from_json, json.dumps(doc))
@@ -160,6 +153,7 @@ def test_deep_nesting_is_a_value_error_or_a_miss_at_every_depth(private_cache) -
     """No reader lets RecursionError out at any depth: not the parse, the
     checksum, the header comparison or the repr in an error message.  A
     series file is read from the entry's path, as any path."""
+    private_cache.mkdir()
     entry = cache._entry_path(DMR, 5)
     for depth in range(1, 1301):
         for kind in ("list", "object", "mixed"):
@@ -175,3 +169,60 @@ def test_deep_nesting_is_a_value_error_or_a_miss_at_every_depth(private_cache) -
                         load_series(entry)
                 if basis:
                     assert load_basis(DMR, 5) is None, (kind, depth)
+
+
+_LONG = "9" * 100_000 + "x"  # a rejected value of 100,001 characters
+_X = {"format": "ncseries-v1", "alphabet": "x01", "weight_bound": 1}
+_BASIS = {"format": "basis-v1", "schema": "s1p1", "space": "dmr", "weight": 5,
+          "dimension": 0, "vectors": []}
+
+
+@pytest.mark.parametrize("read", [
+    lambda: XSeries.from_json_dict({**_X, "alphabet": _LONG, "terms": []}),
+    lambda: XSeries.from_json_dict({**_X, "weight_bound": _LONG, "terms": []}),
+    lambda: XSeries.from_json_dict({**_X, "terms": [_LONG]}),
+    lambda: XSeries.from_json_dict({**_X, "terms": [{"word": _LONG, "coeff": "1"}]}),
+    lambda: XSeries.from_json_dict({**_X, "terms": [{"word": "0" * 10**5, "coeff": "1"}]}),
+    lambda: XSeries.from_json_dict({**_X, "terms": [{"word": "0", "coeff": _LONG}]}),
+    lambda: XSeries.from_json_dict({**_X, "terms": [{"word": "0", "coeff": "1" * 10**5 + "/0"}]}),
+    lambda: XSeries.from_json_dict({**_X, "terms": 2 * [{"word": "0", "coeff": "1", "": _LONG}]}),
+    lambda: XSeries({_LONG: 1}, len(_LONG)),
+    lambda: YSeries.from_json_dict(
+        {**_X, "alphabet": "y", "terms": [{"yword": [_LONG], "coeff": "1"}]}),
+    lambda: TYSeries.from_json_dict(
+        {**_X, "alphabet": "ty", "terms": [{"t": _LONG, "yword": [1], "coeff": "1"}]}),
+    lambda: SpaceId.parse(_LONG),
+    lambda: MultiPoly.from_json_dict([_LONG]),
+    lambda: MultiPoly.from_json_dict({"vars": _LONG, "terms": []}),
+    lambda: MultiPoly.from_json_dict({"vars": 1, "terms": [{"exp": [_LONG], "coeff": "1"}]}),
+], ids=["alphabet", "weight-bound", "term", "word", "above-bound", "coeff",
+        "zero-denominator", "repeated", "key", "yword", "t", "space-id", "polynomial",
+        "vars", "exponent"])
+def test_a_long_rejected_value_gives_a_short_message(read) -> None:
+    with pytest.raises(ValueError) as error:
+        read()
+    assert len(str(error.value)) < 200
+
+
+def test_a_long_value_in_a_series_file_gives_a_short_message(tmp_path) -> None:
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps({**_X, "alphabet": _LONG, "terms": []}))
+    with pytest.raises(ValueError, match="unknown alphabet") as error:
+        load_series(path)
+    assert len(str(error.value)) < 200
+
+
+def test_a_50_million_character_format_gives_a_short_message() -> None:
+    text = json.dumps({**_X, "format": "x" * 50_000_000, "terms": []})
+    with pytest.raises(ValueError, match="unknown series format") as error:
+        XSeries.from_json(text)
+    assert len(str(error.value)) < 200
+
+
+def test_a_900_deep_weight_gives_a_short_message() -> None:
+    weight = 5
+    for _ in range(900):
+        weight = [weight]
+    with pytest.raises(ValueError, match="homogeneous of weight") as error:
+        SubspaceBasis.from_json_dict({**_BASIS, "weight": weight})
+    assert len(str(error.value)) < 200

@@ -169,21 +169,20 @@ def test_ad_x1_inverse_rejects_nonimage() -> None:
         ad_x1_inverse(XSeries.word("010", 1, 3))
 
 
-def _lyndon_solve_inverse(v: XSeries, check: bool = True) -> XSeries:
+def _lyndon_solve_inverse(v: XSeries) -> XSeries:
     """Reference inverse of bracketing with x1: at each weight n of v, an
     exact linear solve for v over the images [x1, e] of the Lyndon primitive
     basis of weight n - 1 (without x1 itself).  The images are independent,
     so the system images * x = v is read off the canonical kernel of
     [images | -v]: it is consistent exactly when that kernel's last vector
     has a nonzero last coordinate, which is then the common denominator."""
-    if check:
-        mw = v.min_weight()
-        if mw is not None and mw < 3:
-            raise PreconditionViolation("ad_x1_inverse: input has weight < 3 terms")
-        if not is_primitive(v):
-            raise NotPrimitive("ad_x1_inverse: input is not primitive")
-        if mw is not None and not corner_decompose(v).c00.is_zero():
-            raise NotInImage("ad_x1_inverse: nonzero 00-corner")
+    mw = v.min_weight()
+    if mw is not None and mw < 3:
+        raise PreconditionViolation("ad_x1_inverse: input has weight < 3 terms")
+    if not is_primitive(v):
+        raise NotPrimitive("ad_x1_inverse: input is not primitive")
+    if mw is not None and not corner_decompose(v).c00.is_zero():
+        raise NotInImage("ad_x1_inverse: nonzero 00-corner")
     result = XSeries.zero(max(v.weight_bound - 1, 0))
     for n in sorted({len(w) for w in v.terms}):
         comp = v.component(n)
@@ -223,30 +222,47 @@ def test_ad_x1_inverse_matches_the_lyndon_solve_on_images() -> None:
 
 
 @pytest.mark.parametrize(
-    "v, check, message",
+    "v, error, message",
     [
-        # x0x1x0: a 00-corner, so no word of it starts with 1
-        (XSeries.word("010", 1, 3), False, "no primitive preimage at weight 3"),
-        # [x1, x0x1] holds, but x0x1 is not primitive
-        (XSeries([("101", 1), ("011", -1)], 3), False, "no primitive preimage at weight 3"),
+        # x0x1x0: a 00-corner, and not a Lie polynomial
+        (XSeries.word("010", 1, 3), NotPrimitive, "input is not primitive"),
+        # [x1, x0x1] holds, but x0x1 is not primitive, and neither is v
+        (XSeries([("101", 1), ("011", -1)], 3), NotPrimitive, "input is not primitive"),
         # an image at weight 4 and a lone word at weight 6
         (
             ad_x1(XSeries([("001", 1), ("010", -2), ("100", 1)], 6))
             + XSeries.word("111110", 1, 6),
-            False,
-            "no primitive preimage at weight 6",
+            NotPrimitive,
+            "input is not primitive",
         ),
         # [x0, [x0, x1]] is primitive with a nonzero 00-corner
-        (XSeries([("001", 1), ("010", -2), ("100", 1)], 3), True, "nonzero 00-corner"),
+        (XSeries([("001", 1), ("010", -2), ("100", 1)], 3), NotInImage, "nonzero 00-corner"),
     ],
     ids=["corner-word", "not-primitive", "second-weight", "checked-corner"],
 )
-def test_ad_x1_inverse_rejects_non_images_like_the_lyndon_solve(v, check, message) -> None:
-    with pytest.raises(NotInImage) as new:
-        ad_x1_inverse(v, check=check)
-    with pytest.raises(NotInImage) as ref:
-        _lyndon_solve_inverse(v, check=check)
+def test_ad_x1_inverse_rejects_non_images_like_the_lyndon_solve(v, error, message) -> None:
+    with pytest.raises(error) as new:
+        ad_x1_inverse(v)
+    with pytest.raises(error) as ref:
+        _lyndon_solve_inverse(v)
+    assert type(new.value) is type(ref.value) is error
     assert str(new.value) == str(ref.value) == f"ad_x1_inverse: {message}"
+
+
+@pytest.mark.parametrize(
+    "extra", [XSeries.word("0110", 1, 4), XSeries.word("1111", 1, 4)],
+    ids=["off-by-a-word", "x1-power"],
+)
+def test_ad_x1_inverse_certifies_each_weight_of_the_preimage(monkeypatch, extra) -> None:
+    # a weight-4 word added to the preimage of a valid image at weights 3 and
+    # 5: the word off by one brackets to another weight-5 part, and the
+    # x1-power brackets to 0 but is not primitive
+    v = _image(random.Random(67), [3, 5], 6)
+    assert sorted({len(w) for w in v.terms}) == [3, 5]
+    assert ad_x1_inverse(v) == _lyndon_solve_inverse(v)
+    _patch_preimage(monkeypatch, v.weight_bound, extra)
+    with pytest.raises(NotInImage, match="^ad_x1_inverse: no primitive preimage at weight 5$"):
+        ad_x1_inverse(v)
 
 
 def test_no_reference_cycles_left_behind() -> None:
@@ -518,7 +534,7 @@ def _composition_decompose(phi: XSeries) -> FadDecomposition:
             member = False
             break
         residuals[n] = XSeries.zero(bound)
-        parts[n - 1] = ad_x1_inverse(target.truncate(n), check=False)
+        parts[n - 1] = ad_x1_inverse(target.truncate(n))
     parts = {m: p for m, p in parts.items() if not p.is_zero()}
     return FadDecomposition(psi_parts=parts, residuals=residuals, is_member=member)
 
@@ -602,7 +618,7 @@ def _fraction_layer_decompose(phi: XSeries) -> FadDecomposition:
             member = False
             break
         residuals[n] = XSeries.zero(bound)
-        psi_parts[n - 1] = ad_x1_inverse(target.truncate(n), check=False)
+        psi_parts[n - 1] = ad_x1_inverse(target.truncate(n))
         lifted[n - 1] = psi_parts[n - 1].with_bound(bound)
         layers[1, n] = commutator(lifted[n - 1], x1)
     psi_parts = {m: p for m, p in psi_parts.items() if not p.is_zero()}
@@ -650,7 +666,8 @@ def _member_and_non_member(bound: int = 7) -> tuple[XSeries, XSeries]:
 
 
 def _patch_preimage(monkeypatch, weight: int, extra: XSeries) -> None:
-    """Make lie._x1_preimage add extra to the layer it solves at weight."""
+    """Make lie._x1_preimage add extra to its preimage of a series bounded
+    at weight: a layer of fad_decompose, or the input of ad_x1_inverse."""
     right = lie._x1_preimage
 
     def wrong(v: XSeries) -> XSeries:

@@ -198,7 +198,7 @@ def test_star_harmonic_violations_are_the_scan_prefix_and_stop_early(monkeypatch
     for e in lyndon_primitive_basis(8):
         s = s + e.expansion.scale(rng.randint(-2, 2))
     star = star_word(s)
-    codes = {algebra._ycode(w): c for w, c in algebra._weight_component(star, 8).items()}
+    codes = {algebra._ycode(w): c for w, c in star.component(8).terms.items()}
     calls = []
     real = algebra.harmonic_words
     monkeypatch.setattr(

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from reference_systems import random_series
 
 from dslforge.errors import NonzeroLowWeight
 from dslforge.moulds import (
@@ -15,16 +16,7 @@ from dslforge.moulds import (
     vimo_extract,
 )
 from dslforge.series import XSeries, corner_decompose
-from dslforge.words import all_xwords, xdepth
-
-
-def _random_series(rng: random.Random, bound: int, min_weight: int = 2) -> XSeries:
-    items = []
-    for k in range(min_weight, bound + 1):
-        for w in all_xwords(k):
-            if rng.random() < 0.3:
-                items.append((w, rng.randint(-3, 3)))
-    return XSeries(items, bound)
+from dslforge.words import xdepth
 
 
 def test_multipoly_arithmetic() -> None:
@@ -110,7 +102,7 @@ def test_vimo_examples() -> None:
 
 def test_vimo_injective_per_weight_and_depth() -> None:
     rng = random.Random(73)
-    s = _random_series(rng, 6)
+    s = random_series(rng, 6)
     for depth in range(0, 7):
         poly = vimo_extract(s, depth)
         # reconstruct the depth component from the polynomial
@@ -158,7 +150,7 @@ def test_ma_is_the_substitution_by_prefix_sums(depth) -> None:
         acc = acc + MultiPoly.variable(depth, i)
         prefix_sums.append(acc)
     for _ in range(4):
-        s = _random_series(rng, depth + 4, min_weight=depth).scale(Fraction(-5, 3))
+        s = random_series(rng, depth + 4, min_weight=depth).scale(Fraction(-5, 3))
         v = vimo_extract(s, depth)
         assert not v.is_zero()
         ma, mi = ma_mi_extract(s, depth)
@@ -183,8 +175,8 @@ def _drop_depth_zero(s: XSeries) -> XSeries:
 def test_deriv_explicit_random() -> None:
     rng = random.Random(79)
     for _ in range(10):
-        a = _drop_depth_zero(_random_series(rng, 4, min_weight=1))
-        b = _random_series(rng, 4, min_weight=1)
+        a = _drop_depth_zero(random_series(rng, 4, min_weight=1))
+        b = random_series(rng, 4, min_weight=1)
         total = 8
         for depth in range(0, total + 1):
             rep = check_deriv_explicit(a.with_bound(total), b.with_bound(total), depth)
@@ -206,7 +198,7 @@ def test_corner_identity_examples() -> None:
 def test_corner_identity_both_directions_random() -> None:
     rng = random.Random(83)
     for trial in range(40):
-        s = _random_series(rng, 6)
+        s = random_series(rng, 6)
         if trial % 2 == 0:
             # remove the 00-corner to exercise the holds-direction
             dec = corner_decompose(s)
@@ -234,7 +226,7 @@ def test_parity_identity_matches_corner_condition() -> None:
     # vanish on middle words of depth r-1
     rng = random.Random(89)
     for _ in range(10):
-        s = _random_series(rng, 5)
+        s = random_series(rng, 5)
         dec = corner_decompose(s)
         parity = dec.c11 + dec.c10 + dec.c01
         for depth in range(1, 5):

@@ -107,7 +107,7 @@ def test_limited_defect_list_is_the_scan_prefix_and_stops_early(monkeypatch) -> 
     assert len(full) > 10
     for limit in (0, 1, 10):
         calls.clear()
-        comp = algebra._weight_component(s, 8)
+        comp = s.component(8).terms
         assert list(islice(algebra._shuffle_defects(comp, 8), limit)) == full[:limit]
         assert len(calls) < full_calls
 
@@ -190,7 +190,7 @@ def _is_primitive_per_weight(a: XSeries) -> bool:
     """The definition: constant term 0 and a Lie component at every weight
     from 2 up to the bound."""
     return a.coeff("") == 0 and all(
-        algebra._is_lie_component(algebra._weight_component(a, k), k)
+        algebra._is_lie_component(a.component(k).terms, k)
         for k in range(2, a.weight_bound + 1)
     )
 

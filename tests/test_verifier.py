@@ -1,11 +1,17 @@
 from __future__ import annotations
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
 from dslforge.cache import get_basis
-from dslforge.spaces import ADDMR_FAD_PARITY
+from dslforge.lie import ad_x1
+from dslforge.linalg import kernel_basis
+from dslforge.lyndon import bracketing, lyndon_words
+from dslforge.series import XSeries
+from dslforge.spaces import ADDMR_FAD_PARITY, DMR, rational_kernel, root_basis
 from dslforge.verify import (
     verify_ad_embedding,
     verify_bracket_closure,
@@ -67,6 +73,45 @@ def test_ad_embedding_small() -> None:
     rep = verify_ad_embedding(3)
     assert rep.parameters["dim_source"] == 1
     assert rep.parameters["dim_target"] == 1
+
+
+def _lyndon_coordinates(v: XSeries, k: int) -> list:
+    """The coordinates of a weight-k Lie polynomial over the bracketings of
+    the Lyndon words of weight k, in increasing order: walk the words and
+    subtract c * P_w at each, which leaves nothing."""
+    rest = dict(v.terms)
+    coords = []
+    for w in lyndon_words(k):
+        c = rest.get(w, 0)
+        coords.append(c)
+        if c:
+            for u, cu in bracketing(w).items():
+                rest[u] = rest.get(u, 0) - c * cu
+    assert not any(rest.values())
+    return coords
+
+
+@pytest.mark.parametrize(
+    "k", [*range(3, 11), *(pytest.param(k, marks=pytest.mark.slow) for k in (11, 12))]
+)
+def test_ad_x1_images_of_dmr_span_addmr_fad_parity_one_weight_up(k) -> None:
+    # any spanning set of a space, canonicalised on its root's basis, gives
+    # the cached bytes: the ad(x1) images of dmr_k, repeated, in random
+    # integer combinations and scaled by fractions, give addmr-fad-parity_{k+1}
+    rng = random.Random(k)
+    images = [ad_x1(psi.with_bound(k + 1)) for psi in get_basis(DMR, k).vectors]
+    spanning = images * 2
+    for _ in images:
+        spanning.append(XSeries.zero(k + 1))
+        for image in images:
+            spanning[-1] += image.scale(rng.randint(-3, 3))
+        spanning.append(rng.choice(images).scale(Fraction(rng.randint(-9, 9), rng.randint(2, 9))))
+    rng.shuffle(spanning)
+    root = root_basis(ADDMR_FAD_PARITY.root, k + 1)
+    annihilator = kernel_basis([_lyndon_coordinates(s, k + 1) for s in spanning], root.dimension)
+    basis = rational_kernel(ADDMR_FAD_PARITY, root, annihilator)
+    expected = get_basis(ADDMR_FAD_PARITY, k + 1)
+    assert json.dumps(basis.to_json_dict()) == json.dumps(expected.to_json_dict())
 
 
 def test_lie_axioms() -> None:
