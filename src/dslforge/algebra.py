@@ -318,30 +318,72 @@ def shuffle_primitivity_defect(
 
 @lru_cache(maxsize=None)
 def _harmonic_products(m: int) -> tuple[array, array, array]:
-    """The spanning products of weight m >= 1 as flat arrays (starts, codes,
-    mults): product i has the terms codes[j] with multiplicity mults[j] for
-    starts[i] <= j < starts[i + 1].  Product i expands l1 * (l2 ... ln) for
-    the i-th Y-word w = l1 l2 ... ln of weight m, in all_ywords order, with
-    n >= 2 nonincreasing Lyndon factors.  The quasi-shuffle algebra over Q is
-    the polynomial algebra on the Lyndon words (Hoffman, J. Algebraic
-    Combin. 11, 2000; for the shuffle algebra, Radford, J. Algebra 58, 1979),
-    so these products, one per non-Lyndon word, span every product u * v of
-    nonempty Y-words of weight m.  A term's word is stored as its code
-    (_ycode), converted by one lookup table per weight; the 4-byte entries
-    hold every code and multiplicity up to weight 31, and a larger one
-    raises OverflowError.  Each weight is expanded once per process;
-    cache_clear empties the table."""
-    code = {w: _ycode(w) for w in all_ywords(m)}
-    starts, codes, mults = array("i", [0]), array("i"), array("i")
-    for w in code:
-        factors = lyndon_factors(w)
-        if len(factors) > 1:
-            head = factors[0]
-            product = harmonic_words(head, w[len(head) :])
-            codes.extend(map(code.__getitem__, product))
-            mults.extend(product.values())
-            starts.append(len(codes))
-    return starts, codes, mults
+    """The spanning products of weight m >= 1 as flat 4-byte arrays (starts,
+    codes, mults): product i has the terms codes[j], in increasing order,
+    with multiplicity mults[j] for starts[i] <= j < starts[i + 1].  Product
+    i expands l1 * (l2 ... ln) for the i-th Y-word w = l1 l2 ... ln of
+    weight m, in all_ywords order, with n >= 2 nonincreasing Lyndon
+    factors.  The quasi-shuffle algebra over Q is the polynomial algebra on
+    the Lyndon words (Hoffman, J. Algebraic Combin. 11, 2000; for the
+    shuffle algebra, Radford, J. Algebra 58, 1979), so these products, one
+    per non-Lyndon word, span every product u * v of nonempty Y-words of
+    weight m.
+
+    A term of u * v is a lattice path from the cell (0, 0) to (|u|, |v|)
+    whose steps (1, 0), (0, 1) and (1, 1) write the letters u_i, v_j and
+    u_i + v_j, and its multiplicity is its number of paths.  The letter
+    written on leaving the cell (i, j) starts a block of weight
+    wt u[i:] + wt v[j:], so the term's code (_ycode) is the sum of
+    2^(wt u[i:] + wt v[j:] - 1) over the cells the path leaves.  One
+    recurrence over the cells sums these for every path of every product of
+    one shape (|l1|, |l2 ... ln|) at once, one sort of the shape's (product,
+    code) keys counts the paths, and the terms are written in place into the
+    table.  Each weight is built once per process; cache_clear empties the
+    table."""
+    import numpy as np  # imported on first use, so `import dslforge` does not load it
+
+    shapes: dict = {}  # (|l1|, |l2 ... ln|) -> [(product index, w)]
+    n = 0
+    for w in all_ywords(m):
+        head = len(lyndon_factors(w)[0])
+        if head < len(w):
+            shapes.setdefault((head, len(w) - head), []).append((n, w))
+            n += 1
+    half = np.array([0] + [1 << e for e in range(m)])  # 2^(e - 1), and 0 at e = 0
+    found = []  # per shape: (products, the first term of each, codes, mults)
+    sizes = np.zeros(n, np.int64)  # the number of terms of each product
+    for (a, b), items in shapes.items():
+        index, words = (np.array(x) for x in zip(*items))
+        suffix = np.zeros((len(index), a + b + 1), np.int64)  # wt w[i:]
+        suffix[:, :-1] = np.cumsum(words[:, ::-1], axis=1)[:, ::-1]
+        # 2^(wt u[i:] + wt v[j:] - 1) at the cell (i, j), and 0 at (a, b)
+        bits = half[suffix[:, : a + 1, None] - suffix[:, a, None, None] + suffix[:, None, a:]]
+        above: list = []  # the codes of the paths to each cell of the row i - 1
+        for i in range(a + 1):
+            row: list = []
+            for j in range(b + 1):
+                steps = []
+                if i:
+                    steps.append(above[j] + bits[:, i - 1, j, None])
+                if j:
+                    steps.append(row[j - 1] + bits[:, i, j - 1, None])
+                if i and j:
+                    steps.append(above[j - 1] + bits[:, i - 1, j - 1, None])
+                row.append(np.concatenate(steps, axis=1) if steps
+                           else np.zeros((len(index), 1), np.int64))
+            above = row
+        key = np.sort((index[:, None] * (1 << m) + above[b]).ravel(), kind="stable")
+        runs = np.flatnonzero(np.diff(key, prepend=-1))  # the first path of each term
+        first = np.searchsorted(key[runs], index * (1 << m))
+        sizes[index] = np.diff(first, append=len(runs))
+        found.append((index, first, key[runs] % (1 << m), np.diff(runs, append=len(key))))
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    codes, mults = array("i", [0]) * int(starts[-1]), array("i", [0]) * int(starts[-1])
+    for index, first, code, mult in found:  # each product's terms in place
+        at = np.repeat(starts[index] - first, sizes[index]) + np.arange(len(code))
+        np.frombuffer(codes, np.intc)[at] = code
+        np.frombuffer(mults, np.intc)[at] = mult
+    return array("i", starts.astype(np.intc).tobytes()), codes, mults
 
 
 def _ycode(w: YWord) -> int:

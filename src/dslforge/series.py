@@ -49,7 +49,7 @@ def _coeff(value) -> int | Fraction:
         return int(value)
     if isinstance(value, str):
         return _json_coeff(value)  # the file grammar, in process too
-    raise TypeError(f"not an exact rational: {value!r}")
+    raise TypeError(f"not an exact rational: {_shown(value)}")
 
 
 # The coefficient strings a file may hold, as coeff_str writes them: "p" or

@@ -8,17 +8,21 @@ The strong parity space `vstrprty` is not primitive; it is a root too.
 
 Every other space is solved on its parent's basis: one integer row per
 condition the space adds, a positive multiple of the condition's rational
-row, over the parent's integer vectors as columns.  The rows are written,
-as each is built, into one preallocated numpy int64 matrix (an object
-matrix when an entry lies beyond int64), which the kernel reads as given:
-it is the only copy of the rows.  A harmonic condition
-gets one row per non-Lyndon Y-word, whose products span every product
-u * v (Hoffman 2000; Radford 1979), and a sharp row pairs a product of
-weight m only with y_{k-m}.  The products come from the table that
-membership certificates also decide on, keyed by the binary codes of the
-Y-words, which the harmonic rows read off the column words.  Kernels are
-computed exactly as integer vectors and re-expanded into series through the
-columns, so `addmr-fad` solves 7 columns at weight 11.
+row, over the parent's integer vectors as columns.  The parent's terms are
+read once into arrays of (X-word code, column, coefficient).  Each
+condition maps the word codes to keys, and lists its rows as arrays of
+(key, multiplicity) terms; the rows are scatter-added from the terms
+ordered by key into one preallocated numpy int64 matrix (an object matrix
+when an entry could reach 2^63), which the kernel reads as given: it is
+the only copy of the rows.  A harmonic condition gets one row per
+non-Lyndon Y-word, whose products span every product u * v (Hoffman 2000;
+Radford 1979), and a sharp row pairs a product of weight m only with
+y_{k-m}.  The products come from the table that membership certificates
+also decide on, keyed by the binary codes of the Y-words, and the star and
+sharp key maps are read off the words by the same _star_terms and
+_sharp_terms as membership's codes.  Kernels are computed exactly as
+integer vectors and re-expanded into series through the columns, so
+`addmr-fad` solves 7 columns at weight 11.
 
 Membership certificates never read the compiled rows, and they read the
 series once, into its weight components: each star weight and each sharp
@@ -31,12 +35,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, pairwise
+from itertools import chain, islice, pairwise, repeat
 from math import gcd
 
 from .algebra import _code_defects, _components, _harmonic_products, _sharp_codes
 from .algebra import _sharp_terms, _shuffle_defects, _star_codes, _star_terms
-from .linalg import int_matrix, kernel_basis
+from .linalg import kernel_basis
 from .lyndon import lyndon_primitive_basis
 from .series import XSeries, _shown, corner_decompose
 from .words import all_xwords
@@ -145,79 +149,134 @@ class SubspaceBasis:
         return basis
 
 
-def _word_index(columns: list[dict]) -> dict:
-    """word -> [(column, coeff)] over the integer columns {word: int}."""
-    index: dict = {}
-    for j, terms in enumerate(columns):
-        for w, c in terms.items():
-            index.setdefault(w, []).append((j, c))
-    return index
+def _basis_arrays(basis: SubspaceBasis) -> tuple:
+    """The terms of the basis vectors as arrays (word codes, columns,
+    coefficients), in vector order, each word read in binary as its code:
+    int64 codes, int32 columns, and int64 coefficients, or an object array
+    of Python ints when one lies beyond int64.  Integral coefficients are
+    stored as ints, so each vector's terms already are {word: int}."""
+    import numpy as np  # imported on first use, so `import dslforge` does not load it
+
+    vectors, k = basis.vectors, basis.weight
+    text = "".join(chain.from_iterable(v.terms for v in vectors)).encode("ascii")
+    digits = np.frombuffer(text, np.uint8).reshape(-1, k)
+    words = np.zeros(len(digits), np.int64)
+    for i in range(k):
+        words *= 2
+        words += digits[:, i]
+    words -= ord("0") * ((1 << k) - 1)  # each digit read as its ASCII byte
+    columns = np.repeat(np.arange(len(vectors), dtype=np.int32), [len(v.terms) for v in vectors])
+    try:
+        coefs = np.fromiter(chain.from_iterable(v.terms.values() for v in vectors),
+                            np.int64, len(words))
+    except OverflowError:  # a coefficient beyond int64
+        coefs = np.array([c for v in vectors for c in v.terms.values()], dtype=object)
+    return words, columns, coefs
 
 
-def _harmonic_row(table: dict, n: int, terms) -> list:
-    """The row psi -> sum of mult * <image of psi | key> over the terms
-    (key, mult), where table maps keys (X-words, or the codes of Y-words) to
-    [(column, coeff)] of the images, summed exactly in Python ints."""
-    row = [0] * n
-    for key, mult in terms:
-        for j, c in table.get(key, ()):
-            row[j] += mult * c
-    return row
+def _key_map(k: int, terms) -> tuple:
+    """The 2^k-entry lookup arrays (key, factor) over the codes of the
+    weight-k X-words, from the (word, key, factor) of each word that enters
+    an image; every other word has key -1."""
+    import numpy as np
+
+    key = np.full(1 << k, -1, np.int64)
+    factor = np.zeros(1 << k, np.int64)
+    words, keys, factors = zip(*terms)
+    codes = np.fromiter(map(int, words, repeat(2)), np.int64, len(words))
+    key[codes], factor[codes] = keys, factors
+    return key, factor
 
 
-def _product_rows(table: dict, m: int) -> list:
-    """One row per spanning product of weight m (_harmonic_products), over a
-    table keyed by the codes of Y-words."""
-    starts, codes, mults = _harmonic_products(m)
-    return [(table, zip(codes[a:b], mults[a:b])) for a, b in pairwise(starts)]
+def _own_codes(k: int) -> tuple:
+    """The key map of the conditions read off the words themselves: each
+    word of weight k keys its own code, at factor 1."""
+    import numpy as np
+
+    return np.arange(1 << k), np.ones(1 << k, np.int64)
 
 
-def _star_harmonic_rows(index: dict, k: int) -> list:
+def _unit_rows(keys, width: int) -> list:
+    """One group of rows (starts, keys, mults) of width consecutive keys
+    each, every multiplicity 1."""
+    import numpy as np
+
+    return [(np.arange(0, len(keys) + 1, width), keys, np.ones(len(keys), np.int64))]
+
+
+def _products(weights) -> list:
+    """One group of rows (starts, keys, mults) per weight m in turn, one row
+    per spanning product of weight m, keyed by the codes of the Y-words:
+    the table _harmonic_products(m) itself."""
+    import numpy as np
+
+    return [tuple(np.frombuffer(a, np.intc) for a in _harmonic_products(m)) for m in weights]
+
+
+def _star_harmonic_rows(words, k: int) -> tuple:
     """One row per non-Lyndon Y-word of weight k, for its product u * v: the
-    functional psi -> <k * star_word(psi) | u * v>, with the image read off
-    the column words by _star_terms; the factor k makes it integral."""
-    star: dict = {}
-    for w, code, factor in _star_terms(index, k):
-        star.setdefault(code, []).extend((j, factor * c) for j, c in index[w])
-    return _product_rows(star, k)
+    functional psi -> <k * star_word(psi) | u * v>.  The key map is the one
+    _star_terms reads off the words: a word with a leading 1 keys its own
+    code at factor k, and 0^{k-1} 1 keys 2^k - 1, the code of y1^k, at
+    factor 1; the factor k makes the rows integral."""
+    return _key_map(k, _star_terms(all_xwords(k), k)), _products([k])
 
 
-def _sharp_harmonic_rows(index: dict, k: int) -> list:
+def _sharp_harmonic_rows(words, k: int) -> tuple:
     """One row per non-Lyndon Y-word of weight m, 2 <= m < k, for its product
     u * v: the functional psi -> <q_right(psi) | y_{k-m} (u * v)>.  A
-    weight-k word meets y_l (u * v) only at l = k - m, as the term T^{k-m-1} y
-    of q_sharp with y of weight m, so the rows of weight m read the layer m
-    of the codes that _sharp_terms reads off the column words."""
-    layers: dict = {}
-    for w, m, code in _sharp_terms(index):
-        layers.setdefault(m, {})[code] = index[w]
-    return [row for m in range(2, k) for row in _product_rows(layers.get(m, {}), m)]
+    weight-k word meets y_l (u * v) only at l = k - m, as the term
+    T^{k-m-1} y of q_sharp with y of weight m, so the rows of weight m read
+    the layer m of the codes that _sharp_terms reads off the words: the word
+    of odd code c keys c >> 1, the code of y, whose m bits name its layer."""
+    layers = ((w, code, 1) for w, _, code in _sharp_terms(all_xwords(k)))
+    return _key_map(k, layers), _products(range(2, k))
 
 
-def _sharp_depth_one_rows(index: dict, k: int) -> list:
-    """The explicit depth-one tail row: <psi | x1 x0^{k-2} x1> = 0."""
-    return [(index, (("1" + "0" * (k - 2) + "1", 1),))]
+def _sharp_depth_one_rows(words, k: int) -> tuple:
+    """The explicit depth-one tail row: <psi | x1 x0^{k-2} x1> = 0, a row
+    with no term below weight 2."""
+    import numpy as np
+
+    tail = np.array([1 << (k - 1) | 1] if k >= 2 else [], np.int64)
+    return _own_codes(k), [(np.array([0, len(tail)]), tail, np.ones(len(tail), np.int64))]
 
 
-def _corner00_rows(index: dict, k: int) -> list:
-    """One row per word x0*w*x0 appearing in some column."""
-    corners = sorted(w for w in index if len(w) >= 2 and w[0] == "0" and w[-1] == "0")
-    return [(index, ((w, 1),)) for w in corners]
+def _word_ends(words, k: int):
+    """How often each word a w b of weight k occurs among the codes, as an
+    array indexed [a, w, b]; no word has weight-two ends below weight 2."""
+    import numpy as np
+
+    if k < 2:
+        return np.zeros((2, 0, 2), np.int64)
+    return np.bincount(words, minlength=1 << k).reshape(2, -1, 2)
 
 
-def _parity_rows(index: dict, k: int) -> list:
-    """One row per middle w of a column word not of the form x0 w x0 (over raw
-    word columns, every w of weight k-2): <.|x1 w x1> + <.|x1 w x0> + <.|x0 w x1>."""
-    middles = sorted(
-        {w[1:-1] for w in index if len(w) >= 2 and (w[0], w[-1]) != ("0", "0")}
-    )
-    return [(index, (("1" + w + "1", 1), ("1" + w + "0", 1), ("0" + w + "1", 1)))
-            for w in middles]
+def _corner00_rows(words, k: int) -> tuple:
+    """One row per word x0 w x0 of some column, in increasing order."""
+    import numpy as np
+
+    return _own_codes(k), _unit_rows(2 * np.flatnonzero(_word_ends(words, k)[0, :, 0]), 1)
 
 
-# Each builder reads the word -> [(column, coeff)] index of the columns and
-# the weight, and returns its rows as (table, terms), in row order: the row
-# _harmonic_row(table, n, terms).
+def _parity_rows(words, k: int) -> tuple:
+    """One row per middle w of a column word not of the form x0 w x0, in
+    increasing order (over raw word columns, every w of weight k-2):
+    <.|x1 w x1> + <.|x1 w x0> + <.|x0 w x1>."""
+    import numpy as np
+
+    ends = _word_ends(words, k)
+    twice = 2 * np.flatnonzero(ends[1, :, 1] + ends[1, :, 0] + ends[0, :, 1])
+    high = 1 << (k - 1)
+    keys = np.stack([high + twice + 1, high + twice, twice + 1], axis=1)
+    return _own_codes(k), _unit_rows(keys.ravel(), 3)
+
+
+# Each builder reads the word codes of the basis terms (_basis_arrays) and
+# the weight, and returns a key map (key, factor) over the word codes
+# (_key_map) and its rows, in row order, as groups (starts, keys, mults):
+# row r of a group is psi -> sum of mult * factor * <psi | word> over its
+# terms (key, mult) and the words that the map sends to key.
 _ROW_BUILDERS = {
     "star-harmonic": _star_harmonic_rows,
     "sharp-harmonic": _sharp_harmonic_rows,
@@ -226,18 +285,67 @@ _ROW_BUILDERS = {
     "parity": _parity_rows,
 }
 
+# The (row, column) pairs that one scatter-add of _compile fills, or one
+# term's when they are more: each index and value array of a chunk is 32 KB.
+_FILL_PAIRS = 1 << 12
+
 
 def _compile(tags: tuple, basis: SubspaceBasis):
     """The integer matrix of the conditions over the basis vectors as
-    columns (linalg.int_matrix): int64, or object when an entry lies beyond
-    int64.  Each row is summed in Python ints and written into the
-    preallocated matrix as it is built, so the matrix is the only copy of
-    the rows.  Integral coefficients are stored as ints, so each vector's
-    terms already are {word: int}."""
-    index = _word_index([v.terms for v in basis.vectors])
-    n = basis.dimension
-    rows = [row for tag in tags for row in _ROW_BUILDERS[tag](index, basis.weight)]
-    return int_matrix((_harmonic_row(table, n, terms) for table, terms in rows), len(rows), n)
+    columns, rows by basis.dimension: int64, or an object array of Python
+    ints when an entry could reach 2^63.
+
+    The basis terms are read once (_basis_arrays).  For each builder they
+    are ordered by the key that its map gives their words, so each term
+    (key, mult) of a row reads the (column, factor * coefficient) of its
+    key off one slice, and the (row, column) pairs are scatter-added into
+    the matrix in chunks of about _FILL_PAIRS.  Every mult is positive, so
+    no partial sum of an entry exceeds the sum over its row of mult times
+    the factors of the words of the key, times the largest |coefficient|;
+    the matrix is int64 only when that bound stays below 2^63, and the same
+    fill otherwise runs on Python ints."""
+    import numpy as np
+
+    k, n = basis.weight, basis.dimension
+    words, columns, coefs = _basis_arrays(basis)
+    blocks = [_ROW_BUILDERS[tag](words, k) for tag in tags]
+    bound = 0
+    for (key, factor), groups in blocks:
+        weight = np.zeros((1 << k) + 1, np.int64)  # at key + 1: the factors of its words
+        np.add.at(weight, key + 1, factor)
+        for starts, keys, mults in groups:
+            sums = np.concatenate(([0], np.cumsum(mults * weight[keys + 1])))
+            bound = max(bound, int(np.diff(sums[starts]).max(initial=0)))
+    big = bound * max(int(coefs.max(initial=0)), -int(coefs.min(initial=0))) >= 2**63
+    if big:
+        coefs = coefs.astype(object)
+    nrows = sum(len(starts) - 1 for _, groups in blocks for starts, _, _ in groups)
+    matrix = np.zeros((nrows, n), object if big else np.int64)
+    flat = matrix.reshape(-1)
+    row = 0
+    for (key, factor), groups in blocks:
+        ranked = key[words] + 1  # 0 for a word that no row reads
+        order = np.argsort(ranked, kind="stable")
+        # the terms of the words of key c are order[first[c]:first[c + 1]]
+        first = np.cumsum(np.bincount(ranked, minlength=(1 << k) + 1))
+        del ranked
+        for starts, keys, mults in groups:
+            end = np.cumsum(first[keys + 1] - first[keys])  # the pairs up to each term
+            cuts = np.searchsorted(end, np.arange(_FILL_PAIRS, end[-1] if len(end) else 0,
+                                                  _FILL_PAIRS))
+            for a, b in pairwise([0, *(cuts + 1), len(keys)]):
+                lo = first[keys[a:b]]
+                count = first[keys[a:b] + 1] - lo
+                if not count.any():
+                    continue
+                term = np.repeat(np.arange(a, b), count)
+                at = order[np.repeat(lo - end[a:b] + count, count)
+                           + np.arange(end[a] - count[0], end[b - 1])]
+                rows = np.searchsorted(starts, term, "right") + (row - 1)
+                np.add.at(flat, rows * n + columns[at],
+                          mults[term] * factor[words[at]] * coefs[at])
+            row += len(starts) - 1
+    return matrix
 
 
 def compile_on_parent(space: SpaceId, parent: SubspaceBasis):

@@ -2,23 +2,23 @@
 of a space over its root's closed-form basis, and primitivity over raw word
 coordinates, whose rows are paired with a basis of unit words.  Also the
 references that the library's row matrix, chunked scan and kernel
-certificate must reproduce: rows compiled into Python lists, the row-by-row
-mod-p scan, and the exact row-by-row kernel check.  And two helpers that
-several test modules share: the Moebius function of the Witt-formula
-oracles and a seeded random series."""
+certificate must reproduce: rows compiled into Python lists from a word
+index, the row-by-row mod-p scan, and the exact row-by-row kernel check.
+And two helpers that several test modules share: the Moebius function of
+the Witt-formula oracles and a seeded random series."""
 
 from __future__ import annotations
 
 import random
+from itertools import pairwise
 
 import numpy as np
 
+from dslforge.algebra import _harmonic_products, _sharp_terms, _star_terms
 from dslforge.series import XSeries
 from dslforge.spaces import (
-    _ROW_BUILDERS,
     SpaceId,
     SubspaceBasis,
-    _word_index,
     compile_constraints,
     rational_kernel,
     root_basis,
@@ -32,15 +32,85 @@ def full_rows_kernel(space: SpaceId, k: int) -> SubspaceBasis:
     return rational_kernel(space, root_basis(space.root, k), compile_constraints(space, k))
 
 
+def word_index(columns: list[dict]) -> dict:
+    """word -> [(column, coeff)] over the integer columns {word: int}."""
+    index: dict = {}
+    for j, terms in enumerate(columns):
+        for w, c in terms.items():
+            index.setdefault(w, []).append((j, c))
+    return index
+
+
 def harmonic_row(table: dict, n: int, terms) -> list:
     """The row psi -> sum of mult * <image of psi | key> over the terms
-    (key, mult) as a Python list, where table maps keys to [(column, coeff)]
-    of the images: the list builder that the compiled matrix replaces."""
+    (key, mult) as a Python list, where table maps keys (X-words, or the
+    codes of Y-words) to [(column, coeff)] of the images, summed exactly in
+    Python ints: the list builder that the compiled matrix replaces."""
     row = [0] * n
     for key, mult in terms:
         for j, c in table.get(key, ()):
             row[j] += mult * c
     return row
+
+
+def product_rows(table: dict, m: int) -> list:
+    """One row per spanning product of weight m (_harmonic_products), over a
+    table keyed by the codes of Y-words."""
+    starts, codes, mults = _harmonic_products(m)
+    return [(table, zip(codes[a:b], mults[a:b])) for a, b in pairwise(starts)]
+
+
+def star_harmonic_rows(index: dict, k: int) -> list:
+    """One row per non-Lyndon Y-word of weight k, for its product u * v: the
+    functional psi -> <k * star_word(psi) | u * v>, with the image read off
+    the column words by _star_terms; the factor k makes it integral."""
+    star: dict = {}
+    for w, code, factor in _star_terms(index, k):
+        star.setdefault(code, []).extend((j, factor * c) for j, c in index[w])
+    return product_rows(star, k)
+
+
+def sharp_harmonic_rows(index: dict, k: int) -> list:
+    """One row per non-Lyndon Y-word of weight m, 2 <= m < k, for its product
+    u * v: the functional psi -> <q_right(psi) | y_{k-m} (u * v)>, read off
+    the layer m of the codes that _sharp_terms reads off the column words."""
+    layers: dict = {}
+    for w, m, code in _sharp_terms(index):
+        layers.setdefault(m, {})[code] = index[w]
+    return [row for m in range(2, k) for row in product_rows(layers.get(m, {}), m)]
+
+
+def sharp_depth_one_rows(index: dict, k: int) -> list:
+    """The explicit depth-one tail row: <psi | x1 x0^{k-2} x1> = 0."""
+    return [(index, (("1" + "0" * (k - 2) + "1", 1),))]
+
+
+def corner00_rows(index: dict, k: int) -> list:
+    """One row per word x0*w*x0 appearing in some column."""
+    corners = sorted(w for w in index if len(w) >= 2 and w[0] == "0" and w[-1] == "0")
+    return [(index, ((w, 1),)) for w in corners]
+
+
+def parity_rows(index: dict, k: int) -> list:
+    """One row per middle w of a column word not of the form x0 w x0 (over raw
+    word columns, every w of weight k-2): <.|x1 w x1> + <.|x1 w x0> + <.|x0 w x1>."""
+    middles = sorted(
+        {w[1:-1] for w in index if len(w) >= 2 and (w[0], w[-1]) != ("0", "0")}
+    )
+    return [(index, (("1" + w + "1", 1), ("1" + w + "0", 1), ("0" + w + "1", 1)))
+            for w in middles]
+
+
+# Each builder reads the word -> [(column, coeff)] index of the columns and
+# the weight, and returns its rows as (table, terms), in row order: the row
+# harmonic_row(table, n, terms).
+ROW_BUILDERS = {
+    "star-harmonic": star_harmonic_rows,
+    "sharp-harmonic": sharp_harmonic_rows,
+    "sharp-depth-one": sharp_depth_one_rows,
+    "corner00": corner00_rows,
+    "parity": parity_rows,
+}
 
 
 def list_rows(rows, n: int) -> list:
@@ -51,9 +121,15 @@ def list_rows(rows, n: int) -> list:
 def compile_lists(tags: tuple, basis: SubspaceBasis) -> list:
     """The rows of the conditions over the basis vectors as columns, as
     Python lists: the reference for spaces._compile's matrix."""
-    index = _word_index([v.terms for v in basis.vectors])
+    index = word_index([v.terms for v in basis.vectors])
     return [row for tag in tags
-            for row in list_rows(_ROW_BUILDERS[tag](index, basis.weight), basis.dimension)]
+            for row in list_rows(ROW_BUILDERS[tag](index, basis.weight), basis.dimension)]
+
+
+def unit_basis(space: SpaceId, k: int) -> SubspaceBasis:
+    """The unit vectors at the words of weight k, in sorted order, as a basis
+    of the space: raw word coordinates."""
+    return SubspaceBasis(space, k, [XSeries({w: 1}, k) for w in sorted(all_xwords(k))])
 
 
 def verify_kernel_by_rows(rows, basis: list[list[int]]) -> bool:
@@ -93,8 +169,7 @@ def compile_primitivity_raw(k: int) -> list:
 def raw_kernel(space: SpaceId, k: int, rows: list) -> SubspaceBasis:
     """The space's basis at weight k from rows over raw word coordinates: the
     columns are the unit vectors at the words of weight k, in sorted order."""
-    units = SubspaceBasis(space, k, [XSeries({w: 1}, k) for w in sorted(all_xwords(k))])
-    return rational_kernel(space, units, rows)
+    return rational_kernel(space, unit_basis(space, k), rows)
 
 
 def rref_mod_p_by_rows(rows: list[list[int]], ncols: int, p: int):

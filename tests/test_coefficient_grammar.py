@@ -71,6 +71,12 @@ def test_in_process_constructors_and_scale_reject(coeff) -> None:
     assert time.perf_counter() - start < 1.0
 
 
+def test_a_rejected_value_is_shown_bounded() -> None:
+    with pytest.raises(TypeError) as info:
+        XSeries([("0", [0] * 10**6)], 2)
+    assert len(str(info.value)) < 100
+
+
 @pytest.mark.parametrize("coeff,value", ACCEPTED)
 def test_in_process_constructors_and_scale_accept(coeff, value) -> None:
     stored = [read(coeff) for read in IN_PROCESS]

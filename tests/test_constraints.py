@@ -19,8 +19,7 @@ from dslforge.spaces import (
     VSTRPRTY,
     SpaceId,
     SubspaceBasis,
-    _parity_rows,
-    _word_index,
+    _compile,
     compile_constraints,
     compile_on_parent,
     dimension_table,
@@ -29,7 +28,7 @@ from dslforge.spaces import (
 )
 from dslforge.words import all_xwords, all_ywords, word_pairs
 
-from reference_systems import compile_primitivity_raw, full_rows_kernel, list_rows, raw_kernel
+from reference_systems import compile_primitivity_raw, full_rows_kernel, raw_kernel, unit_basis
 
 
 def test_space_id_parse() -> None:
@@ -94,12 +93,11 @@ def test_dimension_rows_up_to_7() -> None:
 def _raw_parity_kernel(k: int) -> SubspaceBasis:
     """The reference for the closed form: the kernel of the parity rows over
     raw word coordinates, on the dense modular engine."""
-    words = sorted(all_xwords(k))
-    n = len(words)
+    n = 2**k
     if k < VSTRPRTY.min_weight:
         rows = [[int(i == j) for j in range(n)] for i in range(n)]
     else:
-        rows = list_rows(_parity_rows(_word_index([{w: 1} for w in words]), k), n)
+        rows = _compile(("parity",), unit_basis(VSTRPRTY, k))
     return raw_kernel(VSTRPRTY, k, rows)
 
 
@@ -191,37 +189,22 @@ def test_raw_vs_lyndon_oracle_equivalence() -> None:
 def test_composite_spaces_raw_oracle() -> None:
     # recompute dmr/addmr dimensions over raw word coordinates, bypassing
     # the bracketing parametrization entirely
-    from dslforge.spaces import (
-        _corner00_rows,
-        _sharp_depth_one_rows,
-        _sharp_harmonic_rows,
-        _star_harmonic_rows,
-    )
     from dslforge.linalg import kernel_basis
 
     for k in range(3, 7):
-        labels = sorted(all_xwords(k))
-        index = _word_index([{w: 1} for w in labels])
-        n = len(labels)
+        units = unit_basis(DMR, k)
+        n = units.dimension
         prim = compile_primitivity_raw(k)
-        dmr_rows = prim + list_rows(_star_harmonic_rows(index, k), n)
+        dmr_rows = prim + _compile(("star-harmonic",), units).tolist()
         dim = len(kernel_basis(dmr_rows, n))
         assert dim == full_rows_kernel(DMR, k).dimension
 
         if k >= 4:
-            addmr_rows = (
-                prim
-                + list_rows(_sharp_harmonic_rows(index, k), n)
-                + list_rows(_sharp_depth_one_rows(index, k), n)
-            )
+            addmr_rows = prim + _compile(("sharp-harmonic", "sharp-depth-one"), units).tolist()
             dim = len(kernel_basis(addmr_rows, n))
             assert dim == full_rows_kernel(ADDMR, k).dimension
 
-            afp_rows = (
-                addmr_rows
-                + list_rows(_corner00_rows(index, k), n)
-                + list_rows(_parity_rows(index, k), n)
-            )
+            afp_rows = addmr_rows + _compile(("corner00", "parity"), units).tolist()
             dim = len(kernel_basis(afp_rows, n))
             assert dim == full_rows_kernel(ADDMR_FAD_PARITY, k).dimension
 

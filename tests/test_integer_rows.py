@@ -9,27 +9,28 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dslforge import spaces
 from dslforge.algebra import _harmonic_products, q_right, star_word
 from dslforge.cache import get_basis
 from dslforge.linalg import kernel_basis
-from dslforge.lyndon import bracketing, lyndon_primitive_basis, lyndon_words
+from dslforge.lyndon import lyndon_primitive_basis
 from dslforge.series import XSeries
 from dslforge.spaces import (
+    ADDMR,
+    DMR,
     FAD,
     VSTRPRTY,
     SpaceId,
-    _corner00_rows,
-    _sharp_harmonic_rows,
-    _star_harmonic_rows,
-    _word_index,
+    SubspaceBasis,
+    _compile,
     compile_constraints,
     compile_on_parent,
+    rational_kernel,
     root_basis,
 )
 from dslforge.words import (
@@ -42,7 +43,9 @@ from dslforge.words import (
     word_pairs,
 )
 
-from reference_systems import compile_lists, full_rows_kernel, list_rows, mobius
+import reference_systems
+from conftest import record_acceptance
+from reference_systems import compile_lists, full_rows_kernel, mobius
 
 # sha256 of json.dumps(basis.to_json_dict(), sort_keys=True) for k = 1..8
 _PINNED = {
@@ -165,27 +168,45 @@ def test_compiled_matrix_equals_the_list_rows(name) -> None:
         assert compile_constraints(space, k).tolist() == full, k
 
 
-def test_a_row_beyond_int64_takes_the_object_path(monkeypatch) -> None:
-    """From the first row with an entry beyond int64 on, the matrix holds
-    Python ints, exactly, and its kernel is that of the rows as written."""
+def test_a_row_beyond_int64_takes_the_object_path() -> None:
+    """A parent vector scaled by 2^70 puts entries beyond int64 in its
+    column: the matrix holds Python ints, exactly, and its kernel, read
+    through the scaled vector, is the space's basis."""
     parent = get_basis(FAD.parent, 8)
     plain = compile_on_parent(FAD, parent)
-    big = len(plain) // 2
-
-    def one_big_row(index, k):
-        rows = _corner00_rows(index, k)
-        table, terms = rows[big]
-        rows[big] = (table, [(key, 2**70 * mult) for key, mult in terms])
-        return rows
-
-    monkeypatch.setitem(spaces._ROW_BUILDERS, "corner00", one_big_row)
-    rows = compile_on_parent(FAD, parent)
+    big = parent.dimension // 2
+    assert plain[:, big].any()
+    vectors = list(parent.vectors)
+    vectors[big] = vectors[big].scale(2**70)
+    scaled = SubspaceBasis(parent.space, 8, vectors)
+    rows = compile_on_parent(FAD, scaled)
     want = plain.tolist()
-    want[big] = [2**70 * c for c in want[big]]
+    for row in want:
+        row[big] *= 2**70
     assert rows.dtype == object and rows.tolist() == want
     assert all(type(c) is int for row in rows.tolist() for c in row)
-    assert want == compile_lists(FAD.own_tags, parent)
-    assert kernel_basis(rows, parent.dimension) == kernel_basis(plain, parent.dimension)
+    assert want == compile_lists(FAD.own_tags, scaled)
+    assert rational_kernel(FAD, scaled, rows) == get_basis(FAD, 8)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["dmr", "addmr", "fad"])
+def test_compiled_matrix_equals_the_list_rows_at_weights_12_and_13(name) -> None:
+    """The entry-for-entry comparison at the weights the tier-1 run skips;
+    the compile and the list builder's times are recorded."""
+    space = SpaceId.parse(name)
+    for k in (12, 13):
+        parent = root_basis(space.parent, k)
+        start = time.perf_counter()
+        rows = compile_on_parent(space, parent)
+        middle = time.perf_counter()
+        lists = compile_lists(space.own_tags, parent)
+        end = time.perf_counter()
+        assert rows.dtype == np.int64 and rows.tolist() == lists, k
+        record_acceptance(
+            f"compile of {name} {k} ({rows.shape[0]} x {rows.shape[1]}): "
+            f"{middle - start:.2f} s, list rows {end - middle:.2f} s"
+        )
 
 
 def _factor_pairs(m: int):
@@ -210,22 +231,17 @@ def _fraction_star_rows(columns: list[XSeries], k: int) -> list:
     return rows
 
 
-def _column_pairs(k: int):
-    """(integer columns, the same columns as series) for the Lyndon and the
-    raw word coordinates at weight k."""
-    yield (
-        [bracketing(w) for w in lyndon_words(k)],
-        [e.expansion for e in lyndon_primitive_basis(k)],
-    )
-    words = sorted(all_xwords(k))
-    yield [{w: 1} for w in words], [XSeries.word(w, 1, k) for w in words]
+def _column_sets(k: int):
+    """The Lyndon and the raw word coordinates at weight k, as series."""
+    yield [e.expansion for e in lyndon_primitive_basis(k)]
+    yield [XSeries.word(w, 1, k) for w in sorted(all_xwords(k))]
 
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_star_harmonic_rows_are_k_times_the_rational_rows(k) -> None:
-    for ints, series in _column_pairs(k):
+    for series in _column_sets(k):
         oracle = _fraction_star_rows(series, k)
-        rows = list_rows(_star_harmonic_rows(_word_index(ints), k), len(ints))
+        rows = _compile(("star-harmonic",), SubspaceBasis(DMR, k, series)).tolist()
         assert rows == [[k * c for c in r] for r in oracle]
 
 
@@ -251,9 +267,9 @@ def _fraction_sharp_rows(columns: list[XSeries], k: int) -> list:
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_sharp_harmonic_rows_equal_the_rational_rows(k) -> None:
-    for ints, series in _column_pairs(k):
+    for series in _column_sets(k):
         oracle = _fraction_sharp_rows(series, k)
-        assert list_rows(_sharp_harmonic_rows(_word_index(ints), k), len(ints)) == oracle
+        assert _compile(("sharp-harmonic",), SubspaceBasis(ADDMR, k, series)).tolist() == oracle
 
 
 def _ywords_kernel(products, k: int) -> list:
@@ -275,6 +291,15 @@ def _decoded_products(k: int):
     starts, codes, mults = _harmonic_products(k)
     for a, b in zip(starts, starts[1:]):
         yield {leading_blocks(format(c, "b")): m for c, m in zip(codes[a:b], mults[a:b])}
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_products_are_the_quasi_shuffles_of_the_factor_pairs(m) -> None:
+    """Product by product, the table holds l1 * (l2 ... ln) as a multiset,
+    each term once, in increasing code order."""
+    assert list(_decoded_products(m)) == [harmonic_words(u, v) for u, v in _factor_pairs(m)]
+    starts, codes, _ = _harmonic_products(m)
+    assert all(list(codes[a:b]) == sorted(set(codes[a:b])) for a, b in zip(starts, starts[1:]))
 
 
 @pytest.mark.parametrize("k", range(2, 11))
@@ -314,11 +339,15 @@ def _pair_sharp_harmonic_rows(index: dict, k: int) -> list:
 
 @pytest.mark.parametrize("name", ["dmr", "addmr", "addmr-fad", "addmr-fad-parity"])
 def test_kernels_match_the_pair_rows(name, monkeypatch) -> None:
+    """The compiled full rows and the reference compile, its harmonic rows
+    taken over every pair (u, v), have the same kernels."""
     space = SpaceId.parse(name)
     compiled = [full_rows_kernel(space, k) for k in range(1, 10)]
-    monkeypatch.setitem(spaces._ROW_BUILDERS, "star-harmonic", _pair_star_harmonic_rows)
-    monkeypatch.setitem(spaces._ROW_BUILDERS, "sharp-harmonic", _pair_sharp_harmonic_rows)
-    pairs = [full_rows_kernel(space, k) for k in range(1, 10)]
+    monkeypatch.setitem(reference_systems.ROW_BUILDERS, "star-harmonic", _pair_star_harmonic_rows)
+    monkeypatch.setitem(reference_systems.ROW_BUILDERS, "sharp-harmonic", _pair_sharp_harmonic_rows)
+    roots = [root_basis(space.root, k) for k in range(1, 10)]
+    pairs = [rational_kernel(space, root, compile_lists(space.condition_tags(), root))
+             for root in roots]
     assert compiled == pairs
 
 
@@ -326,6 +355,4 @@ def test_kernels_match_the_pair_rows(name, monkeypatch) -> None:
 def test_one_star_row_per_non_lyndon_composition(k) -> None:
     lyndon = sum(mobius(k // d) * (2**d - 1) for d in range(1, k + 1) if k % d == 0)
     assert lyndon % k == 0
-    columns = [bracketing(w) for w in lyndon_words(k)]
-    rows = _star_harmonic_rows(_word_index(columns), k)
-    assert len(rows) == 2 ** (k - 1) - lyndon // k
+    assert compile_constraints(DMR, k).shape[0] == 2 ** (k - 1) - lyndon // k

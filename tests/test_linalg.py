@@ -537,7 +537,9 @@ def test_solve_exact_against_naive_solve() -> None:
     assert outcomes["none"] >= 60 and outcomes["solved"] >= 120
 
 
-def test_importing_the_package_does_not_load_numpy() -> None:
+def _loads_numpy(script: str) -> bool:
+    """Whether numpy is loaded after a fresh interpreter runs the script
+    with this checkout's package on its path."""
     import os
     import subprocess
     import sys
@@ -547,11 +549,37 @@ def test_importing_the_package_does_not_load_numpy() -> None:
 
     src = Path(dslforge.__file__).resolve().parents[1]
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, dslforge; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", script + "\nimport sys; print('numpy' in sys.modules)"],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         check=True,
         timeout=60,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_importing_the_package_does_not_load_numpy() -> None:
+    assert not _loads_numpy("import dslforge")
+
+
+def test_decompose_and_brackets_do_not_load_numpy() -> None:
+    """numpy loads with the first kernel or membership check, never for a
+    decomposition, an ad(x1) inverse or a bracket."""
+    assert not _loads_numpy(
+        "from dslforge.algebra import concat_exp, concat_product\n"
+        "from dslforge.lie import ad_x1, ad_x1_inverse, bracket1, fad_decompose\n"
+        "from dslforge.series import XSeries\n"
+        "psi = XSeries([('01', 1), ('10', -1)], 6)\n"
+        "x1 = XSeries.word('1', 1, 6)\n"
+        "assert fad_decompose(concat_product(concat_product(concat_exp(-psi), x1),"
+        " concat_exp(psi))).is_member\n"
+        "assert ad_x1_inverse(ad_x1(psi.with_bound(3))) == psi.with_bound(2)\n"
+        "assert bracket1(XSeries([('01', 1)], 3), XSeries([('11', 1)], 3))"
+        " == XSeries([('101', 1)], 3)"
+    )
+    assert _loads_numpy(
+        "from dslforge.series import XSeries\n"
+        "from dslforge.spaces import DMR, membership_check\n"
+        "assert not membership_check(DMR, XSeries([('01', 1), ('10', -1)], 2)).passed"
+    )
