@@ -31,8 +31,9 @@ CHECK_FAILED = 1
 
 
 def _positive_int(text: str) -> int:
-    """The argparse type of every weight, bound and count: an integer >= 1."""
-    if not text.isdecimal() or int(text) < 1:
+    """The argparse type of every weight, bound and count: an integer >= 1,
+    in ASCII digits."""
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 
@@ -57,7 +58,7 @@ def cmd_dims(args) -> int:
     if args.json:
         print(json.dumps({"kmax": args.kmax, "dims": table}))
         return 0
-    width = max(len(k) for k in table)
+    width = max(map(len, ["space", *table]))
     header = " ".join(f"{k:>4}" for k in range(1, args.kmax + 1))
     print(f"{'space':>{width}} | {header}")
     for key in table:

@@ -3,23 +3,24 @@
 The rows of a system are held as one integer matrix, rows by columns: a
 numpy int64 array, or an object array of Python ints when some entry lies
 beyond int64.  A matrix is used as given: every pass reads slices of it and
-nothing copies, scales or casts the whole.  A list of integer (or rational)
-rows is converted to that matrix once, on entry, a rational row multiplied
-by the lcm of its denominators.  A vectorized Gauss-Jordan elimination
-modulo a prime p selects a maximal independent row subset and leaves its
-reduced row echelon form (RREF).  It reads the matrix in chunks, each
-reduced mod p and cleaned against the RREF with one int64 product, so the
-rows that add no pivot, most of them in a narrow system, cost no Python per
-row; the survivors become pivots in row order, as a row-by-row scan takes
-them.  The canonical kernel mod p is read directly off the RREF: for each
-free column fc, x[fc] = 1 and x[pivot_col(i)] = -R[i][fc].  Each RREF row
-keeps its leading entry at its own pivot, so the pivot columns are the
-leading columns of the row space: row order, scaling, repeats and zero rows
-change neither them nor the canonical kernel.  The same reduction runs on
-the selected rows modulo further primes; the residues are combined by the
-Chinese remainder theorem and each entry is recovered as a rational by
-rational reconstruction (Wang, Guy & Davenport, SIGSAM Bull. 1982).  Each
-vector is then scaled to a primitive integer vector.
+nothing copies, scales or casts the whole.  int_matrix is the one way a
+list of rows becomes that matrix: a row of ints and Fractions is multiplied
+by the lcm of its denominators, and any other entry is refused.  A
+vectorized Gauss-Jordan elimination modulo a prime p selects a maximal
+independent row subset and leaves its reduced row echelon form (RREF).  It
+reads the matrix in chunks, each reduced mod p and cleaned against the RREF
+with one int64 product, so the rows that add no pivot, most of them in a
+narrow system, cost no Python per row; the survivors become pivots in row
+order, as a row-by-row scan takes them.  The canonical kernel mod p is read
+directly off the RREF: for each free column fc, x[fc] = 1 and
+x[pivot_col(i)] = -R[i][fc].  Each RREF row keeps its leading entry at its
+own pivot, so the pivot columns are the leading columns of the row space:
+row order, scaling, repeats and zero rows change neither them nor the
+canonical kernel.  The same reduction runs on the selected rows modulo
+further primes; the residues are combined by the Chinese remainder theorem
+and each entry is recovered as a rational by rational reconstruction (Wang,
+Guy & Davenport, SIGSAM Bull. 1982).  Each vector is then scaled to a
+primitive integer vector.
 
 A basis is returned only once a multi-modular certificate shows that it
 annihilates every row exactly.  With B = ncols * max|a_ij| * max|v_j|,
@@ -68,29 +69,26 @@ _CHUNK_ROWS = 64
 _CHECK_ENTRIES = 1 << 16
 
 
-def _row_to_int(row) -> list[int]:
-    """The row itself when all its entries are ints; otherwise a new integer
-    row, the row times the lcm of its denominators."""
-    if set(map(type, row)) - {int}:
-        den = lcm(*(c.denominator for c in row))
-        row = [c.numerator * (den // c.denominator) for c in row]
-    return row
-
-
-def int_matrix(rows, nrows: int, ncols: int):
-    """The nrows x ncols matrix of an iterable of integer rows, filled one
-    row at a time into one preallocated array, so no second copy of the
-    rows is held: numpy int64, or, from the first row with an entry beyond
-    int64 on, an object array of Python ints.  A row of Python ints is
-    exact; its conversion raises OverflowError instead of wrapping.  A row
-    of another length raises ValueError, where numpy would broadcast a
-    one-entry row."""
+def int_matrix(rows, ncols: int):
+    """The len(rows) x ncols integer matrix of a list of rows of ints and
+    Fractions, filled row by row into one preallocated array: numpy int64,
+    or, from the first row with an entry beyond int64 on (where the int64
+    fill raises OverflowError instead of wrapping), an object array of
+    Python ints.  A row holding a Fraction is multiplied by the lcm of its
+    denominators, which keeps its kernel.  Any other entry raises TypeError,
+    where numpy would truncate a float or parse a string; a row of another
+    length raises ValueError, where numpy would broadcast a one-entry row."""
     import numpy as np  # imported on first use, so `import dslforge` does not load it
 
-    A = np.zeros((nrows, ncols), dtype=np.int64)
+    A = np.zeros((len(rows), ncols), dtype=np.int64)
     for i, row in enumerate(rows):
         if len(row) != ncols:
             raise ValueError(f"row {i} has {len(row)} entries, not {ncols}")
+        if set(map(type, row)) - {int}:
+            if bad := [type(c).__name__ for c in row if type(c) not in (int, Fraction)]:
+                raise TypeError(f"row {i} holds a {bad[0]}, not an int or a Fraction")
+            den = lcm(*(c.denominator for c in row))
+            row = [c.numerator * (den // c.denominator) for c in row]
         try:
             A[i] = row
         except OverflowError:  # an entry beyond int64
@@ -214,14 +212,14 @@ def _prime_budget():
 
 
 def kernel_basis(rows, ncols: int) -> list[list[int]]:
-    """Exact kernel basis of the linear system rows * x = 0.
+    """Exact kernel basis of the linear system rows * x = 0, for a matrix
+    rows with ncols columns (int_matrix: int64, or object for entries
+    beyond int64).
 
-    Accepts a matrix (int_matrix: int64, or object for entries beyond
-    int64), used as given: every pass and the certificate read slices of
-    it, the reruns read its selected rows, and the caller's array is never
-    copied whole, scaled or cast.  Also accepts a list of rows of ints or
-    Fractions, converted to that matrix once.  Rows may come in any order,
-    scaled or repeated, zero rows included.  Returns primitive integer
+    The matrix is used as given: every pass and the certificate read slices
+    of it, the reruns read its selected rows, and the caller's array is
+    never copied whole, scaled or cast.  Rows may come in any order, scaled
+    or repeated, zero rows included.  Returns primitive integer
     vectors as lists of int (gcd 1, first nonzero entry positive), one per
     free column in increasing order: the vector with that coordinate 1 and
     every other free coordinate 0, scaled.  The base prime's RREF selects
@@ -233,10 +231,6 @@ def kernel_basis(rows, ncols: int) -> list[list[int]]:
     row: then the next prime becomes the base.  ArithmeticError is raised
     when _MAX_PRIMES primes give no certified basis.
     """
-    import numpy as np
-
-    if not isinstance(rows, np.ndarray):
-        rows = int_matrix(map(_row_to_int, rows), len(rows), ncols)
     primes = _prime_budget()
     while True:
         p = next(primes)
@@ -282,10 +276,7 @@ def _certify(rows, basis: list[list[int]]) -> bool:
     if not basis or not rows.size:
         return True
     nrows, ncols = rows.shape
-    try:
-        V = np.array(basis, dtype=np.int64).T
-    except OverflowError:  # an entry beyond int64
-        V = np.array(basis, dtype=object).T
+    V = int_matrix(basis, ncols).T
     amax = max(int(rows.max()), -int(rows.min()))
     bound = ncols * amax * max(int(V.max()), -int(V.min()))
     step = max(_CHECK_ENTRIES // ncols, 1)
@@ -312,14 +303,15 @@ def _certify(rows, basis: list[list[int]]) -> bool:
 def solve_exact(rows: list[list], rhs: list) -> list[Fraction] | None:
     """Exact solve of rows * x = rhs, or None when it is inconsistent.
 
-    Intended for systems with full column rank.  The solution is read off the
-    canonical kernel of [rows | -rhs]: its last vector has a nonzero last
+    The rows and rhs hold ints and Fractions.  Intended for systems with
+    full column rank.  The solution is read off the canonical kernel of
+    [rows | -rhs] (int_matrix): its last vector has a nonzero last
     coordinate exactly when the system is consistent, and then gives the
     solution with every free coordinate set to 0.
     """
     ncols = len(rows[0]) if rows else 0
     aug = [list(row) + [-b] for row, b in zip(rows, rhs)]
-    basis = kernel_basis(aug, ncols + 1)
+    basis = kernel_basis(int_matrix(aug, ncols + 1), ncols + 1)
     if not basis or not basis[-1][ncols]:
         return None
     *x, den = basis[-1]

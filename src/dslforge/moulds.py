@@ -10,7 +10,6 @@ denominator-cleared polynomial form with exact coefficients.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import chain
 from time import perf_counter
@@ -136,9 +135,6 @@ class MultiPoly:
                 for e, c in sorted(self.terms.items())
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MultiPoly":

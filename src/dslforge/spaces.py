@@ -67,7 +67,7 @@ class SpaceId:
             return _BY_KEY[text]
         if text.startswith("f2geq"):
             arg = text[len("f2geq") :].lstrip(":-")
-            if arg.isdigit() and int(arg) >= 1:
+            if arg.isascii() and arg.isdigit() and int(arg) >= 1:
                 return F2GEQ(int(arg))
         raise ValueError(f"unknown space id: {_shown(text)}")
 
@@ -370,11 +370,11 @@ def compile_constraints(space: SpaceId, k: int):
 
 
 def rational_kernel(space: SpaceId, parent: SubspaceBasis, rows) -> SubspaceBasis:
-    """The space's basis: the exact nullspace of the rows (a matrix, or a
-    list of rows; see linalg.kernel_basis) over the parent's vectors as
-    columns, re-expanded into series in integer arithmetic, each vector
-    divided by the gcd of its word coefficients and signed so that its
-    smallest word has a positive coefficient.
+    """The space's basis: the exact nullspace of the matrix rows (see
+    linalg.kernel_basis) over the parent's vectors as columns, re-expanded
+    into series in integer arithmetic, each vector divided by the gcd of its
+    word coefficients and signed so that its smallest word has a positive
+    coefficient.
 
     Over a parent's canonical basis this gives the child's canonical basis,
     for every space.  On a free Lie root the columns are the Lyndon

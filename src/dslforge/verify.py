@@ -21,7 +21,7 @@ from .lie import (
     ihara_product,
     tm1_inverse,
 )
-from .linalg import kernel_basis
+from .linalg import int_matrix, kernel_basis
 from .lyndon import lyndon_primitive_basis
 from .series import XSeries, _accumulate
 from .spaces import (
@@ -200,8 +200,8 @@ def verify_ad_embedding(k: int, use_cache: bool = True) -> VerificationReport:
         if not rep.passed:
             witnesses.append({"i": i, "violations": rep.violations})
     if images:
-        words = set().union(*(img.terms for img in images))
-        rows = [[img.terms.get(w, 0) for img in images] for w in words]
+        words = sorted(set().union(*(img.terms for img in images)))
+        rows = int_matrix([[img.terms.get(w, 0) for img in images] for w in words], len(images))
         rank = len(images) - len(kernel_basis(rows, len(images)))
         if rank != len(images):
             witnesses.append({"reason": "images linearly dependent", "rank": rank})

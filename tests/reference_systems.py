@@ -15,6 +15,7 @@ from itertools import pairwise
 import numpy as np
 
 from dslforge.algebra import _harmonic_products, _sharp_terms, _star_terms
+from dslforge.linalg import int_matrix
 from dslforge.series import XSeries
 from dslforge.spaces import (
     SpaceId,
@@ -169,7 +170,8 @@ def compile_primitivity_raw(k: int) -> list:
 def raw_kernel(space: SpaceId, k: int, rows: list) -> SubspaceBasis:
     """The space's basis at weight k from rows over raw word coordinates: the
     columns are the unit vectors at the words of weight k, in sorted order."""
-    return rational_kernel(space, unit_basis(space, k), rows)
+    units = unit_basis(space, k)
+    return rational_kernel(space, units, int_matrix(rows, units.dimension))
 
 
 def rref_mod_p_by_rows(rows: list[list[int]], ncols: int, p: int):

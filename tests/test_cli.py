@@ -19,6 +19,7 @@ def test_dims_table(cli_cache, capsys) -> None:
     assert main(["dims", "--space", "dmr", "--kmax", "6"]) == 0
     out = capsys.readouterr().out
     assert "dmr" in out
+    assert len({line.index("|") for line in out.splitlines()}) == 1, out
     row = out.strip().splitlines()[-1]
     assert [int(x) for x in row.split("|")[1].split()] == [0, 0, 1, 0, 1, 0]
 
@@ -31,7 +32,10 @@ def test_dims_json(cli_cache, capsys) -> None:
 
 
 def test_dims_bad_space(cli_cache, capsys) -> None:
-    assert main(["dims", "--space", "bogus", "--kmax", "3"]) == 2
+    # a space id's weight is written in ASCII digits: not Arabic-Indic 3, not superscript 2
+    for space in ("bogus", "f2geq\u0663", "f2geq\u00b2"):
+        assert main(["dims", "--space", space, "--kmax", "3"]) == 2, space
+        assert capsys.readouterr().err.startswith("error: unknown space id"), space
 
 
 def test_basis_export_and_member(cli_cache, capsys, tmp_path) -> None:
@@ -206,6 +210,7 @@ def test_member_rejects_bad_series_json(cli_cache, capsys, tmp_path, edit) -> No
         ["verify", "--check", "racinet-homomorphism", "--samples", "-1"],
         ["verify", "--check", "lie-axioms", "--kmax", "two"],
         ["verify", "--check", "group-laws", "--trunc", "0"],
+        ["dims", "--space", "dmr", "--kmax", "\u0663"],  # Arabic-Indic 3
     ],
     ids=lambda argv: " ".join(a for a in argv if a != "{phi}"),
 )

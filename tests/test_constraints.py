@@ -6,6 +6,7 @@ import pytest
 
 from dslforge import algebra
 from dslforge.cache import clear_cache, get_basis, list_entries, load_basis, store_basis
+from dslforge.linalg import int_matrix, kernel_basis
 from dslforge.lyndon import witt_number
 from dslforge.series import XSeries
 from dslforge.spaces import (
@@ -97,7 +98,7 @@ def _raw_parity_kernel(k: int) -> SubspaceBasis:
     if k < VSTRPRTY.min_weight:
         rows = [[int(i == j) for j in range(n)] for i in range(n)]
     else:
-        rows = _compile(("parity",), unit_basis(VSTRPRTY, k))
+        rows = _compile(("parity",), unit_basis(VSTRPRTY, k)).tolist()
     return raw_kernel(VSTRPRTY, k, rows)
 
 
@@ -132,15 +133,13 @@ def test_every_basis_vector_passes_membership() -> None:
 
 
 def test_basis_vectors_linearly_independent() -> None:
-    from dslforge.linalg import kernel_basis
-
     for space, k in ((ADDMR, 4), (ADDMR, 6), (ADDMR_FAD, 6), (VSTRPRTY, 4)):
         basis = get_basis(space, k, use_cache=False)
         if basis.dimension == 0:
             continue
         words = sorted(all_xwords(k))
         rows = [[v.coeff(w) for v in basis.vectors] for w in words]
-        assert kernel_basis(rows, basis.dimension) == []
+        assert kernel_basis(int_matrix(rows, basis.dimension), basis.dimension) == []
 
 
 def test_dmr_weight_11_computed() -> None:
@@ -171,7 +170,7 @@ def test_kernel_vectors_are_normalised_on_their_words() -> None:
     # kernel's own scaling leaves with a common factor and the wrong sign
     columns = [XSeries({"00": 1, "10": 2}, 2), XSeries({"00": 1, "01": 2}, 2)]
     parent = SubspaceBasis(ADDMR, 2, columns)
-    basis = rational_kernel(ADDMR_FAD, parent, [[1, 1]])
+    basis = rational_kernel(ADDMR_FAD, parent, int_matrix([[1, 1]], 2))
     assert basis.vectors == [XSeries({"01": 1, "10": -1}, 2)]
 
 
@@ -189,23 +188,21 @@ def test_raw_vs_lyndon_oracle_equivalence() -> None:
 def test_composite_spaces_raw_oracle() -> None:
     # recompute dmr/addmr dimensions over raw word coordinates, bypassing
     # the bracketing parametrization entirely
-    from dslforge.linalg import kernel_basis
-
     for k in range(3, 7):
         units = unit_basis(DMR, k)
         n = units.dimension
         prim = compile_primitivity_raw(k)
         dmr_rows = prim + _compile(("star-harmonic",), units).tolist()
-        dim = len(kernel_basis(dmr_rows, n))
+        dim = len(kernel_basis(int_matrix(dmr_rows, n), n))
         assert dim == full_rows_kernel(DMR, k).dimension
 
         if k >= 4:
             addmr_rows = prim + _compile(("sharp-harmonic", "sharp-depth-one"), units).tolist()
-            dim = len(kernel_basis(addmr_rows, n))
+            dim = len(kernel_basis(int_matrix(addmr_rows, n), n))
             assert dim == full_rows_kernel(ADDMR, k).dimension
 
             afp_rows = addmr_rows + _compile(("corner00", "parity"), units).tolist()
-            dim = len(kernel_basis(afp_rows, n))
+            dim = len(kernel_basis(int_matrix(afp_rows, n), n))
             assert dim == full_rows_kernel(ADDMR_FAD_PARITY, k).dimension
 
 

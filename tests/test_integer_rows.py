@@ -17,7 +17,7 @@ import pytest
 
 from dslforge.algebra import _harmonic_products, q_right, star_word
 from dslforge.cache import get_basis
-from dslforge.linalg import kernel_basis
+from dslforge.linalg import int_matrix, kernel_basis
 from dslforge.lyndon import lyndon_primitive_basis
 from dslforge.series import XSeries
 from dslforge.spaces import (
@@ -282,7 +282,7 @@ def _ywords_kernel(products, k: int) -> list:
         for w, mult in expansion.items():
             row[pos[w]] += mult
         rows.append(row)
-    return kernel_basis(rows, len(pos))
+    return kernel_basis(int_matrix(rows, len(pos)), len(pos))
 
 
 def _decoded_products(k: int):
@@ -346,8 +346,9 @@ def test_kernels_match_the_pair_rows(name, monkeypatch) -> None:
     monkeypatch.setitem(reference_systems.ROW_BUILDERS, "star-harmonic", _pair_star_harmonic_rows)
     monkeypatch.setitem(reference_systems.ROW_BUILDERS, "sharp-harmonic", _pair_sharp_harmonic_rows)
     roots = [root_basis(space.root, k) for k in range(1, 10)]
-    pairs = [rational_kernel(space, root, compile_lists(space.condition_tags(), root))
-             for root in roots]
+    lists = [compile_lists(space.condition_tags(), root) for root in roots]
+    pairs = [rational_kernel(space, root, int_matrix(rows, root.dimension))
+             for root, rows in zip(roots, lists)]
     assert compiled == pairs
 
 

@@ -39,7 +39,7 @@ from dslforge.lie import (
     kappa_substitute,
     tm1_inverse,
 )
-from dslforge.linalg import kernel_basis
+from dslforge.linalg import int_matrix, kernel_basis
 from dslforge.lyndon import lyndon_primitive_basis
 from dslforge.series import XSeries, YSeries, corner_decompose
 from dslforge.spaces import ADDMR, DMR, membership_check
@@ -190,7 +190,7 @@ def _lyndon_solve_inverse(v: XSeries) -> XSeries:
         images = [ad_x1(e.expansion.with_bound(n)) for e in basis]
         words = sorted(all_xwords(n))
         rows = [[img.coeff(w) for img in images] + [-comp.coeff(w)] for w in words]
-        kernel = kernel_basis(rows, len(images) + 1)
+        kernel = kernel_basis(int_matrix(rows, len(images) + 1), len(images) + 1)
         if not kernel or not kernel[-1][-1]:
             raise NotInImage(f"ad_x1_inverse: no primitive preimage at weight {n}")
         *sol, den = kernel[-1]

@@ -9,7 +9,7 @@ import pytest
 
 from dslforge import linalg
 from dslforge.cache import _resolve_basis, get_basis
-from dslforge.linalg import kernel_basis, solve_exact
+from dslforge.linalg import int_matrix, kernel_basis, solve_exact
 from dslforge.spaces import (
     ADDMR,
     ADDMR_FAD,
@@ -60,12 +60,12 @@ def _naive_kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]
 
 def test_kernel_examples() -> None:
     # zero matrix: the whole space
-    assert len(kernel_basis([[0, 0, 0]], 3)) == 3
-    assert len(kernel_basis([], 3)) == 3
+    assert len(kernel_basis(int_matrix([[0, 0, 0]], 3), 3)) == 3
+    assert len(kernel_basis(int_matrix([], 3), 3)) == 3
     # identity: trivial kernel
-    assert kernel_basis([[1, 0], [0, 1]], 2) == []
+    assert kernel_basis(int_matrix([[1, 0], [0, 1]], 2), 2) == []
     # single row [1, -2] -> kernel spanned by (2, 1)
-    assert kernel_basis([[1, -2]], 2) == [[Fraction(2), Fraction(1)]]
+    assert kernel_basis(int_matrix([[1, -2]], 2), 2) == [[Fraction(2), Fraction(1)]]
 
 
 def test_kernel_accepts_fractions_and_repeated_rows() -> None:
@@ -74,7 +74,7 @@ def test_kernel_accepts_fractions_and_repeated_rows() -> None:
         [Fraction(1), Fraction(-2)],  # same row up to scaling
         [Fraction(2), Fraction(-4)],
     ]
-    basis = kernel_basis(rows, 2)
+    basis = kernel_basis(int_matrix(rows, 2), 2)
     assert basis == [[Fraction(2), Fraction(1)]]
 
 
@@ -87,7 +87,7 @@ def test_kernel_against_naive_oracle() -> None:
             [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ncols)]
             for _ in range(nrows)
         ]
-        got = kernel_basis(rows, ncols)
+        got = kernel_basis(int_matrix(rows, ncols), ncols)
         expected = _naive_kernel(rows, ncols)
         assert len(got) == len(expected)
         # every returned vector annihilates every row
@@ -102,7 +102,7 @@ def test_kernel_against_naive_oracle() -> None:
 def test_kernel_vectors_are_primitive_integer() -> None:
     from math import gcd
 
-    basis = kernel_basis([[1, -2, 0], [0, 0, 0]], 3)
+    basis = kernel_basis(int_matrix([[1, -2, 0], [0, 0, 0]], 3), 3)
     for vec in basis:
         ints = [int(c) for c in vec]
         assert all(Fraction(i) == c for i, c in zip(ints, vec))
@@ -117,8 +117,8 @@ def test_kernel_vectors_are_primitive_integer() -> None:
 def test_kernel_deterministic() -> None:
     rng = random.Random(71)
     rows = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(9)]
-    a = kernel_basis(rows, 6)
-    b = kernel_basis([list(r) for r in rows], 6)
+    a = kernel_basis(int_matrix(rows, 6), 6)
+    b = kernel_basis(int_matrix([list(r) for r in rows], 6), 6)
     assert a == b
 
 
@@ -134,10 +134,10 @@ def test_solve_exact() -> None:
 
 def test_kernel_vectors_are_plain_ints() -> None:
     rows = [[Fraction(1, 2), Fraction(-1), 0], [0, 3, -6]]
-    for basis in (kernel_basis(rows, 3), kernel_basis([], 2)):
+    for basis in (kernel_basis(int_matrix(rows, 3), 3), kernel_basis(int_matrix([], 2), 2)):
         assert basis
         assert all(type(c) is int for vec in basis for c in vec)
-    assert kernel_basis(rows, 3) == [[4, 2, 1]]
+    assert kernel_basis(int_matrix(rows, 3), 3) == [[4, 2, 1]]
 
 
 @pytest.mark.parametrize("name", ["dmr", "addmr", "fad-parity"])
@@ -156,8 +156,9 @@ def test_kernel_ignores_row_order_scaling_repeats_and_zero_rows(name) -> None:
         ])
         rows = rows[rng.sample(range(len(rows)), len(rows))]
         assert rows.dtype == np.int64
-        assert kernel_basis(rows, ncols) == kernel_basis(compiled, ncols), k
-        assert kernel_basis(rows.tolist(), ncols) == kernel_basis(compiled, ncols), k
+        want = kernel_basis(compiled, ncols)
+        assert kernel_basis(rows, ncols) == want, k
+        assert kernel_basis(int_matrix(rows.tolist(), ncols), ncols) == want, k
 
 
 def test_kernel_reduces_the_callers_own_integer_rows(monkeypatch) -> None:
@@ -184,8 +185,9 @@ def test_kernel_reduces_the_callers_own_integer_rows(monkeypatch) -> None:
 
 
 def test_a_list_of_rows_becomes_one_matrix_once(monkeypatch) -> None:
-    """Rows given as lists, Fractions included, are converted once, at
-    entry, and every pass reads that one matrix."""
+    """int_matrix clears a row holding a Fraction once, by the lcm of its
+    denominators, and the first pass of kernel_basis reads the very array
+    that int_matrix returned."""
     seen = []
 
     def spy(rows, ncols, p):
@@ -194,27 +196,31 @@ def test_a_list_of_rows_becomes_one_matrix_once(monkeypatch) -> None:
 
     rref = linalg._rref_mod_p
     monkeypatch.setattr(linalg, "_rref_mod_p", spy)
-    rows = [[Fraction(1, 2), Fraction(-1), 0], [0, 3, -6], [1, -2, 0]]
+    rows = int_matrix([[Fraction(1, 2), Fraction(-1), 0], [0, 3, -6], [1, -2, 0]], 3)
+    assert rows.dtype == np.int64 and rows.tolist() == [[1, -2, 0], [0, 3, -6], [1, -2, 0]]
     assert kernel_basis(rows, 3) == [[4, 2, 1]]
-    assert seen[0].dtype == np.int64 and seen[0].tolist() == [[1, -2, 0], [0, 3, -6], [1, -2, 0]]
+    assert seen[0] is rows
 
 
-def _matrix(rows: list, ncols: int):
-    return linalg.int_matrix(rows, len(rows), ncols)
+def test_int_matrix_takes_only_ints_and_fractions() -> None:
+    """A Fraction row is cleared, not truncated; a float or a string is
+    refused, where numpy would truncate or parse it."""
+    assert int_matrix([[Fraction(3, 2), 1]], 2).tolist() == [[3, 2]]
+    for entry in (2.5, "7"):
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            int_matrix([[entry, 1]], 2)
 
 
 def test_int_matrix_holds_entries_beyond_int64_as_python_ints() -> None:
     rows = [[1, -2, 3], [2**63, 0, -(2**70)], [4, 5, 6]]
-    A = _matrix(rows, 3)
+    A = int_matrix(rows, 3)
     assert A.dtype == object and A.tolist() == rows
     assert all(type(c) is int for row in A.tolist() for c in row)
-    B = _matrix(rows[:1] + rows[2:], 3)
+    B = int_matrix(rows[:1] + rows[2:], 3)
     assert B.dtype == np.int64 and B.tolist() == rows[:1] + rows[2:]
     for short_or_long in ([1], [1, 2], [1, 2, 3, 4]):
         with pytest.raises(ValueError):
-            _matrix([[1, 2, 3], short_or_long], 3)
-        with pytest.raises(ValueError):
-            kernel_basis([[1, 2, 3], short_or_long], 3)
+            int_matrix([[1, 2, 3], short_or_long], 3)
 
 
 def test_mod_p_selection_refuses_int64_overflow() -> None:
@@ -223,9 +229,9 @@ def test_mod_p_selection_refuses_int64_overflow() -> None:
     # rank * (p - 1)**2 < 2**63 holds for two pivots and fails for the third
     p = 2**31 - 1
     rows = [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 1, 0], [0, 0, 1, 1]]
-    assert _rref_mod_p(_matrix(rows[:2], 4), 4, p)[0] == [0, 1]
+    assert _rref_mod_p(int_matrix(rows[:2], 4), 4, p)[0] == [0, 1]
     with pytest.raises(ArithmeticError, match="int64"):
-        _rref_mod_p(_matrix(rows, 4), 4, p)
+        _rref_mod_p(int_matrix(rows, 4), 4, p)
 
 
 def _corrupt_residues(monkeypatch) -> list:
@@ -332,11 +338,11 @@ def test_certificate_rejects_products_that_vanish_mod_its_first_primes() -> None
         ([p[0] * p[1] * p[2] * p[3], 0], [1, 1]),  # an entry beyond int64
         ([1, 1], [2**70, p[0] * p[1] - 2**70]),
     ):
-        rows = _matrix([[0, 0], row], 2)
+        rows = int_matrix([[0, 0], row], 2)
         product = sum(a * v for a, v in zip(row, vec))
         assert product and product % p[0] == 0
         assert not linalg._certify(rows, [vec]), (row, vec)
-    assert _matrix([[p[0] * p[1] * p[2] * p[3], 0]], 2).dtype == object
+    assert int_matrix([[p[0] * p[1] * p[2] * p[3], 0]], 2).dtype == object
 
 
 def test_certificate_accepts_correct_bases_beyond_int64() -> None:
@@ -345,9 +351,9 @@ def test_certificate_accepts_correct_bases_beyond_int64() -> None:
         ([1, 1], [2**70, -(2**70)]),  # int64 rows, object basis
         ([2**62, -(2**62)], [1, 1]),  # the largest entries int64 holds
     ):
-        rows = _matrix([row, [0, 0], [-c for c in row]], 2)
+        rows = int_matrix([row, [0, 0], [-c for c in row]], 2)
         assert linalg._certify(rows, [vec]), (row, vec)
-    assert kernel_basis([[3**80, 5**70]] * 3, 2) == [[5**70, -(3**80)]]
+    assert kernel_basis(int_matrix([[3**80, 5**70]] * 3, 2), 2) == [[5**70, -(3**80)]]
 
 
 def test_certificate_refuses_int64_overflow() -> None:
@@ -396,7 +402,7 @@ def _random_systems():
 def test_chunked_scan_matches_the_row_scan_on_random_systems(case) -> None:
     rows, ncols = list(_random_systems())[case]
     for p in linalg._PRIMES[:2]:
-        got = linalg._rref_mod_p(_matrix(rows, ncols), ncols, p)
+        got = linalg._rref_mod_p(int_matrix(rows, ncols), ncols, p)
         assert got == rref_mod_p_by_rows(rows, ncols, p)
 
 
@@ -416,7 +422,7 @@ def test_chunked_scan_reduces_entries_beyond_int64() -> None:
         rows += [[0] * ncols] * 300 + [[(2**64 * p + 1) * c for c in base[-1]]]
         want = rref_mod_p_by_rows(rows, ncols, p)
         assert want[2]
-        A = _matrix(rows, ncols)
+        A = int_matrix(rows, ncols)
         assert A.dtype == object
         assert linalg._rref_mod_p(A, ncols, p) == want
 
@@ -466,9 +472,9 @@ def test_kernel_recovers_from_an_unlucky_base_prime() -> None:
 
     p0 = _PRIMES[0]
     # mod p0 the second row repeats the first, so the base prime sees rank 1
-    assert kernel_basis([[1, 1, 0], [1, 1 + p0, 0]], 3) == [[0, 0, 1]]
+    assert kernel_basis(int_matrix([[1, 1, 0], [1, 1 + p0, 0]], 3), 3) == [[0, 0, 1]]
     # mod p0 the first column vanishes, so the base prime pivots on column 1
-    assert kernel_basis([[p0, 1]], 2) == [[1, -p0]]
+    assert kernel_basis(int_matrix([[p0, 1]], 2), 2) == [[1, -p0]]
     assert solve_exact([[1, 1], [1, 1 + p0]], [2, 2 + p0]) == [1, 1]
 
 
@@ -476,7 +482,7 @@ def test_kernel_entries_wider_than_three_primes() -> None:
     from math import gcd
 
     rows = [[3**30, 5**25]]
-    got = kernel_basis(rows, 2)
+    got = kernel_basis(int_matrix(rows, 2), 2)
     assert got == [[5**25, -(3**30)]]
     (oracle,) = _naive_kernel(rows, 2)
     den = oracle[0].denominator * oracle[1].denominator
@@ -488,7 +494,7 @@ def test_kernel_entries_wider_than_three_primes() -> None:
     )
     # entries beyond int64, whose quotient needs more primes than the eight
     # that are found in advance
-    assert kernel_basis([[3**80, 5**70]], 2) == [[5**70, -(3**80)]]
+    assert kernel_basis(int_matrix([[3**80, 5**70]], 2), 2) == [[5**70, -(3**80)]]
     assert solve_exact([[3**80]], [5**70]) == [Fraction(5**70, 3**80)]
 
 

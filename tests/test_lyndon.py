@@ -3,7 +3,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from dslforge.algebra import commutator, shuffle_primitivity_defect
-from dslforge.linalg import kernel_basis
+from dslforge.linalg import int_matrix, kernel_basis
 from dslforge.lyndon import (
     bracketing,
     lyndon_primitive_basis,
@@ -72,7 +72,7 @@ def test_expansions_primitive_and_independent() -> None:
         words = sorted(all_xwords(k))
         rows = [[e.expansion.coeff(w) for e in basis] for w in words]
         # full column rank: empty kernel
-        assert kernel_basis(rows, len(basis)) == []
+        assert kernel_basis(int_matrix(rows, len(basis)), len(basis)) == []
         for e in basis:
             for m in range(2, k + 1):
                 assert shuffle_primitivity_defect(e.expansion, m) == []

@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from dslforge import verify
 from dslforge.cache import get_basis
+from dslforge.cli import main
 from dslforge.lie import ad_x1
-from dslforge.linalg import kernel_basis
+from dslforge.linalg import int_matrix, kernel_basis
 from dslforge.lyndon import bracketing, lyndon_words
 from dslforge.series import XSeries
-from dslforge.spaces import ADDMR_FAD_PARITY, DMR, rational_kernel, root_basis
+from dslforge.spaces import ADDMR_FAD_PARITY, DMR, SubspaceBasis, rational_kernel, root_basis
 from dslforge.verify import (
     verify_ad_embedding,
     verify_bracket_closure,
@@ -75,6 +77,27 @@ def test_ad_embedding_small() -> None:
     assert rep.parameters["dim_target"] == 1
 
 
+def test_ad_embedding_reports_dependent_images(monkeypatch, capsys) -> None:
+    """With the one vector of dmr_5 listed twice, its two images are
+    dependent: the report fails with the rank they span, and so does the
+    CLI check."""
+    right = verify.get_basis
+
+    def doubled(space, k, use_cache=True):
+        basis = right(space, k, use_cache=use_cache)
+        if (space, k) == (DMR, 5):
+            (vector,) = basis.vectors
+            basis = SubspaceBasis(DMR, 5, [vector, vector])
+        return basis
+
+    monkeypatch.setattr(verify, "get_basis", doubled)
+    rep = verify_ad_embedding(5)
+    assert not rep.passed
+    assert rep.witnesses == [{"reason": "images linearly dependent", "rank": 1}]
+    assert main(["verify", "--check", "ad-embedding", "--k", "5"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
 def _lyndon_coordinates(v: XSeries, k: int) -> list:
     """The coordinates of a weight-k Lie polynomial over the bracketings of
     the Lyndon words of weight k, in increasing order: walk the words and
@@ -108,8 +131,9 @@ def test_ad_x1_images_of_dmr_span_addmr_fad_parity_one_weight_up(k) -> None:
         spanning.append(rng.choice(images).scale(Fraction(rng.randint(-9, 9), rng.randint(2, 9))))
     rng.shuffle(spanning)
     root = root_basis(ADDMR_FAD_PARITY.root, k + 1)
-    annihilator = kernel_basis([_lyndon_coordinates(s, k + 1) for s in spanning], root.dimension)
-    basis = rational_kernel(ADDMR_FAD_PARITY, root, annihilator)
+    coordinates = int_matrix([_lyndon_coordinates(s, k + 1) for s in spanning], root.dimension)
+    annihilator = kernel_basis(coordinates, root.dimension)
+    basis = rational_kernel(ADDMR_FAD_PARITY, root, int_matrix(annihilator, root.dimension))
     expected = get_basis(ADDMR_FAD_PARITY, k + 1)
     assert json.dumps(basis.to_json_dict()) == json.dumps(expected.to_json_dict())
 
