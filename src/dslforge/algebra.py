@@ -239,7 +239,10 @@ def _integral(comp: dict) -> dict:
     """The component as {word: int}: unchanged when no coefficient has a
     denominator above 1, otherwise times the lcm of the denominators, a
     positive multiple, so it meets the same linear conditions."""
-    scale = lcm(*(c.denominator for c in comp.values()))
+    # a set, not a generator: lcm(*generator) builds its argument tuple by
+    # resizing, and the resized small tuples pile up on CPython's tuple free
+    # lists until a full collection, which an all-int run seldom triggers
+    scale = lcm(*{c.denominator for c in comp.values()})
     if scale == 1:
         return comp
     return {w: c.numerator * (scale // c.denominator) for w, c in comp.items()}

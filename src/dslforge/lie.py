@@ -13,14 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .algebra import (
     _components,
     _iterated_sum,
     _pairs_by_weight,
     _power_series,
-    _scaled_exp,
     commutator,
     concat_inverse,
     concat_product,
@@ -244,20 +243,35 @@ def fad_decompose(phi: XSeries) -> FadDecomposition:
     from the layers below, certified by bracketing it back.  A bracket with
     x1 has no word that begins and ends with x0: those words of the right
     side are the residual at weight n, and the first nonzero one ends the
-    solve.  psi = log E on the layers found (up to weight bound - 1, or n - 2
-    on a failure at n) is certified for members and non-members alike: it is
-    primitive, and N exp(psi) = N E with N as in _scaled_exp.
+    solve.
+
+    Everything between reading phi and returning psi runs in integers.  With
+    D the lcm of the denominators of phi - x1, layer m is kept as D^m E_m and
+    phi_j as D^(j-1) phi_j, so the right side at weight n is D^(n-1) times
+    the true one and its preimage is the next scaled layer; only a residual
+    is divided back, by D^(n-1).  psi = log E on the layers found (up to
+    weight bound - 1, or n - 2 on a failure at n) is taken as K log E in
+    integers and divided by K at the end.  It is certified for members and
+    non-members alike: it is primitive, and N exp(psi) = N E, with N the
+    factorial of the highest power nmax of psi that survives the bound, is
+    checked as sum over n of (N/n!) K^(nmax-n) (K log E)^n = N K^nmax E,
+    both sides times D^m at weight m.
     """
     bound = phi.weight_bound
-    diff = phi - XSeries.word("1", 1, bound)
+    diff = XSeries({w: c for w, c in phi.terms.items() if w != "1"}, bound)
     mw = diff.min_weight()
-    if mw is not None and mw < 3:
+    if (bound and phi.terms.get("1") != 1) or (mw is not None and mw < 3):
         raise PreconditionViolation("fad_decompose: phi - x1 has weight < 3 terms")
     if not is_primitive(diff):
         raise PreconditionViolation("fad_decompose: phi - x1 is not primitive")
 
-    parts = _components(diff)  # {j: phi_j}, every j >= 3
-    layers: list[dict] = [{"": 1}, {}]  # the terms of E_0, E_1, ...
+    den = lcm(*{c.denominator for c in diff.terms.values()})  # D; a set, as in _integral
+    powers = [den**m for m in range(bound + 2)]  # D^m, up to the top layer
+    parts = {  # {j: D^(j-1) phi_j}, every j >= 3
+        j: {w: c.numerator * (powers[j - 1] // c.denominator) for w, c in part.items()}
+        for j, part in _components(diff).items()
+    }
+    layers: list[dict] = [{"": 1}, {}]  # the terms of D^m E_m
     residuals: dict[int, XSeries] = {}
     for n in range(3, bound + 1):
         right = XSeries(
@@ -265,7 +279,9 @@ def fad_decompose(phi: XSeries) -> FadDecomposition:
              for u, cu in layers[n - j].items() for v, cv in part.items()),
             n,
         )
-        corner = ((w, c) for w, c in right.terms.items() if w[0] == w[-1] == "0")
+        corner = (
+            (w, Fraction(c, powers[n - 1])) for w, c in right.terms.items() if w[0] == w[-1] == "0"
+        )
         residuals[n] = XSeries(corner, bound)
         if residuals[n]:
             break
@@ -275,21 +291,33 @@ def fad_decompose(phi: XSeries) -> FadDecomposition:
         layers.append(layer.terms)
 
     top = len(layers) - 1
-    e = XSeries((t for layer in layers for t in layer.items()), top)
+    # d clears E's denominators: lcm over m of D^m / gcd(D^m, content of layer m),
+    # over a list as in _integral
+    d = lcm(*[powers[m] // gcd(powers[m], *layer.values()) for m, layer in enumerate(layers)])
     # K log E = sum over r of (-1)^(r+1) K/(r d^r) (d(E - 1))^r in integers,
-    # with d clearing E's denominators; (E - 1)^r vanishes for 2r > top
-    d = lcm(*(c.denominator for c in e.terms.values()))
+    # with K = k; (E - 1)^r vanishes for 2r > top
     k = d ** (top // 2) * lcm(*range(1, top // 2 + 1))
-    y = (e - XSeries.unit(top)).scale(d)
+    y = XSeries(
+        ((w, d * c // powers[len(w)]) for layer in layers[1:] for w, c in layer.items()), top
+    )
     log = _power_series(y, lambda r: r and (-1) ** (r + 1) * k // (r * d**r))
     if not is_primitive(log):
         raise AssertionError("fad_decompose: log E is not primitive")
-    log = log.scale(Fraction(1, k))
-    big, scaled = _scaled_exp(log)
-    if scaled != e.scale(big):
+    # N exp(psi) = N E with psi = log / k, times k^nmax and D^m at weight m
+    low = log.min_weight()
+    nmax = top // low if low else 0
+    big = factorial(nmax)
+    scaled = _power_series(log, lambda n: big // factorial(n) * k ** (nmax - n))
+    expected = big * k**nmax
+    if {w: c * powers[len(w)] for w, c in scaled.terms.items()} != {
+        w: c * expected for layer in layers for w, c in layer.items()
+    }:
         raise AssertionError("fad_decompose: reconstruction mismatch")
     return FadDecomposition(
-        psi_parts={m: XSeries(part, m) for m, part in sorted(_components(log).items())},
+        psi_parts={
+            m: XSeries(((w, Fraction(c, k)) for w, c in part.items()), m)
+            for m, part in sorted(_components(log).items())
+        },
         residuals=residuals,
         is_member=not any(residuals.values()),
     )

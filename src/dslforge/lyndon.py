@@ -16,9 +16,15 @@ from .words import XWord
 
 def lyndon_words(k: int) -> list[XWord]:
     """Lyndon words of length k over '0' < '1', increasing, as Duval's algorithm
-    makes them: _is_lie_component and lyndon_primitive_basis rely on the order."""
+    makes them: _is_lie_component and lyndon_primitive_basis rely on the order.
+    Generated once per length and process; each call gets its own list."""
+    return list(_duval(k))
+
+
+@lru_cache(maxsize=None)
+def _duval(k: int) -> tuple[XWord, ...]:
     if k <= 0:
-        return []
+        return ()
     out = []
     w = [-1]
     while w:
@@ -30,7 +36,7 @@ def lyndon_words(k: int) -> list[XWord]:
             w.append(w[-m])
         while w and w[-1] == 1:
             w.pop()
-    return out
+    return tuple(out)
 
 
 def _mobius(n: int) -> int:

@@ -25,7 +25,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import NonzeroLowWeight
-from .words import XWord, YWord, is_xword, is_yword
+from .words import XWord, YWord, is_xword, is_yword, only_01
 
 TWord = tuple  # (t_exp, YWord)
 
@@ -137,7 +137,7 @@ def _read_word_terms(terms: list, bound: int) -> dict | None:
         return None
     if not (set(map(type, words)) <= {str} and set(map(type, coeffs)) <= {str}):
         return None
-    if "".join(words).strip("01") or max(map(len, words), default=0) > bound:
+    if not only_01("".join(words)) or max(map(len, words), default=0) > bound:
         return None
     if not _INTS.fullmatch(",".join(coeffs)):
         return None
@@ -340,7 +340,7 @@ class XSeries(_SeriesOps):
     def _check_keys(cls, keys) -> None:
         # one type test and one scan of all the letters; the per-key loop
         # runs only to name the first bad key
-        if not (set(map(type, keys)) <= {str} and not "".join(keys).strip("01")):
+        if not (set(map(type, keys)) <= {str} and only_01("".join(keys))):
             super()._check_keys(keys)
 
     @staticmethod

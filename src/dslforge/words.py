@@ -27,8 +27,18 @@ def xdepth(w: XWord) -> int:
     return w.count(X1)
 
 
+_LETTERS = str.maketrans("", "", "01")
+
+
+def only_01(text: str) -> bool:
+    """True when text holds no character but '0' and '1', the empty text
+    included: the letter test of every X-word check, one C pass that deletes
+    the two letters."""
+    return not text.translate(_LETTERS)
+
+
 def is_xword(w: object) -> bool:
-    return isinstance(w, str) and not w.strip("01")
+    return isinstance(w, str) and only_01(w)
 
 
 def is_yword(w: object) -> bool:

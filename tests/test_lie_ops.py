@@ -563,10 +563,18 @@ def test_fad_decompose_matches_the_composition_recursion() -> None:
 
 
 def test_fad_decompose_precondition() -> None:
-    with pytest.raises(PreconditionViolation):
-        fad_decompose(XSeries([("1", 1), ("01", 1)], 4))  # weight-2 tail
-    with pytest.raises(PreconditionViolation):
-        fad_decompose(XSeries([("1", 1), ("011", 1)], 4))  # not primitive
+    low = "has weight < 3 terms"
+    for terms, message in [
+        ([("1", 1), ("01", 1)], low),  # weight-2 tail
+        ([("1", 2), ("011", 1), ("101", -2), ("110", 1)], low),  # x1-coefficient 2
+        ([("", 1), ("1", 1)], low),  # constant term
+        ([("1", Fraction(1, 2))], low),
+        ([("011", 1)], low),  # no x1
+        ([("1", 1), ("011", 1)], "is not primitive"),
+        ([("1", 1), ("011", Fraction(1, 3))], "is not primitive"),
+    ]:
+        with pytest.raises(PreconditionViolation, match=f"^fad_decompose: phi - x1 {message}$"):
+            fad_decompose(XSeries(terms, 4))
 
 
 def test_fad_decompose_random_round_trips() -> None:
@@ -649,6 +657,57 @@ def test_fad_decompose_matches_the_fraction_layers() -> None:
                 assert dec == _fraction_layer_decompose(bumped)
                 rejected += not dec.is_member
     assert rejected >= 15
+
+
+def _graded_generator(rng: random.Random, bound: int, scales: tuple) -> XSeries:
+    """A random generator of weights 2 .. bound - 1, its weight-m part scaled
+    by scales[m % len(scales)]."""
+    psi = XSeries.zero(bound)
+    for k in range(2, bound):
+        psi = psi + _random_primitive(rng, k, bound).scale(scales[k % len(scales)])
+    return psi
+
+
+def test_fad_decompose_matches_the_fraction_layers_when_denominators_differ_by_weight() -> None:
+    # coprime denominators at different weights: the lcm D of phi - x1 mixes
+    # them all, so the denominators of E's layer m are not those of D^m
+    rng = random.Random(79)
+    scales = (Fraction(1, 7), Fraction(2, 11), Fraction(3, 13))
+    rejected = fractional = 0
+    for bound in range(3, 10):
+        x1 = XSeries.word("1", 1, bound)
+        psi = _graded_generator(rng, bound, scales)
+        phi = concat_product(concat_product(concat_exp(-psi), x1), concat_exp(psi))
+        dec = fad_decompose(phi)
+        assert dec.is_member and dec.psi(bound) == psi
+        assert dec == _fraction_layer_decompose(phi)
+        # bumps with fractional coefficients: the residuals are those Fractions
+        for n in range(3, bound + 1):
+            for c in (Fraction(1, 2), Fraction(-5, 9)):
+                bumped = phi + _random_primitive(rng, n, bound).scale(c)
+                dec = fad_decompose(bumped)
+                assert dec == _fraction_layer_decompose(bumped)
+                rejected += not dec.is_member
+                fractional += any(
+                    type(v) is Fraction for r in dec.residuals.values() for v in r.terms.values()
+                )
+    assert rejected >= 15 and fractional >= 15
+
+
+@pytest.mark.slow
+def test_fad_decompose_matches_the_fraction_layers_at_bound_12() -> None:
+    bound = 12
+    rng = random.Random(83)
+    x1 = XSeries.word("1", 1, bound)
+    psi = _graded_generator(rng, bound, (Fraction(1, 7),))
+    phi = concat_product(concat_product(concat_exp(-psi), x1), concat_exp(psi))
+    bumped = phi + lyndon_primitive_basis(bound)[0].expansion  # ad(x0)^11(x1)
+    dec = fad_decompose(phi)
+    assert dec.is_member and dec.psi(bound) == psi
+    assert dec == _fraction_layer_decompose(phi)
+    dec = fad_decompose(bumped)
+    assert not dec.is_member and max(dec.residuals) == bound
+    assert dec == _fraction_layer_decompose(bumped)
 
 
 def _member_and_non_member(bound: int = 7) -> tuple[XSeries, XSeries]:

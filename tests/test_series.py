@@ -31,6 +31,19 @@ def test_rejects_bad_words() -> None:
         YSeries([((0,), 1)], 3)
     with pytest.raises(ValueError):
         TYSeries([((-1, (1,)), 1)], 3)
+    # look-alike and hidden letters, through the constructor's key test and
+    # the batch JSON reader; the empty word is a word
+    good = {"word": "01", "coeff": "1"}
+    for w in ("\uff10\uff11", "0\u0301", "\ud800", "0 1"):
+        with pytest.raises(ValueError, match="not an X-word"):
+            XSeries([("01", 1), (w, 1)], 3)
+        data = XSeries.zero(3).to_json_dict()
+        with pytest.raises(ValueError, match="not an X-word"):
+            XSeries.from_json_dict(dict(data, terms=[good, {"word": w, "coeff": "1"}]))
+    assert XSeries([("01", 1), ("", 1)], 3).terms == {"01": 1, "": 1}
+    data = XSeries.zero(3).to_json_dict()
+    read = XSeries.from_json_dict(dict(data, terms=[good, {"word": "", "coeff": "1"}]))
+    assert read.terms == {"01": 1, "": 1}
 
 
 def test_rejects_negative_bounds() -> None:

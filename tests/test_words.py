@@ -173,6 +173,10 @@ class _Str(str):
 @example("01 ")
 @example("0\n1")
 @example("")
+@example("\uff10\uff11")  # fullwidth digits
+@example("0\u0301")  # a combining accent
+@example("\ud800")  # a lone surrogate
+@example("0 1")
 def test_is_xword_matches_the_letter_predicate(w) -> None:
     assert is_xword(w) == _is_xword_by_letters(w)
 
