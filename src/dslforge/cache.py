@@ -17,9 +17,10 @@ import os
 import re
 import tempfile
 import zlib
+from operator import itemgetter
 from pathlib import Path
 
-from .series import _json_object
+from .series import JSON_FORMAT, _json_object, _series_json
 from .spaces import (
     SCHEMA_VERSION,
     SpaceId,
@@ -51,11 +52,61 @@ _ENTRY_NAME = re.compile(
 
 
 def _checksum(payload: dict) -> int:
-    """CRC-32 of the canonical JSON.  It guards against edited entries, not
-    forged ones; zlib is already loaded by shutil, which tempfile imports,
-    while importing hashlib initialises OpenSSL, about 3.5 MB of resident
-    memory for every cache reader (CPython 3.11, Linux x86-64)."""
-    return zlib.crc32(json.dumps(payload, sort_keys=True).encode())
+    """CRC-32 of the canonical JSON, json.dumps(payload, sort_keys=True).  It
+    guards against edited entries, not forged ones; zlib is already loaded
+    by shutil, which tempfile imports, while importing hashlib initialises
+    OpenSSL, about 3.5 MB of resident memory for every cache reader (CPython
+    3.11, Linux x86-64).  An entry of the shape store_basis writes has its
+    canonical text built from its strings (_canonical_entry); any other is
+    dumped here, at the call depth of the parse, so what parses never
+    overflows."""
+    text = _canonical_entry(payload)
+    if text is None:
+        text = json.dumps(payload, sort_keys=True)
+    return zlib.crc32(text.encode())
+
+
+_VECTOR_KEYS = {"format", "alphabet", "weight_bound", "terms"}
+
+
+def _canonical(fields: dict, vectors: list[str]) -> str:
+    """json.dumps({**fields, "vectors": ...}, sort_keys=True) for fields of
+    int and str values, given the canonical texts of the vectors."""
+    texts = {f: json.dumps(v) for f, v in fields.items() if f != "vectors"}
+    texts["vectors"] = f"[{', '.join(vectors)}]"
+    return "{" + ", ".join(f"{json.dumps(f)}: {texts[f]}" for f in sorted(texts)) + "}"
+
+
+def _canonical_entry(payload: dict) -> str | None:
+    """json.dumps(payload, sort_keys=True) when the payload has the shape
+    store_basis writes: header values that are ints or strs, and vectors of
+    exactly a str format and alphabet, an int weight_bound and terms of
+    exactly a str word and coeff, with no string that needs a JSON escape
+    (printable ASCII, no quote, no backslash).  None for any other payload."""
+    vectors = payload.get("vectors")
+    if type(vectors) is not list or not all(
+        type(f) is str and (f == "vectors" or type(v) in (int, str)) for f, v in payload.items()
+    ):
+        return None
+    texts = []
+    for v in vectors:
+        if type(v) is not dict or v.keys() != _VECTOR_KEYS:
+            return None
+        fmt, alphabet, bound, terms = v["format"], v["alphabet"], v["weight_bound"], v["terms"]
+        if not (type(fmt) is str and type(alphabet) is str and type(bound) is int
+                and type(terms) is list and set(map(type, terms)) <= {dict}
+                and set(map(len, terms)) <= {2}):
+            return None
+        try:  # a term of two keys without these, or a string that is not a str, declines
+            words = list(map(itemgetter("word"), terms))
+            coeffs = list(map(itemgetter("coeff"), terms))
+            text = "".join([fmt, alphabet, *words, *coeffs])
+        except (KeyError, TypeError):
+            return None
+        if not (text.isascii() and text.isprintable()) or '"' in text or "\\" in text:
+            return None
+        texts.append(_series_json(fmt, alphabet, bound, words, coeffs, True))
+    return _canonical(payload, texts)
 
 
 def load_basis(space: SpaceId, k: int) -> SubspaceBasis | None:
@@ -80,14 +131,20 @@ def store_basis(basis: SubspaceBasis) -> Path:
     the cache directory and rename it into place, so concurrent writers never
     share a file.  A clear_cache that removes the temporary file first leaves
     the entry unstored, as if it had run just after the rename."""
-    payload = basis.to_json_dict()
-    payload["crc32"] = _checksum(payload)
+    header, written, canonical = basis._header(), [], []
+    for v in basis.vectors:
+        words, coeffs = v._term_strings()
+        head = (JSON_FORMAT, v._alphabet, v.weight_bound)
+        written.append(_series_json(*head, words, coeffs, False))
+        canonical.append(_series_json(*head, words, coeffs, True))
+    crc = zlib.crc32(_canonical(header, canonical).encode())
+    text = f'{json.dumps(header)[:-1]}, "vectors": [{", ".join(written)}], "crc32": {crc}}}'
     path = _entry_path(basis.space, basis.weight)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload))
+            fh.write(text)
         os.replace(tmp, path)
     except FileNotFoundError:
         pass  # the temporary file was cleared before the rename

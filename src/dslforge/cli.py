@@ -38,6 +38,15 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _seed(text: str) -> int:
+    """The argparse type of --seed: an integer, an optional '-' then ASCII
+    digits."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _parse_spaces(text: str) -> list[SpaceId]:
     spaces = [SpaceId.parse(part) for part in text.split(",") if part.strip()]
     if not spaces:
@@ -222,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k1", type=_positive_int)
     p.add_argument("--k2", type=_positive_int)
     p.add_argument("--k", type=_positive_int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--samples", type=_positive_int, default=50)
     p.add_argument("--kmax", type=_positive_int, default=6)
     p.add_argument("--trunc", type=_positive_int, default=6)

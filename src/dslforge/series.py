@@ -152,6 +152,24 @@ def coeff_str(c: int | Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
+def _series_json(fmt: str, alphabet: str, bound, words: list, coeffs: list, canonical: bool) -> str:
+    """A series JSON object as json.dumps writes it, from its header and its
+    terms as parallel lists of word and coefficient strings: keyed in the
+    order to_json_dict writes, or in sorted key order (sort_keys=True) when
+    canonical.  The strings are written as they are, so none may need a
+    JSON escape: words are '0'/'1', coeff_str writes "p" or "p/q", and a
+    caller holding any other strings checks them first."""
+    if canonical:
+        a, b, pairs = "coeff", "word", zip(coeffs, words)
+    else:
+        a, b, pairs = "word", "coeff", zip(words, coeffs)
+    terms = f'[{{"{a}": "' + f'"}}, {{"{a}": "'.join(map(f'", "{b}": "'.join, pairs)) + '"}]'
+    fields = {"format": f'"{fmt}"', "alphabet": f'"{alphabet}"',
+              "weight_bound": json.dumps(bound), "terms": terms if words else "[]"}
+    order = sorted(fields) if canonical else fields
+    return "{" + ", ".join(f'"{f}": {fields[f]}' for f in order) + "}"
+
+
 def _accumulate(items: Iterable[tuple]) -> dict:
     """The sum of the (key, exact coefficient) pairs as {key: coefficient} in
     normal form (see _coeff), with no zero coefficient stored."""
@@ -371,8 +389,14 @@ class XSeries(_SeriesOps):
     def word(cls, w: XWord, coeff=1, bound: int | None = None) -> "XSeries":
         return cls([(w, coeff)], len(w) if bound is None else bound)
 
+    def _term_strings(self) -> tuple[list, list]:
+        """The words and the coefficient strings of the terms, in written order."""
+        items = self._sorted_items()
+        return list(map(itemgetter(0), items)), list(map(coeff_str, map(itemgetter(1), items)))
+
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        words, coeffs = self._term_strings()
+        return _series_json(JSON_FORMAT, self._alphabet, self.weight_bound, words, coeffs, False)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "XSeries":

@@ -4,12 +4,16 @@ coordinates, whose rows are paired with a basis of unit words.  Also the
 references that the library's row matrix, chunked scan and kernel
 certificate must reproduce: rows compiled into Python lists from a word
 index, the row-by-row mod-p scan, and the exact row-by-row kernel check.
-And two helpers that several test modules share: the Moebius function of
-the Witt-formula oracles and a seeded random series."""
+The cache entry by its definition: its checksum as the CRC-32 of
+json.dumps(..., sort_keys=True), and its text as one json.dumps of the
+basis's JSON object.  And two helpers that several test modules share: the
+Moebius function of the Witt-formula oracles and a seeded random series."""
 
 from __future__ import annotations
 
+import json
 import random
+import zlib
 from itertools import pairwise
 
 import numpy as np
@@ -25,6 +29,19 @@ from dslforge.spaces import (
     root_basis,
 )
 from dslforge.words import all_xwords, shuffle_words, word_pairs
+
+
+def reference_checksum(doc: dict) -> int:
+    """The CRC-32 of a cache entry's canonical JSON, as it is defined."""
+    return zlib.crc32(json.dumps(doc, sort_keys=True).encode())
+
+
+def reference_entry(basis: SubspaceBasis) -> str:
+    """The text of the basis's cache entry, written as a whole: its JSON
+    object with the checksum of that object under "crc32", dumped once."""
+    payload = basis.to_json_dict()
+    payload["crc32"] = reference_checksum(payload)
+    return json.dumps(payload)
 
 
 def full_rows_kernel(space: SpaceId, k: int) -> SubspaceBasis:

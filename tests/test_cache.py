@@ -5,22 +5,28 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from fractions import Fraction
 
 import pytest
 
 from dslforge import cache
 from dslforge.cache import get_basis, list_entries, load_basis, store_basis
 from dslforge.cli import main
+from dslforge.series import XSeries
 from dslforge.spaces import (
     ADDMR,
     ADDMR_FAD,
     ADDMR_FAD_PARITY,
     DMR,
     F2GEQ,
+    FAD,
+    FAD_PARITY,
     VSTRPRTY,
     SubspaceBasis,
     dimension_table,
 )
+
+from reference_systems import reference_checksum, reference_entry
 
 
 def _dims_row(capsys) -> list[int]:
@@ -63,7 +69,7 @@ def _signed(edit):
     def edit_and_sign(data):
         data.pop("crc32")
         edit(data)
-        data["crc32"] = cache._checksum(data)
+        data["crc32"] = reference_checksum(data)
 
     return edit_and_sign
 
@@ -122,7 +128,7 @@ def test_entry_the_basis_reader_rejects_is_a_miss(private_cache, document) -> No
     with pytest.raises(ValueError):
         SubspaceBasis.from_json_dict(doc)
     if isinstance(doc, dict):
-        doc["crc32"] = cache._checksum(doc)
+        doc["crc32"] = reference_checksum(doc)
     entry.write_text(json.dumps(doc))
     assert load_basis(ADDMR, 5) is None
     assert get_basis(ADDMR, 5) == basis
@@ -322,3 +328,85 @@ def test_no_cache_table_solves_each_addmr_kernel_once(private_cache, monkeypatch
     assert spaces_solved == [ADDMR, ADDMR_FAD, ADDMR_FAD_PARITY] * 7
     assert dimension_table([ADDMR, ADDMR], 5, use_cache=False) == {"addmr": table["addmr"][:5]}
     assert not private_cache.exists()
+
+
+def _written_as_the_reference_writes_it(space, k) -> None:
+    """The stored entry is the reference writer's text of its basis, its
+    canonical JSON is built without a dump, and it loads back equal."""
+    basis = get_basis(space, k)
+    text = cache._entry_path(space, k).read_text()
+    assert text == reference_entry(basis), (space.key, k)
+    data = json.loads(text)
+    data.pop("crc32")
+    assert cache._canonical_entry(data) == json.dumps(data, sort_keys=True)
+    assert load_basis(space, k) == basis
+
+
+def test_every_entry_is_written_as_the_reference_writer_writes_it(private_cache) -> None:
+    for space, kmax in [(DMR, 10), (ADDMR, 10), (ADDMR_FAD, 10), (ADDMR_FAD_PARITY, 10),
+                        (FAD_PARITY, 10), (FAD, 9)]:
+        for k in range(1, kmax + 1):
+            _written_as_the_reference_writes_it(space, k)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("space", [DMR, ADDMR], ids=["dmr", "addmr"])
+@pytest.mark.parametrize("k", [12, 13])
+def test_high_weight_entries_are_written_as_the_reference_writer_writes_them(
+    private_cache, space, k
+) -> None:
+    _written_as_the_reference_writes_it(space, k)
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        SubspaceBasis(DMR, 4, [XSeries({"0011": Fraction(1, 2), "0101": -3, "0111": 1}, 4),
+                               XSeries({"0001": Fraction(-7, 6)}, 4)]),
+        SubspaceBasis(ADDMR, 6, []),
+        SubspaceBasis(DMR, 3, [XSeries({"001": 2**70, "011": -(2**64) + 1}, 3)]),
+    ],
+    ids=["fraction", "dimension-0", "beyond-int64"],
+)
+def test_a_hand_made_basis_is_written_as_the_reference_writer_writes_it(private_cache, basis):
+    path = store_basis(basis)
+    assert path == cache._entry_path(basis.space, basis.weight)
+    assert path.read_text() == reference_entry(basis)
+    assert load_basis(basis.space, basis.weight) == basis
+
+
+def _set_term(field, value):
+    return lambda d: d["vectors"][0]["terms"][0].update({field: value})
+
+
+def _set_vector(field, value):
+    return lambda d: d["vectors"][0].update({field: value})
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        *(_set_term(field, f"0{char}1") for field in ("word", "coeff")
+          for char in ('"', "\\", "\x7f", "\u00e9", "\u2028")),
+        _set_term("", "1"),
+        _set_term("coeff", 1),
+        _set_vector("weight_bound", True),
+        _set_vector("weight_bound", 5.0),
+        _set_vector("", 1),
+        lambda d: d.update(schema=["s1p1"]),
+    ],
+    ids=[*(f"{field}-{name}" for field in ("word", "coeff")
+           for name in ("quote", "backslash", "delete", "e-acute", "line-separator")),
+         "third-term-key", "int-coeff", "bool-bound", "float-bound", "fifth-vector-key",
+         "list-header"],
+)
+def test_an_entry_of_another_shape_is_checksummed_by_its_dump(private_cache, edit) -> None:
+    """An entry that store_basis could not have written has no canonical text
+    built from its strings; its checksum is the dump's, as defined."""
+    get_basis(ADDMR, 5)
+    data = json.loads(cache._entry_path(ADDMR, 5).read_text())
+    data.pop("crc32")
+    assert cache._canonical_entry(data) == json.dumps(data, sort_keys=True)
+    edit(data)
+    assert cache._canonical_entry(data) is None
+    assert cache._checksum(data) == reference_checksum(data)

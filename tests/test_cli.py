@@ -224,6 +224,22 @@ def test_bad_numbers_exit_2(cli_cache, capsys, tmp_path, argv) -> None:
     assert "expected a positive integer" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("seed", ["\u0661_\u0662", "1_2", "+3", " 7", "2.0", "--4", "-", ""],
+                         ids=["arabic-indic", "underscore", "plus", "space", "float", "double-minus",
+                              "minus", "empty"])
+def test_a_seed_not_in_ascii_digits_exits_2(cli_cache, capsys, seed) -> None:
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--check", "group-laws", "--trunc", "4", f"--seed={seed}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "expected an integer" in err and "Traceback" not in err
+
+
+def test_a_negative_seed_runs(cli_cache, capsys) -> None:
+    assert main(["verify", "--check", "group-laws", "--trunc", "4", "--seed=-3"]) == 0
+    assert '"seed": -3' in capsys.readouterr().out
+
+
 def test_dims_empty_space_list_exits_2(cli_cache, capsys) -> None:
     assert main(["dims", "--space", ",", "--kmax", "3"]) == 2
     assert capsys.readouterr().err.startswith("error: no space id")

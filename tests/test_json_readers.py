@@ -24,6 +24,8 @@ from dslforge.moulds import MultiPoly
 from dslforge.series import TYSeries, XSeries, YSeries, load_series
 from dslforge.spaces import ADDMR, DMR, SpaceId, SubspaceBasis
 
+from reference_systems import reference_checksum
+
 _READERS = [
     XSeries.from_json_dict,
     YSeries.from_json_dict,
@@ -106,7 +108,8 @@ def test_every_reader_returns_or_raises_value_error(private_cache, doc) -> None:
     if isinstance(doc, dict):
         doc = {f: v for f, v in doc.items() if f != "crc32"}
         basis = _read(SubspaceBasis.from_json_dict, doc)
-        doc["crc32"] = cache._checksum(doc)
+        assert cache._checksum(doc) == reference_checksum(doc)
+        doc["crc32"] = reference_checksum(doc)
     else:
         basis = None
     cache._entry_path(ADDMR, 5).write_text(json.dumps(doc))

@@ -110,6 +110,20 @@ def test_json_round_trips(tmp_path) -> None:
     assert load_series(path) == x
 
 
+@pytest.mark.parametrize(
+    "series",
+    [
+        XSeries({"": 2, "0": Fraction(-1, 3), "011": 5, "10": Fraction(7, 2), "1101": -(2**70)}, 6),
+        XSeries({}, 0),
+        XSeries({}, 4),
+    ],
+    ids=["mixed-weights", "empty", "empty-bound-4"],
+)
+def test_to_json_is_one_dump_of_to_json_dict(series) -> None:
+    assert series.to_json() == json.dumps(series.to_json_dict())
+    assert XSeries.from_json(series.to_json()) == series
+
+
 def test_load_series_picks_the_class_by_its_alphabet(tmp_path) -> None:
     path = tmp_path / "series.json"
     for s in (XSeries([("011", 2)], 4), YSeries([((2, 1), 5)], 6),
