@@ -79,7 +79,7 @@ def cmd_dims(args) -> int:
 def cmd_basis(args) -> int:
     space = SpaceId.parse(args.space)
     basis = get_basis(space, args.k, use_cache=not args.no_cache)
-    payload = json.dumps(basis.to_json_dict())
+    payload = basis.to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")

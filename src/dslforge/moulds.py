@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .algebra import is_primitive
 from .lie import derive_d
-from .series import XSeries, _accumulate, _coeff, _json_terms, _shown, coeff_str, corner_decompose
+from .series import XSeries, _accumulate, _coeff, _json_terms, _shown, corner_decompose
 from .verify import VerificationReport, _report
 from .words import x_run_lengths, xdepth
 
@@ -131,7 +131,7 @@ class MultiPoly:
         return {
             "vars": self.nvars,
             "terms": [
-                {"exp": list(e), "coeff": coeff_str(c)}
+                {"exp": list(e), "coeff": str(c)}
                 for e, c in sorted(self.terms.items())
             ],
         }
@@ -167,7 +167,7 @@ class MultiPoly:
         parts = []
         for e, c in sorted(self.terms.items()):
             mono = "*".join(f"u{i}^{p}" for i, p in enumerate(e) if p) or "1"
-            parts.append(f"{coeff_str(c)}*{mono}")
+            parts.append(f"{c}*{mono}")
         return f"MultiPoly({' + '.join(parts)}; vars={self.nvars})"
 
 

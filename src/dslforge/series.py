@@ -7,10 +7,10 @@ plain int when the value is integral, a Fraction only when its denominator
 is above 1, so integer inputs and bases run in native int arithmetic.  Zero
 coefficients are never stored.  coeff() returns a Fraction, for a missing
 word too, so dividing two coefficients stays exact.  A coefficient string,
-in a file or in process, is "p" or "p/q" (_json_coeff).  Instances are
-immutable: attributes cannot be set, no method mutates terms, and all
-operations return new series.  The three classes share one body and differ
-only in their keys.
+in a file or in process, is "p" or "p/q" (_json_coeff), as str writes a
+stored coefficient.  Instances are immutable: attributes cannot be set, no
+method mutates terms, and all operations return new series.  The three
+classes share one body and differ only in their keys.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def _coeff(value) -> int | Fraction:
     raise TypeError(f"not an exact rational: {_shown(value)}")
 
 
-# The coefficient strings a file may hold, as coeff_str writes them: "p" or
+# The coefficient strings a file may hold, as str writes them: "p" or
 # "p/q" in ASCII digits; and "p" strings joined by ",", a whole list at once.
 _COEFF = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _INTS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
@@ -126,7 +126,7 @@ def _read_word_terms(terms: list, bound: int) -> dict | None:
     """The terms {word: int} of an X-series term list, checked in a few
     passes over the whole list: every term has a word and a coefficient,
     every word is a '0'/'1' string within the bound, no word repeats, and
-    every coefficient is a "p" string, as coeff_str writes an integer, all
+    every coefficient is a "p" string, as str writes an integer, all
     matched by one regex over their joined text.  None otherwise, so the
     per-term reader decides, with its messages, and reads JSON integers and
     fractions."""
@@ -148,25 +148,11 @@ def _read_word_terms(terms: list, bound: int) -> dict | None:
     return out if len(out) == len(words) else None
 
 
-def coeff_str(c: int | Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-def _series_json(fmt: str, alphabet: str, bound, words: list, coeffs: list, canonical: bool) -> str:
-    """A series JSON object as json.dumps writes it, from its header and its
-    terms as parallel lists of word and coefficient strings: keyed in the
-    order to_json_dict writes, or in sorted key order (sort_keys=True) when
-    canonical.  The strings are written as they are, so none may need a
-    JSON escape: words are '0'/'1', coeff_str writes "p" or "p/q", and a
-    caller holding any other strings checks them first."""
-    if canonical:
-        a, b, pairs = "coeff", "word", zip(coeffs, words)
-    else:
-        a, b, pairs = "word", "coeff", zip(words, coeffs)
-    terms = f'[{{"{a}": "' + f'"}}, {{"{a}": "'.join(map(f'", "{b}": "'.join, pairs)) + '"}]'
-    fields = {"format": f'"{fmt}"', "alphabet": f'"{alphabet}"',
-              "weight_bound": json.dumps(bound), "terms": terms if words else "[]"}
-    order = sorted(fields) if canonical else fields
+def _object_text(fields: dict, sort_keys: bool) -> str:
+    """The JSON object of fields as json.dumps writes it, with sort_keys as
+    given, from its values already written as JSON texts.  The keys are
+    written as they are, so none may need a JSON escape."""
+    order = sorted(fields) if sort_keys else fields
     return "{" + ", ".join(f'"{f}": {fields[f]}' for f in order) + "}"
 
 
@@ -263,7 +249,7 @@ class _SeriesOps:
         name = type(self).__name__
         if not self.terms:
             return f"{name}(0; bound={self.weight_bound})"
-        body = " + ".join(f"{coeff_str(c)}*{self._show(w)}" for w, c in self._sorted_items())
+        body = " + ".join(f"{c}*{self._show(w)}" for w, c in self._sorted_items())
         return f"{name}({body}; bound={self.weight_bound})"
 
     def to_json_dict(self) -> dict:
@@ -272,7 +258,7 @@ class _SeriesOps:
             "alphabet": self._alphabet,
             "weight_bound": self.weight_bound,
             "terms": [
-                {**self._key_json(w), "coeff": coeff_str(c)} for w, c in self._sorted_items()
+                {**self._key_json(w), "coeff": str(c)} for w, c in self._sorted_items()
             ],
         }
 
@@ -372,10 +358,13 @@ class XSeries(_SeriesOps):
             raise ValueError(f"not an X-word: {_shown(w)}")
         return w
 
-    def _sorted_items(self) -> list:
+    def _sorted_words(self) -> list:
         # by length, then by word: two sorts keyed in C
+        return sorted(sorted(self.terms), key=len)
+
+    def _sorted_items(self) -> list:
         terms = self.terms
-        return [(w, terms[w]) for w in sorted(sorted(terms), key=len)]
+        return [(w, terms[w]) for w in self._sorted_words()]
 
     @staticmethod
     def _show(w: XWord) -> str:
@@ -389,14 +378,28 @@ class XSeries(_SeriesOps):
     def word(cls, w: XWord, coeff=1, bound: int | None = None) -> "XSeries":
         return cls([(w, coeff)], len(w) if bound is None else bound)
 
-    def _term_strings(self) -> tuple[list, list]:
-        """The words and the coefficient strings of the terms, in written order."""
-        items = self._sorted_items()
-        return list(map(itemgetter(0), items)), list(map(coeff_str, map(itemgetter(1), items)))
+    def _json_texts(self, *sort_keys: bool) -> list[str]:
+        """The series as json.dumps writes to_json_dict(), once for each flag,
+        with sort_keys as the flag says.  The terms are read once, and their
+        strings are written as they are: no word or coefficient needs a JSON
+        escape, as words are '0'/'1' and str writes "p" or "p/q"."""
+        words = self._sorted_words()
+        coeffs = list(map(str, map(self.terms.__getitem__, words)))
+        head = {"format": f'"{JSON_FORMAT}"', "alphabet": f'"{self._alphabet}"',
+                "weight_bound": json.dumps(self.weight_bound)}
+        texts = []
+        for s in sort_keys:
+            if s:
+                a, b, pairs = "coeff", "word", zip(coeffs, words)
+            else:
+                a, b, pairs = "word", "coeff", zip(words, coeffs)
+            start = f'{{"{a}": "'
+            terms = f"[{start}" + f'"}}, {start}'.join(map(f'", "{b}": "'.join, pairs)) + '"}]'
+            texts.append(_object_text({**head, "terms": terms if words else "[]"}, s))
+        return texts
 
     def to_json(self) -> str:
-        words, coeffs = self._term_strings()
-        return _series_json(JSON_FORMAT, self._alphabet, self.weight_bound, words, coeffs, False)
+        return self._json_texts(False)[0]
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "XSeries":

@@ -42,7 +42,7 @@ from .algebra import _code_defects, _components, _harmonic_products, _sharp_code
 from .algebra import _sharp_terms, _shuffle_defects, _star_codes, _star_terms
 from .linalg import kernel_basis
 from .lyndon import lyndon_primitive_basis
-from .series import XSeries, _shown, corner_decompose
+from .series import XSeries, _object_text, _shown, corner_decompose
 from .words import all_xwords
 
 # Bumped when the emitted rows or the pivot rule change; part of cache keys.
@@ -127,8 +127,19 @@ class SubspaceBasis:
             "dimension": self.dimension,
         }
 
-    def to_json_dict(self) -> dict:
-        return {**self._header(), "vectors": [v.to_json_dict() for v in self.vectors]}
+    def to_json(self) -> str:
+        return self._json_texts(False)[0]
+
+    def _json_texts(self, *sort_keys: bool) -> list[str]:
+        """The basis as json.dumps writes its JSON object, the header and then
+        the vectors as XSeries writes them, once for each flag, with sort_keys
+        as the flag says: sorted, it is the text a cache entry's CRC is over."""
+        vectors = [v._json_texts(*sort_keys) for v in self.vectors]
+        header = {f: json.dumps(v) for f, v in self._header().items()}
+        return [
+            _object_text({**header, "vectors": f"[{', '.join(t[i] for t in vectors)}]"}, s)
+            for i, s in enumerate(sort_keys)
+        ]
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SubspaceBasis":

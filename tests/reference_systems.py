@@ -6,8 +6,10 @@ certificate must reproduce: rows compiled into Python lists from a word
 index, the row-by-row mod-p scan, and the exact row-by-row kernel check.
 The cache entry by its definition: its checksum as the CRC-32 of
 json.dumps(..., sort_keys=True), and its text as one json.dumps of the
-basis's JSON object.  And two helpers that several test modules share: the
-Moebius function of the Witt-formula oracles and a seeded random series."""
+basis's JSON object, whose coefficients are written by the coefficient
+rule that str must match.  And two helpers that several test modules
+share: the Moebius function of the Witt-formula oracles and a seeded random
+series."""
 
 from __future__ import annotations
 
@@ -31,6 +33,26 @@ from dslforge.spaces import (
 from dslforge.words import all_xwords, shuffle_words, word_pairs
 
 
+def coeff_str(c) -> str:
+    """A stored coefficient (an int, or a Fraction whose denominator is above
+    1) as a file holds it: "p" or "p/q"."""
+    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+
+def basis_json_dict(basis: SubspaceBasis) -> dict:
+    """The basis's JSON object: its header, then each vector as an
+    ncseries-v1 object, its terms in written order."""
+    return {
+        **basis._header(),
+        "vectors": [
+            {"format": "ncseries-v1", "alphabet": "x01", "weight_bound": v.weight_bound,
+             "terms": [{"word": w, "coeff": coeff_str(v.terms[w])}
+                       for w in sorted(v.terms, key=lambda w: (len(w), w))]}
+            for v in basis.vectors
+        ],
+    }
+
+
 def reference_checksum(doc: dict) -> int:
     """The CRC-32 of a cache entry's canonical JSON, as it is defined."""
     return zlib.crc32(json.dumps(doc, sort_keys=True).encode())
@@ -39,7 +61,7 @@ def reference_checksum(doc: dict) -> int:
 def reference_entry(basis: SubspaceBasis) -> str:
     """The text of the basis's cache entry, written as a whole: its JSON
     object with the checksum of that object under "crc32", dumped once."""
-    payload = basis.to_json_dict()
+    payload = basis_json_dict(basis)
     payload["crc32"] = reference_checksum(payload)
     return json.dumps(payload)
 

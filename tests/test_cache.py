@@ -331,14 +331,15 @@ def test_no_cache_table_solves_each_addmr_kernel_once(private_cache, monkeypatch
 
 
 def _written_as_the_reference_writes_it(space, k) -> None:
-    """The stored entry is the reference writer's text of its basis, its
-    canonical JSON is built without a dump, and it loads back equal."""
+    """The stored entry is the reference writer's text of its basis, the
+    basis's canonical JSON is the entry's dump with sorted keys, and it
+    loads back equal."""
     basis = get_basis(space, k)
     text = cache._entry_path(space, k).read_text()
     assert text == reference_entry(basis), (space.key, k)
     data = json.loads(text)
     data.pop("crc32")
-    assert cache._canonical_entry(data) == json.dumps(data, sort_keys=True)
+    assert basis._json_texts(True) == [json.dumps(data, sort_keys=True)]
     assert load_basis(space, k) == basis
 
 
@@ -383,30 +384,64 @@ def _set_vector(field, value):
     return lambda d: d["vectors"][0].update({field: value})
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [
-        *(_set_term(field, f"0{char}1") for field in ("word", "coeff")
-          for char in ('"', "\\", "\x7f", "\u00e9", "\u2028")),
-        _set_term("", "1"),
-        _set_term("coeff", 1),
-        _set_vector("weight_bound", True),
-        _set_vector("weight_bound", 5.0),
-        _set_vector("", 1),
-        lambda d: d.update(schema=["s1p1"]),
-    ],
-    ids=[*(f"{field}-{name}" for field in ("word", "coeff")
-           for name in ("quote", "backslash", "delete", "e-acute", "line-separator")),
-         "third-term-key", "int-coeff", "bool-bound", "float-bound", "fifth-vector-key",
-         "list-header"],
-)
-def test_an_entry_of_another_shape_is_checksummed_by_its_dump(private_cache, edit) -> None:
-    """An entry that store_basis could not have written has no canonical text
-    built from its strings; its checksum is the dump's, as defined."""
-    get_basis(ADDMR, 5)
-    data = json.loads(cache._entry_path(ADDMR, 5).read_text())
-    data.pop("crc32")
-    assert cache._canonical_entry(data) == json.dumps(data, sort_keys=True)
+def _reverse_terms(d):
+    for v in d["vectors"]:
+        v["terms"].reverse()
+
+
+def _respell_three(d):
+    next(t for t in d["vectors"][1]["terms"] if t["coeff"] == "3").update(coeff="6/2")
+
+
+def _swap_words(d):
+    a, b = d["vectors"][1]["terms"][:2]
+    a["word"], b["word"] = b["word"], a["word"]
+
+
+def _unedited(d):
+    """No edit: the entry is only re-indented, as every case is."""
+
+
+# Edits of the stored addmr-5 entry, each with whether it loads when signed
+# over its own dump and whether it loads under the stored CRC.
+_SPELLINGS = {
+    **{f"{field}-{name}": (_set_term(field, f"0{char}1"), False, False)
+       for field in ("word", "coeff")
+       for name, char in [("quote", '"'), ("backslash", "\\"), ("delete", "\x7f"),
+                          ("e-acute", "\u00e9"), ("line-separator", "\u2028")]},
+    "third-term-key": (_set_term("", "1"), False, True),
+    "int-coeff": (_set_term("coeff", 1), False, True),  # the first term's coefficient is "1"
+    "bool-bound": (_set_vector("weight_bound", True), False, False),
+    "float-bound": (_set_vector("weight_bound", 5.0), False, False),
+    "fifth-vector-key": (_set_vector("", 1), False, True),
+    "list-header": (lambda d: d.update(schema=["s1p1"]), False, False),
+    "indent-2": (_unedited, True, True),
+    "reversed-terms": (_reverse_terms, False, True),
+    "fraction-for-int": (_respell_three, False, True),
+    "changed-coeff": (_set_term("coeff", "2"), True, False),
+    "swapped-words": (_swap_words, False, False),
+}
+
+
+@pytest.mark.parametrize("edit,signed_hit,stored_hit", _SPELLINGS.values(), ids=_SPELLINGS)
+def test_an_entry_of_another_shape_is_checksummed_by_its_dump(
+    private_cache, edit, signed_hit, stored_hit
+) -> None:
+    """The CRC certifies the basis read, not how its entry is spelled.  Each
+    edited entry is written with indent=2.  Checksummed by its own dump, as a
+    writer of another shape would sign it, it loads only when that dump is
+    the canonical JSON of the basis it holds: unedited, or with a coefficient
+    changed (the CRC guards against edits, not forged entries).  Under the
+    stored CRC it loads exactly when it still holds the stored basis: terms
+    reordered or with a key the reader ignores, or a coefficient spelled
+    another way."""
+    basis = get_basis(ADDMR, 5)
+    entry = cache._entry_path(ADDMR, 5)
+    data = json.loads(entry.read_text())
+    crc = data.pop("crc32")
     edit(data)
-    assert cache._canonical_entry(data) is None
-    assert cache._checksum(data) == reference_checksum(data)
+    for signature, hit in [(reference_checksum(data), signed_hit), (crc, stored_hit)]:
+        entry.write_text(json.dumps({**data, "crc32": signature}, indent=2))
+        assert load_basis(ADDMR, 5) == (SubspaceBasis.from_json_dict(data) if hit else None)
+    if stored_hit:
+        assert SubspaceBasis.from_json_dict(data) == basis

@@ -5,8 +5,12 @@ import json
 import pytest
 
 from dslforge import linalg
+from dslforge.cache import get_basis
 from dslforge.cli import main
 from dslforge.series import XSeries
+from dslforge.spaces import ADDMR, ADDMR_FAD_PARITY, DMR, FAD_PARITY
+
+from reference_systems import basis_json_dict
 
 
 @pytest.fixture()
@@ -53,6 +57,26 @@ def test_basis_export_and_member(cli_cache, capsys, tmp_path) -> None:
     assert main(["member", "--space", "dmr", "--in", str(series_path)]) == 1
     out = capsys.readouterr().out
     assert "fail" in out
+
+
+def test_basis_prints_and_writes_the_reference_writers_text(cli_cache, capsys, tmp_path) -> None:
+    """stdout and the --out file are the text of the basis's cache entry, as
+    the reference writer writes it, without its CRC.  Each basis is printed
+    when it is solved and stored, then written when it is loaded; some have
+    dimension 0."""
+    out_path = tmp_path / "basis.json"
+    dimensions = set()
+    for space in (DMR, ADDMR, ADDMR_FAD_PARITY, FAD_PARITY):
+        for k in range(1, 9):
+            basis = get_basis(space, k, use_cache=False)
+            text = json.dumps(basis_json_dict(basis)) + "\n"
+            dimensions.add(basis.dimension)
+            assert main(["basis", "--space", space.key, "--k", str(k)]) == 0
+            assert capsys.readouterr().out == text, (space.key, k)
+            argv = ["basis", "--space", space.key, "--k", str(k), "--out", str(out_path)]
+            assert main(argv) == 0
+            assert out_path.read_text() == text, (space.key, k)
+    assert 0 in dimensions
 
 
 def test_member_fad_commutator(cli_cache, capsys, tmp_path) -> None:

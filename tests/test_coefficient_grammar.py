@@ -1,5 +1,5 @@
 """A coefficient in a series, polynomial or cache file is a JSON integer or a
-string "p" or "p/q" in ASCII digits, as coeff_str writes it; any other string
+string "p" or "p/q" in ASCII digits, as str writes it; any other string
 is rejected at once, never converted.  A string handed to a constructor or
 to scale in process is read by the same grammar."""
 

@@ -29,7 +29,13 @@ from dslforge.spaces import (
 )
 from dslforge.words import all_xwords, all_ywords, word_pairs
 
-from reference_systems import compile_primitivity_raw, full_rows_kernel, raw_kernel, unit_basis
+from reference_systems import (
+    basis_json_dict,
+    compile_primitivity_raw,
+    full_rows_kernel,
+    raw_kernel,
+    unit_basis,
+)
 
 
 def test_space_id_parse() -> None:
@@ -237,7 +243,7 @@ def test_cache_schema_mismatch_ignored(tmp_path, monkeypatch) -> None:
 
 def test_basis_json_round_trip() -> None:
     basis = full_rows_kernel(ADDMR, 4)
-    data = basis.to_json_dict()
+    data = basis_json_dict(basis)
     assert data["format"] == "basis-v1"
     back = SubspaceBasis.from_json_dict(data)
     assert back.space == basis.space
@@ -253,10 +259,11 @@ def test_basis_json_round_trip() -> None:
 def test_every_basis_reads_back_as_written(space) -> None:
     for k in range(1, 9):
         basis = get_basis(space, k, use_cache=False)
-        text = json.dumps(basis.to_json_dict())
+        text = json.dumps(basis_json_dict(basis))
+        assert basis.to_json() == text
         back = SubspaceBasis.from_json_dict(json.loads(text))
         assert back == basis
-        assert json.dumps(back.to_json_dict()) == text
+        assert back.to_json() == text
 
 
 def _one_vector(data: dict, dimension) -> None:
@@ -288,7 +295,7 @@ def _one_vector(data: dict, dimension) -> None:
          "dimension-above-count", "dimension-below-count", "short-word"],
 )
 def test_basis_reader_refuses_what_its_writer_never_writes(edit) -> None:
-    data = get_basis(ADDMR, 7, use_cache=False).to_json_dict()
+    data = basis_json_dict(get_basis(ADDMR, 7, use_cache=False))
     edit(data)
     with pytest.raises(ValueError):
         SubspaceBasis.from_json_dict(data)

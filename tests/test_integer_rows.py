@@ -45,9 +45,9 @@ from dslforge.words import (
 
 import reference_systems
 from conftest import record_acceptance
-from reference_systems import compile_lists, full_rows_kernel, mobius
+from reference_systems import basis_json_dict, compile_lists, full_rows_kernel, mobius
 
-# sha256 of json.dumps(basis.to_json_dict(), sort_keys=True) for k = 1..8
+# sha256 of json.dumps(basis_json_dict(basis), sort_keys=True) for k = 1..8
 _PINNED = {
     "dmr": [
         "f5e697802f7faad26bb357f95fe0d4475fda626ef839599fdf2e69c221d9c47e",
@@ -123,7 +123,7 @@ _PINNED = {
 
 
 def _sha256(basis) -> str:
-    return hashlib.sha256(json.dumps(basis.to_json_dict(), sort_keys=True).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(basis_json_dict(basis), sort_keys=True).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(_PINNED))

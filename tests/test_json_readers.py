@@ -24,7 +24,7 @@ from dslforge.moulds import MultiPoly
 from dslforge.series import TYSeries, XSeries, YSeries, load_series
 from dslforge.spaces import ADDMR, DMR, SpaceId, SubspaceBasis
 
-from reference_systems import reference_checksum
+from reference_systems import basis_json_dict, reference_checksum
 
 _READERS = [
     XSeries.from_json_dict,
@@ -58,7 +58,7 @@ _VALID = [
     XSeries({"011": Fraction(-3, 2), "01": 1}, 3).to_json_dict(),  # read term by term
     YSeries({(2, 1): 1, (1,): 2}, 3).to_json_dict(),
     TYSeries({(0, (1,)): 1, (1, (1,)): Fraction(1, 2)}, 3).to_json_dict(),
-    get_basis(ADDMR, 5, use_cache=False).to_json_dict(),
+    basis_json_dict(get_basis(ADDMR, 5, use_cache=False)),
     MultiPoly(2, [((1, 0), 1), ((0, 2), Fraction(1, 2))]).to_json_dict(),
 ]
 
@@ -103,17 +103,18 @@ def test_every_reader_returns_or_raises_value_error(private_cache, doc) -> None:
     for reader in _READERS:
         _read(reader, doc)
     _read(XSeries.from_json, json.dumps(doc))
-    # as an addmr-5 entry with a valid checksum: a hit only on a basis the
-    # reader reads as addmr at weight 5, a miss otherwise
+    # as an addmr-5 entry signed over its dump: a hit only on a basis the
+    # reader reads as addmr at weight 5 and whose canonical JSON is that dump
     if isinstance(doc, dict):
         doc = {f: v for f, v in doc.items() if f != "crc32"}
         basis = _read(SubspaceBasis.from_json_dict, doc)
-        assert cache._checksum(doc) == reference_checksum(doc)
+        canonical = basis is not None and json.dumps(doc, sort_keys=True) == json.dumps(
+            basis_json_dict(basis), sort_keys=True)
         doc["crc32"] = reference_checksum(doc)
     else:
         basis = None
     cache._entry_path(ADDMR, 5).write_text(json.dumps(doc))
-    hit = basis is not None and (basis.space, basis.weight) == (ADDMR, 5)
+    hit = basis is not None and (basis.space, basis.weight) == (ADDMR, 5) and canonical
     assert load_basis(ADDMR, 5) == (basis if hit else None)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,12 @@ from dslforge.series import (
     TYSeries,
     XSeries,
     YSeries,
+    _coeff,
     corner_decompose,
     load_series,
 )
+
+from reference_systems import coeff_str
 
 
 def test_construction_normalizes() -> None:
@@ -121,7 +125,25 @@ def test_json_round_trips(tmp_path) -> None:
 )
 def test_to_json_is_one_dump_of_to_json_dict(series) -> None:
     assert series.to_json() == json.dumps(series.to_json_dict())
+    assert series._json_texts(True, False) == [
+        json.dumps(series.to_json_dict(), sort_keys=True), series.to_json()]
     assert XSeries.from_json(series.to_json()) == series
+
+
+def test_str_writes_a_coefficient_as_the_reference_rule_does() -> None:
+    """str of every stored coefficient, an int or a Fraction whose
+    denominator is above 1, is "p" or "p/q" as the reference rule writes it,
+    and so is str of a Fraction with denominator 1."""
+    rng = random.Random(35)
+    ints = [0, 1, -1, 2**63 - 1, 2**63, 2**64 + 1, -(2**64 + 1), 10**300]
+    ints += [rng.randint(-(10**d), 10**d) for d in range(1, 41) for _ in range(25)]
+    fractions = [Fraction(4, 2), Fraction(-7, 6), Fraction(1, 2**64 + 1), Fraction(2**70, 3)]
+    fractions += [Fraction(rng.randint(-(10**12), 10**12), rng.randint(1, 10**12))
+                  for _ in range(1000)]
+    values = ints + fractions + [_coeff(f) for f in fractions]
+    assert len(values) > 2000
+    for c in values:
+        assert str(c) == coeff_str(c), c
 
 
 def test_load_series_picks_the_class_by_its_alphabet(tmp_path) -> None:

@@ -135,7 +135,7 @@ def test_ad_x1_images_of_dmr_span_addmr_fad_parity_one_weight_up(k) -> None:
     annihilator = kernel_basis(coordinates, root.dimension)
     basis = rational_kernel(ADDMR_FAD_PARITY, root, int_matrix(annihilator, root.dimension))
     expected = get_basis(ADDMR_FAD_PARITY, k + 1)
-    assert json.dumps(basis.to_json_dict()) == json.dumps(expected.to_json_dict())
+    assert basis.to_json() == expected.to_json()
 
 
 def test_lie_axioms() -> None:
